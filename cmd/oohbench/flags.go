@@ -159,8 +159,9 @@ func parseTrajectoryTolerance(tol float64, trajectory string) error {
 // is an error, not something to extend) and appends one line per perf
 // result. With tol >= 0 the existing file is also a regression gate:
 // every fresh result is compared against the file's last line with the
-// same experiment id, and a pages/sec drop past the tolerance fails the
-// run before anything is appended.
+// same experiment id, and a pages/sec drop (a speedup drop for a result
+// that tracks no pages) past the tolerance fails the run before anything
+// is appended.
 func appendTrajectory(path, commit string, perf []experiments.BenchPerf, tol float64) error {
 	if prev, err := os.Open(path); err == nil {
 		verr := experiments.ValidateTrajectory(prev)
@@ -197,7 +198,8 @@ func appendTrajectory(path, commit string, perf []experiments.BenchPerf, tol flo
 // prefix it replaces (a 50 MiB micro working set, best of 5) and prints the
 // ratio; with -trajectory the result is appended as an ooh-trajectory/v1
 // line under the id "fork-vs-boot", where speedup_vs_uncached is the
-// boot+warm-to-fork wall-time ratio.
+// boot+warm-to-fork wall-time ratio and pages_tracked/pages_per_sec are 0
+// (a fork tracks nothing; -trajectory-tolerance gates the speedup).
 func runForkBench(bf benchFlags) error {
 	const pages = 50 << 20 >> 12 // 50 MiB of 4 KiB pages
 	fb, err := experiments.MeasureForkSpeed(pages, bf.seed, 5)

@@ -209,14 +209,9 @@ func (v *VCPU) physWriteU64(c *bufCache, hpa mem.HPA, val uint64) error {
 		}
 		*c = bufCache{hpaPage: page, physEpoch: v.Phys.Epoch(), frame: f}
 	}
-	off := hpa.PageOffset()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], val)
-	if d := c.frame.Data(); d != nil {
-		copy(d[off:], b[:])
-	} else if !c.frame.Put(off, b[:]) {
-		copy(v.Phys.Materialize(c.frame)[off:], b[:])
-	}
+	v.Phys.WriteFrame(c.frame, hpa.PageOffset(), b[:])
 	return nil
 }
 

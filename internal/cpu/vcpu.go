@@ -779,24 +779,14 @@ func (v *VCPU) Write(gva mem.GVA, b []byte) error {
 			sp := v.Prof.Begin(prof.SubCPU, "page_walk")
 			v.fireWriteHooks(gva.PageFloor())
 			sp.End()
-			off := gva.PageOffset()
-			if d := fr.Data(); d != nil {
-				copy(d[off:], b[:n])
-			} else if !fr.Put(off, b[:n]) {
-				copy(v.Phys.Materialize(fr)[off:], b[:n])
-			}
+			v.Phys.WriteFrame(fr, gva.PageOffset(), b[:n])
 		} else {
 			hpa, err := v.walkForWrite(gva)
 			if err != nil {
 				return err
 			}
 			if fr, ok := v.tlbFilledFrame(gva, hpa); ok {
-				off := gva.PageOffset()
-				if d := fr.Data(); d != nil {
-					copy(d[off:], b[:n])
-				} else if !fr.Put(off, b[:n]) {
-					copy(v.Phys.Materialize(fr)[off:], b[:n])
-				}
+				v.Phys.WriteFrame(fr, gva.PageOffset(), b[:n])
 			} else if err := v.Phys.Write(hpa, b[:n]); err != nil {
 				return err
 			}

@@ -87,16 +87,13 @@ func MeasureForkSpeed(pages int, seed uint64, iters int) (ForkBench, error) {
 
 // Perf converts the measurement into the bench-perf/trajectory shape: the
 // fork is the "cached" path, the boot+warm prefix the uncached reference.
+// A fork tracks no pages, so pages_tracked and pages_per_sec stay 0 and
+// CheckTrajectory gates the point on its speedup instead.
 func (fb ForkBench) Perf() BenchPerf {
-	p := BenchPerf{
+	return BenchPerf{
 		ID:                "fork-vs-boot",
 		WallNS:            fb.ForkNS,
 		UncachedWallNS:    fb.BootWarmNS,
-		PagesTracked:      int64(fb.Pages),
 		SpeedupVsUncached: fb.Speedup,
 	}
-	if fb.ForkNS > 0 {
-		p.PagesPerSec = math.Round(float64(fb.Pages) / (float64(fb.ForkNS) / 1e9))
-	}
-	return p
 }

@@ -84,7 +84,9 @@ func ReadTrajectory(r io.Reader) ([]TrajectoryPoint, error) {
 // CheckTrajectory is the longitudinal throughput gate: each fresh perf
 // measurement is compared against the LAST committed trajectory line with
 // the same experiment id, and the check fails when pages_per_sec drops
-// below committed*(1-tol). Experiments with no committed line (a new
+// below committed*(1-tol). A fresh point that tracks no pages (the
+// fork-vs-boot bench) has no throughput; it is gated the same way on
+// speedup_vs_uncached. Experiments with no committed line (a new
 // benchmark's first line, or an id the history has never seen) pass - the
 // gate only ever compares like against like. All regressions are
 // accumulated (errors.Join). A corrupt history is itself an error.
@@ -106,10 +108,14 @@ func CheckTrajectory(history io.Reader, fresh []BenchPerf, tol float64) error {
 		if !ok {
 			continue // first line for this experiment
 		}
-		if floor := committed.PagesPerSec * (1 - tol); p.PagesPerSec < floor {
+		field, got, was := "pages_per_sec", p.PagesPerSec, committed.PagesPerSec
+		if p.PagesTracked == 0 {
+			field, got, was = "speedup_vs_uncached", p.SpeedupVsUncached, committed.SpeedupVsUncached
+		}
+		if floor := was * (1 - tol); got < floor {
 			errs = append(errs, fmt.Errorf(
-				"%s: pages_per_sec %.0f regressed below %.0f (last committed %.0f at %s, tolerance %.0f%%)",
-				p.ID, p.PagesPerSec, floor, committed.PagesPerSec, commitLabel(committed.Commit), tol*100))
+				"%s: %s %.6g regressed below %.6g (last committed %.6g at %s, tolerance %.0f%%)",
+				p.ID, field, got, floor, was, commitLabel(committed.Commit), tol*100))
 		}
 	}
 	return errors.Join(errs...)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -118,5 +119,39 @@ func TestCheckTrajectory(t *testing.T) {
 	}
 	if err := CheckTrajectory(strings.NewReader(""), nil, 1.0); err == nil {
 		t.Error("tolerance 1.0 accepted")
+	}
+}
+
+// TestCheckTrajectoryForkSpeedup: against the committed history, a
+// fork-vs-boot point (which tracks no pages) is gated on its speedup,
+// while fig3 stays gated on pages/s.
+func TestCheckTrajectoryForkSpeedup(t *testing.T) {
+	hist, err := os.ReadFile("../../BENCH_trajectory.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(p BenchPerf) error {
+		return CheckTrajectory(bytes.NewReader(hist), []BenchPerf{p}, 0.2)
+	}
+	fork := func(speedup float64) BenchPerf {
+		return ForkBench{Pages: 12800, BootWarmNS: 178e4, ForkNS: 1e4, Speedup: speedup}.Perf()
+	}
+	if p := fork(178); p.PagesTracked != 0 || p.PagesPerSec != 0 {
+		t.Fatalf("fork-vs-boot point reports throughput: %+v", p)
+	}
+	if err := check(fork(178)); err != nil {
+		t.Errorf("fork-vs-boot at 178x rejected: %v", err)
+	}
+	if err := check(fork(100)); err == nil || !strings.Contains(err.Error(), "speedup_vs_uncached") {
+		t.Errorf("fork-vs-boot at 100x not rejected on its speedup: %v", err)
+	}
+	fig3 := BenchPerf{ID: "fig3", PagesTracked: 105216, PagesPerSec: 572410, SpeedupVsUncached: 1}
+	if err := check(fig3); err != nil {
+		t.Errorf("fig3 at its committed pages/s rejected: %v", err)
+	}
+	fig3.PagesPerSec = 400000
+	fig3.SpeedupVsUncached = 100
+	if err := check(fig3); err == nil || !strings.Contains(err.Error(), "pages_per_sec") {
+		t.Errorf("fig3 pages/s drop not rejected: %v", err)
 	}
 }

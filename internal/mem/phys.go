@@ -33,6 +33,11 @@ const (
 	sparseWritesMax  = 6
 )
 
+// swSlabEntries is how many sparseWrite entries one write-buffer slab holds:
+// room for slabFrames snapshot-shared frames to diverge with the common one
+// buffered write plus a spare slot each.
+const swSlabEntries = 2 * slabFrames
+
 // sparseWrite is one buffered small write. Buffered writes never overlap
 // (an overlapping write materializes the frame), so replay order within the
 // buffer does not matter; exact (off, n) rewrites update in place.
@@ -52,23 +57,24 @@ type sparseWrite struct {
 // itself locks PhysMem for the slab). The vCPU software TLB caches *Frame
 // pointers under the Epoch contract.
 //
-// A frame whose backing is shared with a Snapshot carries the ro flag:
-// every in-place mutation path is closed (Data returns nil, Put refuses),
-// so the first write after a capture/restore copies the page - classic
-// copy-on-write, reusing the same materialization funnel the sparse buffer
-// already forces all writers through.
+// A frame whose backing is shared with a Snapshot carries the ro flag, and
+// every write reaches it through PhysMem.WriteFrame, which diverges it
+// copy-on-write at the smallest granule that can take the write: a sparse
+// frame copies its write buffer (at most sparseWritesMax entries); a
+// materialized page, or a write the buffer cannot take, copies 4 KiB.
 type Frame struct {
 	data *[PageSize]byte
 	sw   []sparseWrite
 	// ro marks the backing (data or sw) as shared with a Snapshot. Set
 	// under PhysMem.mu with all VM goroutines quiescent (the snapshot
-	// contract); cleared by materialization, which replaces the backing.
+	// contract); cleared, also under PhysMem.mu, when WriteFrame gives the
+	// frame a private buffer or page.
 	ro bool
 }
 
 // Data returns the materialized backing array for in-place mutation, or
-// nil while the frame is sparse or its backing is snapshot-shared (the
-// caller must go through Materialize, which copies).
+// nil while the frame is sparse or its backing is snapshot-shared (writers
+// then go through PhysMem.WriteFrame).
 func (f *Frame) Data() *[PageSize]byte {
 	if f.ro {
 		return nil
@@ -76,35 +82,30 @@ func (f *Frame) Data() *[PageSize]byte {
 	return f.data
 }
 
-// Put tries to apply a write as a buffered sparse write, reporting whether
-// it succeeded. It fails - and the caller must materialize - when the frame
-// is already materialized or snapshot-shared, the write is large, it
-// overlaps a buffered write without matching it exactly, or the buffer is
-// full.
-func (f *Frame) Put(off uint64, b []byte) bool {
-	if f.ro || f.data != nil || len(b) > sparseWriteBytes {
-		return false
+// slot reports where a write of n bytes at off lands in the sparse buffer:
+// the index of the buffered write it rewrites exactly, len(f.sw) for a new
+// entry, or -1 when the buffer cannot take it - the frame is materialized,
+// the write is large, it overlaps a buffered write without matching it
+// exactly, or the buffer is full. Whether the buffer is snapshot-shared
+// does not matter here; WriteFrame unshares it before writing.
+func (f *Frame) slot(off uint64, n int) int {
+	if f.data != nil || n > sparseWriteBytes {
+		return -1
 	}
-	end := off + uint64(len(b))
+	end := off + uint64(n)
 	for i := range f.sw {
 		w := &f.sw[i]
-		if uint64(w.off) == off && int(w.n) == len(b) {
-			copy(w.val[:], b)
-			return true
+		if uint64(w.off) == off && int(w.n) == n {
+			return i
 		}
 		if uint64(w.off) < end && off < uint64(w.off)+uint64(w.n) {
-			return false
+			return -1
 		}
 	}
 	if len(f.sw) >= sparseWritesMax {
-		return false
+		return -1
 	}
-	var w sparseWrite
-	w.off = uint16(off)
-	w.n = uint16(len(b))
-	copy(w.val[:], b)
-	f.sw = append(f.sw, w)
-	return true
+	return len(f.sw)
 }
 
 // ReadAt copies len(b) bytes starting at off into b, overlaying buffered
@@ -168,6 +169,7 @@ type PhysMem struct {
 	free     []HPA
 	fslab    []Frame          // frame structs for upcoming allocations
 	slab     [][PageSize]byte // pre-zeroed backing for materializations
+	swslab   []sparseWrite    // private write buffers for diverging frames
 	maxBytes uint64           // 0 means unlimited
 	// epoch counts the events after which an externally cached frame pointer
 	// may be stale (FreeFrame, Reset). The vCPU software TLB compares it
@@ -261,10 +263,51 @@ func (p *PhysMem) FrameRef(hpa HPA) (*Frame, error) {
 	return p.frame(hpa)
 }
 
+// WriteFrame copies b to off in f, a frame resolved from p (the write must
+// stay inside the frame). It is the one place that decides how a write
+// lands: in place in a private page, in the sparse buffer, or in a page
+// materialized for it. A snapshot-shared sparse frame whose buffer can take
+// the write diverges onto a private copy of that buffer; every other
+// shared frame diverges through Materialize, which copies the page.
+func (p *PhysMem) WriteFrame(f *Frame, off uint64, b []byte) {
+	if d := f.Data(); d != nil {
+		copy(d[off:], b)
+		return
+	}
+	i := f.slot(off, len(b))
+	if i < 0 {
+		copy(p.Materialize(f)[off:], b)
+		return
+	}
+	if f.ro {
+		p.unshareSparse(f)
+	}
+	if i == len(f.sw) {
+		f.sw = append(f.sw, sparseWrite{off: uint16(off), n: uint16(len(b))})
+	}
+	copy(f.sw[i].val[:], b)
+}
+
+// unshareSparse replaces a snapshot-shared sparse buffer with a private
+// copy carved from the buffer slab, with room for one more entry so the
+// write that triggered the copy can append without reallocating.
+func (p *PhysMem) unshareSparse(f *Frame) {
+	n := len(f.sw)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.swslab) < n+1 {
+		p.swslab = make([]sparseWrite, swSlabEntries)
+	}
+	sw := p.swslab[: n : n+1]
+	p.swslab = p.swslab[n+1:]
+	copy(sw, f.sw)
+	f.sw = sw
+	f.ro = false
+}
+
 // Materialize builds (if needed) and returns the frame's private backing
 // array, replaying any buffered sparse writes into the pre-zeroed array. A
-// snapshot-shared frame gets a fresh copy of its shared page here - the
-// copy-on-write divergence point.
+// snapshot-shared frame gets a fresh copy of its shared page here.
 func (p *PhysMem) Materialize(f *Frame) *[PageSize]byte {
 	if f.data != nil && !f.ro {
 		return f.data
@@ -348,11 +391,7 @@ func (p *PhysMem) Write(hpa HPA, b []byte) error {
 	if err != nil {
 		return err
 	}
-	if d := f.Data(); d != nil {
-		copy(d[off:], b)
-	} else if !f.Put(off, b) {
-		copy(p.Materialize(f)[off:], b)
-	}
+	p.WriteFrame(f, off, b)
 	return nil
 }
 
@@ -406,6 +445,7 @@ func (p *PhysMem) Reset() {
 	p.base = nil
 	p.fslab = nil
 	p.slab = nil
+	p.swslab = nil
 	p.live = 0
 	p.free = nil
 	p.next = PageSize

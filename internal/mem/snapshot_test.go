@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"sync"
 	"testing"
 )
 
@@ -75,16 +77,34 @@ func TestSnapshotForkDivergence(t *testing.T) {
 		}
 	}
 	// Diverge the fork on every frame: small write (sparse path) and a
-	// large write (materialize path).
+	// large write (materialize path). Frames captured sparse or unwritten
+	// take the small write into a private copy of their write buffer and
+	// stay sparse; the large write then materializes them from that copy.
 	for i, hpa := range hpas {
 		if err := fork.WriteU64(hpa+16, 0xDEAD+uint64(i)); err != nil {
 			t.Fatal(err)
 		}
+		f, err := fork.FrameRef(hpa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sparse := i%3 != 1; sparse && f.Data() != nil {
+			t.Fatalf("frame %d: 8-byte write to a shared sparse frame copied the page", i)
+		}
+		want := append([]byte(nil), before[hpa]...)
+		binary.LittleEndian.PutUint64(want[16:], 0xDEAD+uint64(i))
 		if i%2 == 0 {
 			big := bytes.Repeat([]byte{0xAB}, 600)
 			if err := fork.Write(hpa+2048, big); err != nil {
 				t.Fatal(err)
 			}
+			if f.Data() == nil {
+				t.Fatalf("frame %d: 600-byte write left the frame sparse", i)
+			}
+			copy(want[2048:], big)
+		}
+		if got, _ := fork.FrameBytes(hpa); !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: fork content wrong after divergence", i)
 		}
 	}
 	// Diverge the parent differently.
@@ -116,6 +136,60 @@ func TestSnapshotForkDivergence(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("second fork sees divergence at %v", hpa)
+		}
+	}
+}
+
+// TestSnapshotConcurrentDivergence: VMs sharing one forked PhysMem diverge
+// their own frames from separate goroutines; the buffer and page slabs
+// they carve from are shared, so each carve must be exclusive.
+func TestSnapshotConcurrentDivergence(t *testing.T) {
+	const workers, perWorker = 4, 256
+	src := NewPhysMem(0)
+	hpas := make([]HPA, workers*perWorker)
+	for i := range hpas {
+		var err error
+		if hpas[i], err = src.AllocFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.WriteU64(hpas[i]+8, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fork := src.CaptureSnapshot().NewPhysMem()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(own []HPA) {
+			defer wg.Done()
+			for i, hpa := range own {
+				fr, err := fork.FrameRef(hpa)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], uint64(hpa))
+				fork.WriteFrame(fr, 16, b[:])
+				if i%8 == 0 {
+					fork.WriteFrame(fr, 1024, bytes.Repeat(b[:], 8))
+				}
+			}
+		}(hpas[w*perWorker : (w+1)*perWorker])
+	}
+	wg.Wait()
+	for i, hpa := range hpas {
+		if v, _ := fork.ReadU64(hpa + 8); v != uint64(i) {
+			t.Fatalf("frame %d lost its captured word: %d", i, v)
+		}
+		if v, _ := fork.ReadU64(hpa + 16); v != uint64(hpa) {
+			t.Fatalf("frame %d holds %#x, want its own write %#x", i, v, uint64(hpa))
+		}
+		if i%perWorker%8 != 0 {
+			continue
+		}
+		if v, _ := fork.ReadU64(hpa + 1024 + 56); v != uint64(hpa) {
+			t.Fatalf("frame %d lost its large write: %#x", i, v)
 		}
 	}
 }
@@ -176,7 +250,8 @@ func TestSnapshotRestoreRewinds(t *testing.T) {
 
 // TestSnapshotSparseSharingSafety: the pathological sharing cases - exact
 // sparse-rewrite and sparse-append after capture - must not mutate the
-// shared buffer.
+// shared buffer, and a fork diverges a shared sparse frame by copying its
+// write buffer, not its page.
 func TestSnapshotSparseSharingSafety(t *testing.T) {
 	p := NewPhysMem(0)
 	hpa, err := p.AllocFrame()
@@ -207,5 +282,96 @@ func TestSnapshotSparseSharingSafety(t *testing.T) {
 	}
 	if v, _ := p.ReadU64(hpa + 8); v != 2 {
 		t.Fatalf("parent lost its rewrite: %d", v)
+	}
+
+	// An 8-byte write in a fork leaves the frame sparse: the fork copies
+	// the write buffer, not the page. Fill the buffer to capacity with
+	// disjoint words; the snapshot and a sibling fork must not see them.
+	f, err := fork.FrameRef(hpa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, PageSize)
+	binary.LittleEndian.PutUint64(want[8:], 1)
+	for i := 0; i < sparseWritesMax; i++ {
+		off := uint64(8 + 64*i)
+		if err := fork.WriteU64(hpa+HPA(off), 0x100+uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(want[off:], 0x100+uint64(i))
+		if f.Data() != nil {
+			t.Fatalf("word write %d to a shared sparse frame copied the page", i+1)
+		}
+	}
+	sibling := snap.NewPhysMem()
+	if v, _ := sibling.ReadU64(hpa + 8); v != 1 {
+		t.Fatalf("fork divergence leaked into a sibling: slot = %d, want 1", v)
+	}
+	if v, _ := sibling.ReadU64(hpa + 72); v != 0 {
+		t.Fatalf("fork append leaked into a sibling: %d", v)
+	}
+	// A 7th disjoint write overflows the private buffer and materializes.
+	if err := fork.WriteU64(hpa+1024, 0x777); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(want[1024:], 0x777)
+	if f.Data() == nil {
+		t.Fatalf("frame still sparse after %d disjoint writes", sparseWritesMax+1)
+	}
+	if got, _ := fork.FrameBytes(hpa); !bytes.Equal(got, want) {
+		t.Fatal("overflowing fork frame lost buffered content")
+	}
+	// A 64-byte write to the sibling's shared sparse frame materializes.
+	big := bytes.Repeat([]byte{0x5A}, 64)
+	if err := sibling.Write(hpa+2048, big); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := sibling.FrameRef(hpa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf.Data() == nil {
+		t.Fatal("64-byte write left the shared frame sparse")
+	}
+	sibWant := make([]byte, PageSize)
+	binary.LittleEndian.PutUint64(sibWant[8:], 1)
+	copy(sibWant[2048:], big)
+	if got, _ := sibling.FrameBytes(hpa); !bytes.Equal(got, sibWant) {
+		t.Fatal("large write to a shared sparse frame lost content")
+	}
+	// The snapshot itself still holds the captured bytes.
+	p.RestoreSnapshot(snap)
+	if v, _ := p.ReadU64(hpa + 8); v != 1 {
+		t.Fatalf("snapshot slot = %d after fork divergence, want 1", v)
+	}
+	if v, _ := p.ReadU64(hpa + 72); v != 0 {
+		t.Fatalf("snapshot holds a fork's write: %d", v)
+	}
+
+	// Diverging many shared sparse frames allocates per slab, not per
+	// frame: the private buffers are carved from one slab allocation.
+	const frames = 1024
+	src := NewPhysMem(0)
+	hpas := make([]HPA, frames)
+	for i := range hpas {
+		if hpas[i], err = src.AllocFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.WriteU64(hpas[i]+8, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := src.CaptureSnapshot()
+	allocs := testing.AllocsPerRun(5, func() {
+		fk := wide.NewPhysMem()
+		for _, h := range hpas {
+			if err := fk.WriteU64(h+16, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > frames/64 {
+		t.Fatalf("diverging %d shared sparse frames cost %.0f allocations, want at most %d",
+			frames, allocs, frames/64)
 	}
 }

@@ -44,15 +44,21 @@ func New(capacity int) *Ring {
 // Cap returns the ring's capacity.
 func (r *Ring) Cap() int { return len(r.buf) }
 
-// Len returns the number of entries currently buffered. head must be
-// loaded before tail: the consumer only moves head forward and the
-// producer only moves tail forward, so with this order a concurrent Pop
-// between the two loads can only make the result an underestimate, never
-// let head overtake the observed tail and underflow the subtraction.
+// Len returns the number of entries currently buffered, exact at the
+// instant tail is loaded. head is loaded before tail, so head never
+// overtakes the observed tail and the subtraction cannot underflow; it is
+// loaded again after, because a concurrent Pop between the loads pairs a
+// stale head with a newer tail - an overcount that can exceed Cap once the
+// producer refills the ring. head only moves forward, so an unchanged
+// re-read proves it held that value when tail was loaded.
 func (r *Ring) Len() int {
-	head := r.head.Load()
-	tail := r.tail.Load()
-	return int(tail - head)
+	for {
+		head := r.head.Load()
+		tail := r.tail.Load()
+		if r.head.Load() == head {
+			return int(tail - head)
+		}
+	}
 }
 
 // Push appends v. It returns false (and counts a drop) if the ring is full.

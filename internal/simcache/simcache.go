@@ -6,8 +6,9 @@
 // The caches are pure host-side optimizations: with the switches on or off
 // the simulation must produce byte-identical traces, metrics snapshots and
 // profiles (the cross-check suite in internal/experiments pins this). The
-// switches exist so that equivalence is testable and so a regression can be
-// bisected to one cache; production runs leave everything enabled.
+// switches exist so that equivalence is testable: DisableAll turns every
+// cache off, and SetReverseIndex toggles the reverse index alone for its
+// index-vs-scan test. Production runs leave everything enabled.
 //
 // The switches are plain package-level booleans, matching the simulator's
 // single-goroutine-per-machine discipline: they are read on hot paths with
@@ -47,20 +48,9 @@ func ArmCacheEnabled() bool { return armCache }
 // over Setup-immutable input regions.
 func WorkloadMemoEnabled() bool { return workloadMemo }
 
-// SetTLB toggles the software TLB. Only call while no machine is running.
-func SetTLB(on bool) { tlb = on }
-
 // SetReverseIndex toggles the reverse index. Only call while no machine is
 // running.
 func SetReverseIndex(on bool) { reverseIndex = on }
-
-// SetArmCache toggles the cached arming state. Only call while no machine
-// is running.
-func SetArmCache(on bool) { armCache = on }
-
-// SetWorkloadMemo toggles workload host-compute memoization. Only call
-// while no machine is running.
-func SetWorkloadMemo(on bool) { workloadMemo = on }
 
 // DisableAll turns every cache off and returns a function restoring the
 // previous state; tests use it as `defer simcache.DisableAll()()`.
