@@ -98,6 +98,24 @@ func TestSPMLSessionFetch(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("idle fetch returned %d pages", len(got))
 	}
+	// A GPA in the ring twice is reported once, but each entry still pays
+	// its reverse lookup.
+	gva := r.Start.Add(mem.PageSize)
+	if err := p.WriteU64(gva, 2); err != nil {
+		t.Fatal(err)
+	}
+	pte, _ := p.PT.Lookup(gva)
+	s.s.ring.Push(uint64(pte.GPA()))
+	got, err = s.Fetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != gva {
+		t.Errorf("duplicate GPA fetched as %v, want [%v]", got, gva)
+	}
+	if want := 2 * k.Model.ReverseMap.PerPage(p.ReservedBytes()); s.LastBreakdown.ReverseMap != want {
+		t.Errorf("reverse map charged %v, want two lookups (%v)", s.LastBreakdown.ReverseMap, want)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +199,24 @@ func TestEPMLSessionFetch(t *testing.T) {
 	}
 	if len(got) != 10 {
 		t.Errorf("re-fetch returned %d pages, want 10", len(got))
+	}
+	// A GVA in the ring twice is reported and re-armed once: the first
+	// copy clears the page's dirty bit, so the PTE filter drops the second.
+	if err := p.WriteU64(r.Start, 3); err != nil {
+		t.Fatal(err)
+	}
+	s.s.drainGuestBuffer()
+	s.s.ring.Push(uint64(r.Start))
+	got, err = s.Fetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != r.Start {
+		t.Errorf("duplicate GVA fetched as %v, want [%v]", got, r.Start)
+	}
+	perEntry := k.Model.RBCopy.PerPage(p.ReservedBytes())
+	if want := 2*perEntry + k.Model.KernelPageOp; s.LastBreakdown.RingCopy != want {
+		t.Errorf("ring copy charged %v, want two entries and one re-arm (%v)", s.LastBreakdown.RingCopy, want)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -44,6 +44,11 @@ type Session struct {
 
 	// FetchBreakdown of the last Fetch call, for Fig. 3.
 	LastBreakdown FetchBreakdown
+
+	// raw and dirty are Fetch's scratch space, reused across calls: the
+	// drained ring entries, and the SPML de-duplication set.
+	raw   []uint64
+	dirty mem.PageSet
 }
 
 // FetchBreakdown decomposes one collection into the paper's Fig. 3 steps.
@@ -106,7 +111,8 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		tr, ev := k.VCPU.Tracer, k.VCPU.Met
 		sp := k.VCPU.Prof.Begin(prof.SubCore, "ring_copy")
 		w := startSpan(clock)
-		raw := s.s.ring.Drain(nil)
+		s.raw = s.s.ring.Drain(s.raw[:0])
+		raw := s.raw
 		perEntry := k.Model.RBCopy.PerPage(s.s.proc.ReservedBytes())
 		clock.Advance(perEntry * time.Duration(len(raw)))
 		s.LastBreakdown.RingCopy = w.stop()
@@ -192,20 +198,16 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		if cached {
 			perLookup = k.Model.KernelPageOp
 		}
-		seen := make(map[mem.GVA]struct{}, len(raw))
-		var out []mem.GVA
+		s.dirty.Reset()
 		for _, r := range raw {
 			clock.Advance(perLookup)
 			gva, ok := lookup(mem.GPA(r))
 			if !ok {
 				continue // page unmapped since it was logged
 			}
-			if _, dup := seen[gva]; dup {
-				continue
-			}
-			seen[gva] = struct{}{}
-			out = append(out, gva)
+			s.dirty.Add(gva)
 		}
+		out := append([]mem.GVA(nil), s.dirty.Pages()...)
 		s.LastBreakdown.ReverseMap = w.stop()
 		rmSp.End()
 		s.LastBreakdown.Entries = len(out)
@@ -221,26 +223,24 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		s.s.drainGuestBuffer()
 		sp := k.VCPU.Prof.Begin(prof.SubCore, "ring_copy")
 		w := startSpan(clock)
-		raw := s.s.ring.Drain(nil)
+		s.raw = s.s.ring.Drain(s.raw[:0])
+		raw := s.raw
 		perEntry := k.Model.RBCopy.PerPage(s.s.proc.ReservedBytes())
 		clock.Advance(perEntry * time.Duration(len(raw)))
-		seen := make(map[mem.GVA]struct{}, len(raw))
-		var out []mem.GVA
+		out := make([]mem.GVA, 0, len(raw))
 		for _, r := range raw {
 			gva := mem.GVA(r)
-			if _, dup := seen[gva]; dup {
-				continue
-			}
 			// Harden against stale ring generations: a legitimately logged
 			// page always has its guest PTE dirty bit set (the walk circuit
 			// sets it in the same micro-op that logs), so an entry whose PTE
 			// is absent or clean is left over from a buffer the guest failed
 			// to reset (e.g. a faulted index vmwrite) and must not be
-			// reported. On fault-free runs this filter never rejects.
+			// reported. The same filter drops a duplicate entry: the first
+			// copy cleared the page's dirty bit below. On fault-free runs it
+			// rejects nothing else.
 			if pte, ok := s.s.proc.PT.Lookup(gva); !ok || !pte.Dirty() {
 				continue
 			}
-			seen[gva] = struct{}{}
 			out = append(out, gva)
 			// Re-arm: clear the guest PTE dirty bit so the next write
 			// to this page is logged again.

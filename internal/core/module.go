@@ -57,7 +57,9 @@ const EPMLVector = 0xEC
 
 // DefaultRingEntries sizes the per-process ring buffer. It must comfortably
 // exceed the largest dirty set between two fetches; the completeness tests
-// drive this. 1<<20 entries cover 4 GiB of distinct dirty pages.
+// drive this. 1<<20 entries cover 4 GiB of distinct dirty pages. The size
+// caps what the ring holds, not what it allocates: its memory follows the
+// entries a session logs, 64 KiB at a time.
 const DefaultRingEntries = 1 << 20
 
 // Errors returned by the module.

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,6 +111,36 @@ func TestPerPage(t *testing.T) {
 	if per*pages > total+total/100 || per*pages < total-total/100 {
 		t.Errorf("PerPage*pages = %v, total = %v", per*pages, total)
 	}
+	// PerPage memoizes one size at a time: interleaved sizes on one curve
+	// must each read what a fresh curve computes.
+	for _, size := range []uint64{1 << 20, 250 << 20, 1 << 20, 3 << 12, 250 << 20, 3 << 12, 1 << 30} {
+		if got, want := m.PTWalkUser.PerPage(size), Default().PTWalkUser.PerPage(size); got != want {
+			t.Errorf("PerPage(%d) = %v after other sizes, fresh curve says %v", size, got, want)
+		}
+	}
+}
+
+// TestPerPageConcurrent charges one shared Model at a different size from
+// each of four goroutines, as grid workers forked from one snapshot do.
+// Run with -race.
+func TestPerPageConcurrent(t *testing.T) {
+	m := Default()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		size := uint64(g+1) << 24
+		want := Default().PFHKernel.PerPage(size)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if got := m.PFHKernel.PerPage(size); got != want {
+					t.Errorf("PerPage(%d) = %v, want %v", size, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestMalformedCurvePanics(t *testing.T) {

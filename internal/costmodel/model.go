@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,6 +19,18 @@ const MiB = 1 << 20
 type Curve struct {
 	sizesMB []float64       // sample sizes in MiB, ascending
 	costs   []time.Duration // total cost at each sample size
+
+	// perPage memoizes the last PerPage result: the simulator charges one
+	// per fault or logged entry, almost always at the size of the last
+	// call. It is atomic because snapshot forks share one Model across
+	// grid workers, and shared by every copy of the curve.
+	perPage *atomic.Pointer[perPageMemo]
+}
+
+// perPageMemo is one PerPage result.
+type perPageMemo struct {
+	size uint64
+	cost time.Duration
 }
 
 // NewCurve builds a curve from parallel slices of sizes (MiB) and total
@@ -31,7 +44,7 @@ func NewCurve(sizesMB []float64, costs []time.Duration) Curve {
 			panic("costmodel: curve sizes not ascending")
 		}
 	}
-	return Curve{sizesMB: sizesMB, costs: costs}
+	return Curve{sizesMB: sizesMB, costs: costs, perPage: new(atomic.Pointer[perPageMemo])}
 }
 
 // Total returns the interpolated total cost of the metric for a Tracked
@@ -78,8 +91,13 @@ func (c Curve) PerPage(sizeBytes uint64) time.Duration {
 	if sizeBytes == 0 {
 		return 0
 	}
+	if m := c.perPage.Load(); m != nil && m.size == sizeBytes {
+		return m.cost
+	}
 	pages := (sizeBytes + 4095) / 4096
-	return c.Total(sizeBytes) / time.Duration(pages)
+	cost := c.Total(sizeBytes) / time.Duration(pages)
+	c.perPage.Store(&perPageMemo{size: sizeBytes, cost: cost})
+	return cost
 }
 
 // Model holds every calibrated cost used by the simulator. The Default

@@ -2,6 +2,8 @@ package criu
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -133,6 +135,13 @@ func TestBadImageRejected(t *testing.T) {
 	}
 	if _, err := ReadImage(bytes.NewReader(nil)); err == nil {
 		t.Error("ReadImage(empty) succeeded")
+	}
+	// A name length past the end of the image: magic, pid, then 1<<62.
+	huge := binary.LittleEndian.AppendUint64(nil, imageMagic)
+	huge = binary.LittleEndian.AppendUint64(huge, 1)
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<62)
+	if _, err := ReadImage(bytes.NewReader(huge)); !errors.Is(err, ErrBadImage) {
+		t.Errorf("ReadImage(name length 1<<62) = %v, want ErrBadImage", err)
 	}
 }
 

@@ -127,7 +127,7 @@ func ReadImage(r io.Reader) (*Image, error) {
 	}
 	img.Pid = guestos.Pid(pid)
 	nameLen, err := get()
-	if err != nil {
+	if err != nil || nameLen > uint64(buf.Len()) {
 		return nil, fmt.Errorf("%w: name length", ErrBadImage)
 	}
 	name := make([]byte, nameLen)

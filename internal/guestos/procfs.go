@@ -63,14 +63,23 @@ func (k *Kernel) ClearRefs(pid Pid) error {
 // curve (the dominant cost of the /proc technique), charged per page
 // visited.
 func (k *Kernel) Pagemap(pid Pid) ([]PagemapEntry, error) {
+	var entries []PagemapEntry
+	if err := k.pagemapWalk(pid, func(e PagemapEntry) { entries = append(entries, e) }); err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
+// pagemapWalk is the Pagemap read, handing each entry to fn in address
+// order instead of collecting them.
+func (k *Kernel) pagemapWalk(pid Pid, fn func(PagemapEntry)) error {
 	p, ok := k.procs[pid]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchProcess, pid)
+		return fmt.Errorf("%w: %d", ErrNoSuchProcess, pid)
 	}
 	sp := k.VCPU.Prof.Begin(prof.SubGuestOS, "pagemap_walk")
 	defer sp.End()
 	perPage := k.Model.PTWalkUser.PerPage(p.curveSize())
-	var entries []PagemapEntry
 	pages := 0
 	// Userspace reads pagemap over each VMA; absent pages still cost a
 	// read of a zero entry.
@@ -78,7 +87,7 @@ func (k *Kernel) Pagemap(pid Pid) ([]PagemapEntry, error) {
 		for gva := r.Start; gva < r.End; gva = gva.Add(mem.PageSize) {
 			pages++
 			pte, present := p.PT.Lookup(gva)
-			entries = append(entries, PagemapEntry{
+			fn(PagemapEntry{
 				GVA:       gva,
 				GPA:       pte.GPA(),
 				Present:   present,
@@ -92,7 +101,7 @@ func (k *Kernel) Pagemap(pid Pid) ([]PagemapEntry, error) {
 		ev.Count(metrics.SubGuestOS, "pagemap_walks", "", 1)
 		ev.Count(metrics.SubGuestOS, "pagemap_pages", "", int64(pages))
 	}
-	return entries, nil
+	return nil
 }
 
 // PagemapWalkCharge charges the exact cost and observability of a full
@@ -130,15 +139,14 @@ func (k *Kernel) SoftDirtyPages(pid Pid) ([]mem.GVA, error) {
 	if ev := k.VCPU.Met; ev != nil {
 		ev.Count(metrics.SubGuestOS, "softdirty_scans", "", 1)
 	}
-	entries, err := k.Pagemap(pid)
-	if err != nil {
-		return nil, err
-	}
 	var dirty []mem.GVA
-	for _, e := range entries {
+	err := k.pagemapWalk(pid, func(e PagemapEntry) {
 		if e.SoftDirty {
 			dirty = append(dirty, e.GVA)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return dirty, nil
 }

@@ -11,25 +11,43 @@
 // ring is full, which models dirty-address loss that the completeness tests
 // must prove cannot happen under the configured sizes), Pop reports
 // emptiness.
+//
+// A ring is sized for the worst case but its memory follows use: the
+// backing is allocated in 64 KiB chunks, each on the first push into it,
+// so a session that logs a few thousand pages never pays for the capacity
+// it does not reach.
 package ringbuf
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 )
+
+// chunkEntries is the size of one backing allocation: 64 KiB of entries.
+const chunkEntries = 64 << 10 / 8
 
 // Ring is a fixed-capacity SPSC ring of uint64 entries. Capacity is always
 // a power of two. One goroutine may Push while another Pops concurrently.
 type Ring struct {
-	buf  []uint64
-	mask uint64
-	head atomic.Uint64 // next slot to pop
-	tail atomic.Uint64 // next slot to push
-	drop atomic.Uint64 // entries rejected because the ring was full
+	// chunks holds the backing, 1<<chunkShift entries per chunk (64 KiB,
+	// or the whole ring if that is smaller), each nil until the producer
+	// first pushes into it. The producer stores a chunk before it
+	// publishes the tail that covers it and never stores it again, so the
+	// consumer, which reads only below the tail it loaded, always finds
+	// the chunk it reads from allocated.
+	chunks     [][]uint64
+	chunkShift uint
+	mask       uint64
+	head       atomic.Uint64 // next slot to pop
+	tail       atomic.Uint64 // next slot to push
+	drop       atomic.Uint64 // entries rejected because the ring was full
 }
 
 // New returns a ring holding up to capacity entries. Capacity is rounded up
-// to the next power of two; it must be at least 1.
+// to the next power of two; it must be at least 1. New allocates no entry
+// storage: each chunk of it comes with the first push into it.
 func New(capacity int) *Ring {
 	if capacity < 1 {
 		panic(fmt.Sprintf("ringbuf: invalid capacity %d", capacity))
@@ -38,11 +56,16 @@ func New(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{buf: make([]uint64, n), mask: uint64(n - 1)}
+	chunkLen := min(n, chunkEntries)
+	return &Ring{
+		chunks:     make([][]uint64, n/chunkLen),
+		chunkShift: uint(bits.TrailingZeros(uint(chunkLen))),
+		mask:       uint64(n - 1),
+	}
 }
 
 // Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return int(r.mask + 1) }
 
 // Len returns the number of entries currently buffered, exact at the
 // instant tail is loaded. head is loaded before tail, so head never
@@ -64,11 +87,17 @@ func (r *Ring) Len() int {
 // Push appends v. It returns false (and counts a drop) if the ring is full.
 func (r *Ring) Push(v uint64) bool {
 	tail := r.tail.Load()
-	if tail-r.head.Load() >= uint64(len(r.buf)) {
+	if tail-r.head.Load() > r.mask {
 		r.drop.Add(1)
 		return false
 	}
-	r.buf[tail&r.mask] = v
+	i := tail & r.mask
+	c := r.chunks[i>>r.chunkShift]
+	if c == nil {
+		c = make([]uint64, 1<<r.chunkShift)
+		r.chunks[i>>r.chunkShift] = c
+	}
+	c[i&(1<<r.chunkShift-1)] = v
 	r.tail.Store(tail + 1)
 	return true
 }
@@ -79,20 +108,26 @@ func (r *Ring) Pop() (v uint64, ok bool) {
 	if head == r.tail.Load() {
 		return 0, false
 	}
-	v = r.buf[head&r.mask]
+	i := head & r.mask
+	v = r.chunks[i>>r.chunkShift][i&(1<<r.chunkShift-1)]
 	r.head.Store(head + 1)
 	return v, true
 }
 
-// Drain pops every buffered entry into dst and returns the extended slice.
+// Drain pops the entries buffered at the time of the call, appends them to
+// dst and returns the extended slice.
 func (r *Ring) Drain(dst []uint64) []uint64 {
-	for {
-		v, ok := r.Pop()
-		if !ok {
-			return dst
-		}
-		dst = append(dst, v)
+	head, tail := r.head.Load(), r.tail.Load()
+	dst = slices.Grow(dst, int(tail-head))
+	for head != tail {
+		i := head & r.mask
+		c := r.chunks[i>>r.chunkShift][i&(1<<r.chunkShift-1):]
+		c = c[:min(uint64(len(c)), tail-head)]
+		dst = append(dst, c...)
+		head += uint64(len(c))
 	}
+	r.head.Store(head)
+	return dst
 }
 
 // Dropped reports how many pushes were rejected because the ring was full.

@@ -67,91 +67,152 @@ func TestDrainAndReset(t *testing.T) {
 	}
 }
 
+// chunkedCap is the capacity the sequence tests also run at: three 64 KiB
+// chunks, rounded up to four, so entries cross chunk boundaries and the
+// producer publishes new chunks while the consumer reads.
+const chunkedCap = 3 * chunkEntries
+
 // TestWrapAround exercises index wrap far past the capacity.
 func TestWrapAround(t *testing.T) {
-	r := New(4)
-	for round := uint64(0); round < 1000; round++ {
-		if !r.Push(round) {
-			t.Fatalf("Push rejected at round %d", round)
-		}
-		v, ok := r.Pop()
-		if !ok || v != round {
-			t.Fatalf("round %d: got (%d,%v)", round, v, ok)
+	for _, capacity := range []int{4, chunkedCap} {
+		r := New(capacity)
+		rounds := uint64(max(1000, 3*r.Cap()))
+		for round := uint64(0); round < rounds; round++ {
+			if !r.Push(round) {
+				t.Fatalf("cap %d: Push rejected at round %d", capacity, round)
+			}
+			v, ok := r.Pop()
+			if !ok || v != round {
+				t.Fatalf("cap %d: round %d: got (%d,%v)", capacity, round, v, ok)
+			}
 		}
 	}
 }
 
 // TestConcurrentSPSC proves the lock-free property: one producer and one
 // consumer running concurrently neither lose, duplicate nor reorder
-// entries. (Rejected pushes on a momentarily full ring are expected and
-// retried; they count as drops by design.)
+// entries, whether the consumer pops or drains. (Rejected pushes on a
+// momentarily full ring are expected and retried; they count as drops by
+// design.)
 func TestConcurrentSPSC(t *testing.T) {
-	r := New(64)
-	const n = 20000
-	var got []uint64
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // producer
-		defer wg.Done()
-		for i := uint64(1); i <= n; {
-			if r.Push(i) {
-				i++
-			} else {
-				runtime.Gosched()
+	for _, capacity := range []int{64, chunkedCap} {
+		r := New(capacity)
+		n := max(20000, 3*r.Cap())
+		var got []uint64
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // producer
+			defer wg.Done()
+			for i := uint64(1); i <= uint64(n); {
+				if r.Push(i) {
+					i++
+				} else {
+					runtime.Gosched()
+				}
 			}
-		}
-	}()
-	go func() { // consumer
-		defer wg.Done()
-		for len(got) < n {
-			if v, ok := r.Pop(); ok {
-				got = append(got, v)
-			} else {
-				runtime.Gosched()
+		}()
+		go func() { // consumer, alternating Pop and Drain
+			defer wg.Done()
+			for len(got) < n {
+				m := len(got)
+				if m%2 == 0 {
+					got = r.Drain(got)
+				} else if v, ok := r.Pop(); ok {
+					got = append(got, v)
+				}
+				if len(got) == m {
+					runtime.Gosched()
+				}
 			}
+		}()
+		wg.Wait()
+		if len(got) != n {
+			t.Fatalf("cap %d: consumed %d entries, want %d", capacity, len(got), n)
 		}
-	}()
-	wg.Wait()
-	if len(got) != n {
-		t.Fatalf("consumed %d entries, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != uint64(i+1) {
-			t.Fatalf("entry %d = %d, want %d (reorder/duplicate)", i, v, i+1)
+		for i, v := range got {
+			if v != uint64(i+1) {
+				t.Fatalf("cap %d: entry %d = %d, want %d (reorder/duplicate)", capacity, i, v, i+1)
+			}
 		}
 	}
 }
 
 // TestQuickSequences drives random push/pop sequences against a slice
-// model.
+// model. On the chunked ring each sequence starts just before a chunk
+// boundary.
 func TestQuickSequences(t *testing.T) {
-	prop := func(ops []uint16) bool {
-		r := New(32)
-		var model []uint64
-		for _, op := range ops {
-			if op%3 != 0 { // push twice as often as pop
-				v := uint64(op)
-				if r.Push(v) {
-					model = append(model, v)
-				} else if len(model) < 32 {
-					return false // rejected while model says not full
-				}
-			} else {
-				v, ok := r.Pop()
-				if ok {
-					if len(model) == 0 || model[0] != v {
-						return false
+	for _, tc := range []struct{ capacity, start int }{{32, 0}, {chunkedCap, chunkEntries - 8}} {
+		prop := func(ops []uint16) bool {
+			r := New(tc.capacity)
+			for i := 0; i < tc.start; i++ {
+				r.Push(0)
+				r.Pop()
+			}
+			var model []uint64
+			for _, op := range ops {
+				if op%3 != 0 { // push twice as often as pop
+					v := uint64(op)
+					if r.Push(v) {
+						model = append(model, v)
+					} else if len(model) < r.Cap() {
+						return false // rejected while model says not full
 					}
-					model = model[1:]
-				} else if len(model) != 0 {
-					return false // empty while model says not empty
+				} else {
+					v, ok := r.Pop()
+					if ok {
+						if len(model) == 0 || model[0] != v {
+							return false
+						}
+						model = model[1:]
+					} else if len(model) != 0 {
+						return false // empty while model says not empty
+					}
 				}
 			}
+			return r.Len() == len(model)
 		}
-		return r.Len() == len(model)
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("cap %d: %v", tc.capacity, err)
+		}
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+}
+
+// TestLazyChunks pins that a ring's memory follows use: a 1<<20-entry ring
+// (8 MiB of capacity) that never holds more than one entry allocates one
+// chunk, not its capacity.
+func TestLazyChunks(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	r := New(1 << 20)
+	for i := uint64(0); i < 10000; i++ {
+		r.Push(i)
+		if v, ok := r.Pop(); !ok || v != i {
+			t.Fatalf("Pop = (%d,%v), want (%d,true)", v, ok, i)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Errorf("New(1<<20) plus 10000 push/pop pairs allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestDrainAcrossChunks drains entries spanning a chunk boundary into a
+// caller's buffer.
+func TestDrainAcrossChunks(t *testing.T) {
+	r := New(chunkedCap)
+	for i := 0; i < chunkEntries-3; i++ {
+		r.Push(0)
+		r.Pop()
+	}
+	for i := uint64(0); i < 10; i++ {
+		r.Push(i)
+	}
+	got := r.Drain([]uint64{99})
+	if len(got) != 11 || got[0] != 99 || got[1] != 0 || got[10] != 9 {
+		t.Errorf("Drain = %v", got)
+	}
+	if r.Len() != 0 {
+		t.Errorf("Len after Drain = %d", r.Len())
 	}
 }
 

@@ -15,19 +15,14 @@ import (
 type OracleTechnique struct {
 	vcpu  *cpu.VCPU
 	proc  *guestos.Process
-	dirty map[mem.GVA]struct{}
-	order []mem.GVA
+	dirty mem.PageSet
 	hook  int
 	stats Stats
 }
 
 // NewOracle returns the oracle technique for the process.
 func NewOracle(proc *guestos.Process) *OracleTechnique {
-	return &OracleTechnique{
-		vcpu:  proc.Kernel().VCPU,
-		proc:  proc,
-		dirty: make(map[mem.GVA]struct{}),
-	}
+	return &OracleTechnique{vcpu: proc.Kernel().VCPU, proc: proc}
 }
 
 // Name implements Technique.
@@ -42,20 +37,16 @@ func (t *OracleTechnique) Init() error {
 		if t.proc.Kernel().Current() != t.proc {
 			return
 		}
-		if _, dup := t.dirty[gva]; !dup {
-			t.dirty[gva] = struct{}{}
-			t.order = append(t.order, gva)
-		}
+		t.dirty.Add(gva)
 	})
 	return nil
 }
 
 // Collect implements Technique.
 func (t *OracleTechnique) Collect() ([]mem.GVA, error) {
-	out := make([]mem.GVA, len(t.order))
-	copy(out, t.order)
-	t.order = t.order[:0]
-	t.dirty = make(map[mem.GVA]struct{})
+	out := make([]mem.GVA, len(t.dirty.Pages()))
+	copy(out, t.dirty.Pages())
+	t.dirty.Reset()
 	t.stats.Collections++
 	t.stats.Reported += int64(len(out))
 	return out, nil

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/costmodel"
+	"repro/internal/guestos"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -201,5 +202,103 @@ func TestStackedVerifiersStopOrder(t *testing.T) {
 				t.Errorf("%s: %d hooks left attached after stopping both", order, n)
 			}
 		})
+	}
+}
+
+// TestCollectDropsUnmappedPage dirties a page in each of two regions and
+// unmaps one region before collecting. Every technique must drop the
+// unmapped page and keep reporting in later rounds.
+func TestCollectDropsUnmappedPage(t *testing.T) {
+	for _, kind := range machine.RealTechniques() {
+		t.Run(kind.String(), func(t *testing.T) {
+			m, err := machine.New(machine.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := m.Guest(0)
+			proc := g.Kernel.Spawn("u")
+			kept, err := proc.Mmap(4*mem.PageSize, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone, err := proc.Mmap(4*mem.PageSize, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tech, err := g.NewTechnique(kind, proc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tech.Init(); err != nil {
+				t.Fatal(err)
+			}
+			for _, gva := range []mem.GVA{kept.Start, gone.Start} {
+				if err := proc.WriteU64(gva, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := proc.Munmap(gone); err != nil {
+				t.Fatal(err)
+			}
+			got, err := tech.Collect()
+			if err != nil {
+				t.Fatalf("Collect after munmap: %v", err)
+			}
+			if len(got) != 1 || got[0] != kept.Start {
+				t.Errorf("first round reported %v, want [%v]", got, kept.Start)
+			}
+			next := kept.Start.Add(mem.PageSize)
+			if err := proc.WriteU64(next, 2); err != nil {
+				t.Fatal(err)
+			}
+			got, err = tech.Collect()
+			if err != nil {
+				t.Fatalf("second Collect: %v", err)
+			}
+			if len(got) != 1 || got[0] != next {
+				t.Errorf("second round reported %v, want [%v]", got, next)
+			}
+		})
+	}
+}
+
+// TestUfdFaultsOncePerRound writes one page many times in one round: the
+// first write's fault lifts the protection, so ufd takes one fault and
+// reports the page once.
+func TestUfdFaultsOncePerRound(t *testing.T) {
+	m, err := machine.New(machine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Guest(0)
+	proc := g.Kernel.Spawn("w")
+	region, err := proc.Mmap(4*mem.PageSize, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tech, err := g.NewTechnique(costmodel.Ufd, proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tech.Init(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		before := g.Kernel.VCPU.Counters.Get(guestos.CtrUfdFaults)
+		for i := uint64(0); i < 50; i++ {
+			if err := proc.WriteU64(region.Start.Add(i%8*8), i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := g.Kernel.VCPU.Counters.Get(guestos.CtrUfdFaults) - before; n != 1 {
+			t.Errorf("round %d: %d ufd faults, want 1", round, n)
+		}
+		got, err := tech.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != region.Start {
+			t.Errorf("round %d: reported %v, want [%v]", round, got, region.Start)
+		}
 	}
 }

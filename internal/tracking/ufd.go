@@ -1,9 +1,12 @@
 package tracking
 
 import (
+	"errors"
+
 	"repro/internal/costmodel"
 	"repro/internal/guestos"
 	"repro/internal/mem"
+	"repro/internal/pgtable"
 	"repro/internal/trace"
 )
 
@@ -13,9 +16,11 @@ import (
 // tracker in userspace, is recorded, and the page is write-unprotected;
 // Collect returns the record and re-protects those pages.
 type UfdTechnique struct {
-	k     *guestos.Kernel
-	proc  *guestos.Process
-	dirty map[mem.GVA]struct{}
+	k    *guestos.Kernel
+	proc *guestos.Process
+	// order lists the pages faulted this round. It needs no duplicate
+	// check: a fault leaves its page writable until Collect re-protects
+	// it, so a page faults at most once per round.
 	order []mem.GVA
 	stats Stats
 	w     watch
@@ -24,10 +29,9 @@ type UfdTechnique struct {
 // NewUfd returns the ufd technique for the process.
 func NewUfd(proc *guestos.Process) *UfdTechnique {
 	return &UfdTechnique{
-		k:     proc.Kernel(),
-		proc:  proc,
-		dirty: make(map[mem.GVA]struct{}),
-		w:     watch{clock: proc.Kernel().Clock, vcpu: proc.Kernel().VCPU},
+		k:    proc.Kernel(),
+		proc: proc,
+		w:    watch{clock: proc.Kernel().Clock, vcpu: proc.Kernel().VCPU},
 	}
 }
 
@@ -67,10 +71,7 @@ func (t *UfdTechnique) handle(ev guestos.UfdEvent) error {
 	err := t.w.measure(&t.stats.CollectTime, func() error {
 		t.k.Clock.Advance(t.k.Model.PFHUser.PerPage(ev.Proc.ReservedBytes()))
 		page := ev.GVA.PageFloor()
-		if _, dup := t.dirty[page]; !dup {
-			t.dirty[page] = struct{}{}
-			t.order = append(t.order, page)
-		}
+		t.order = append(t.order, page)
 		if ev.Missing {
 			return ev.Proc.UfdCopyZero(page)
 		}
@@ -92,20 +93,24 @@ func (t *UfdTechnique) handle(ev guestos.UfdEvent) error {
 }
 
 // Collect implements Technique: hand over the recorded set and re-protect
-// those pages for the next round.
+// those pages for the next round. A page unmapped since its fault fails
+// its re-protect ioctl (still charged) and is dropped, as the other
+// techniques drop such a page.
 func (t *UfdTechnique) Collect() ([]mem.GVA, error) {
 	var out []mem.GVA
 	err := t.w.phase(&t.stats.CollectTime, trace.KindTrackCollect, t.Kind(),
 		func() int64 { return int64(len(out)) }, func() error {
-			out = make([]mem.GVA, len(t.order))
-			copy(out, t.order)
+			out = make([]mem.GVA, 0, len(t.order))
 			for _, gva := range t.order {
 				if err := t.proc.UfdWriteProtect(gva); err != nil {
-					return err
+					if !errors.Is(err, pgtable.ErrNotMapped) {
+						return err
+					}
+					continue
 				}
+				out = append(out, gva)
 			}
 			t.order = t.order[:0]
-			t.dirty = make(map[mem.GVA]struct{})
 			return nil
 		})
 	if err != nil {
