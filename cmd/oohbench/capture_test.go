@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,6 +31,7 @@ func TestParseTrajectoryTolerance(t *testing.T) {
 		{name: "needs trajectory", tol: 0.5, wantErr: true},
 		{name: "one is too much", tol: 1, trajectory: "t.jsonl", wantErr: true},
 		{name: "negative", tol: -0.5, trajectory: "t.jsonl", wantErr: true},
+		{name: "NaN", tol: math.NaN(), trajectory: "t.jsonl", wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // [0, 1) of the baseline speedup the candidate may lose before the gate
 // fails.
 func parseBenchTolerance(tol float64) error {
-	if tol < 0 || tol >= 1 {
+	if !(tol >= 0 && tol < 1) { // NaN fails every comparison: reject it too
 		return fmt.Errorf("bench tolerance %v must be in [0, 1)", tol)
 	}
 	return nil

@@ -146,7 +146,7 @@ func parseTrajectoryTolerance(tol float64, trajectory string) error {
 	if tol == -1 {
 		return nil
 	}
-	if tol < 0 || tol >= 1 {
+	if !(tol >= 0 && tol < 1) { // NaN fails every comparison: reject it too
 		return fmt.Errorf("trajectory tolerance %v must be in [0, 1) or -1 to disable", tol)
 	}
 	if strings.TrimSpace(trajectory) == "" {

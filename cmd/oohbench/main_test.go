@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -98,7 +99,7 @@ func TestParseBenchTolerance(t *testing.T) {
 			t.Errorf("parseBenchTolerance(%v) = %v, want nil", tol, err)
 		}
 	}
-	for _, tol := range []float64{-0.1, 1, 1.5} {
+	for _, tol := range []float64{-0.1, 1, 1.5, math.NaN()} {
 		if err := parseBenchTolerance(tol); err == nil {
 			t.Errorf("parseBenchTolerance(%v) accepted", tol)
 		}

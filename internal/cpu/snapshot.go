@@ -13,9 +13,9 @@ import (
 var ErrNotQuiescent = errors.New("cpu: vCPU not quiescent for snapshot")
 
 // Snapshot is the vCPU's captured architectural state. Host-side caches
-// (software TLB, arming cache, buffer-frame caches, counter refs) are
-// performance artifacts, not state: Restore resets them and lets the
-// invalidation machinery rebuild them lazily. The observability handles
+// (software TLB, arming cache, buffer-frame caches) are performance
+// artifacts, not state: Restore resets them and lets the invalidation
+// machinery rebuild them lazily. The observability handles
 // (Tracer, Met, Prof, Mon, Inj) and the EPT/VMCS/Phys wiring are owned by
 // the embedding VM and are not captured here.
 type Snapshot struct {
@@ -58,15 +58,13 @@ func (v *VCPU) RestoreSnapshot(s *Snapshot) {
 }
 
 // ResetHostCaches drops every invalidation-contract cache: the software
-// TLB, the VMCS arming cache, the PML/EPML buffer-frame caches, and the
-// cached counter refs (which Counters.Restore/Reset detach). Correctness
-// never depends on calling this - each cache validates its own epoch or
-// generation - but a restore replaces the counter map wholesale, and the
-// hot-path refs must be re-resolved against the new map.
+// TLB, the VMCS arming cache and the PML/EPML buffer-frame caches.
+// Correctness never depends on calling this - each cache validates its own
+// epoch or generation. The hot-path counter handles stay: Counters.Restore
+// rewrites the counters they point at in place.
 func (v *VCPU) ResetHostCaches() {
 	v.tlb.flush()
 	v.arm = armCache{}
 	v.pmlBuf = bufCache{}
 	v.epmlBuf = bufCache{}
-	v.ctr = hotCounters{}
 }

@@ -151,17 +151,19 @@ func (v *VCPU) tlbFill(gva mem.GVA, slot pgtable.Slot) {
 	if ee.Accessed() {
 		fl |= tlbEPTAccessed
 	}
-	v.tlb.entries[tlbIndex(gva)] = tlbEntry{
-		gvaPage:   uint64(gva.PageFloor()),
-		epoch:     v.tlb.epoch,
-		eptGen:    v.EPT.Gen(),
-		physEpoch: v.Phys.Epoch(),
-		slot:      slot,
-		gpaPage:   gpaPage,
-		hpaPage:   ee.HPA(),
-		frame:     frame,
-		flags:     fl,
-	}
+	// Field stores, not a composite literal: assigning a literal builds a
+	// zeroed temporary and block-copies it, with a bulk write barrier while
+	// the GC marks, on every miss.
+	e := &v.tlb.entries[tlbIndex(gva)]
+	e.gvaPage = uint64(gva.PageFloor())
+	e.epoch = v.tlb.epoch
+	e.eptGen = v.EPT.Gen()
+	e.physEpoch = v.Phys.Epoch()
+	e.slot = slot
+	e.gpaPage = gpaPage
+	e.hpaPage = ee.HPA()
+	e.frame = frame
+	e.flags = fl
 }
 
 // tlbFilledFrame returns the cached frame for gva if the entry was (re)filled

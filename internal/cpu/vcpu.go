@@ -178,34 +178,34 @@ type VCPU struct {
 	// or live migration ships a stale log page).
 	epmlBufGPA mem.GPA
 
-	// ctr caches sim.Counters refs for the hot-path counters, resolved
-	// lazily on first increment so untouched counters stay absent from
-	// snapshots exactly as before.
+	// ctr holds Counters handles for the hot-path counters, resolved
+	// lazily on first increment. Handles survive Counters.Reset/Restore,
+	// so a snapshot restore keeps them.
 	ctr hotCounters
 }
 
-// hotCounters holds lazily resolved refs for counters incremented on the
-// per-access and per-exit hot paths, keeping the map hash out of them.
+// hotCounters holds lazily resolved handles for counters incremented on
+// the per-access and per-exit hot paths, keeping the map hash out of them.
 type hotCounters struct {
-	vmexits       *int64
-	hypercalls    *int64
-	guestFaults   *int64
-	eptViolations *int64
-	pmlLogs       *int64
-	pmlFullExits  *int64
-	epmlLogs      *int64
-	vmreads       *int64
-	vmwrites      *int64
-	writeOps      *int64
-	readOps       *int64
+	vmexits       *sim.Counter
+	hypercalls    *sim.Counter
+	guestFaults   *sim.Counter
+	eptViolations *sim.Counter
+	pmlLogs       *sim.Counter
+	pmlFullExits  *sim.Counter
+	epmlLogs      *sim.Counter
+	vmreads       *sim.Counter
+	vmwrites      *sim.Counter
+	writeOps      *sim.Counter
+	readOps       *sim.Counter
 }
 
-// inc bumps a lazily resolved counter ref.
-func (v *VCPU) inc(p **int64, name string) {
+// inc bumps a lazily resolved counter handle.
+func (v *VCPU) inc(p **sim.Counter, name string) {
 	if *p == nil {
-		*p = v.Counters.Ref(name)
+		*p = v.Counters.Handle(name)
 	}
-	**p++
+	(*p).Inc()
 }
 
 // Mode returns the current VMX mode.

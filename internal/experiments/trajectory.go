@@ -91,7 +91,7 @@ func ReadTrajectory(r io.Reader) ([]TrajectoryPoint, error) {
 // gate only ever compares like against like. All regressions are
 // accumulated (errors.Join). A corrupt history is itself an error.
 func CheckTrajectory(history io.Reader, fresh []BenchPerf, tol float64) error {
-	if tol < 0 || tol >= 1 {
+	if !(tol >= 0 && tol < 1) { // NaN fails every comparison: reject it too
 		return fmt.Errorf("trajectory tolerance %v outside [0, 1)", tol)
 	}
 	pts, err := ReadTrajectory(history)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -119,6 +120,12 @@ func TestCheckTrajectory(t *testing.T) {
 	}
 	if err := CheckTrajectory(strings.NewReader(""), nil, 1.0); err == nil {
 		t.Error("tolerance 1.0 accepted")
+	}
+	// A NaN tolerance would make the floor NaN, which nothing is below.
+	collapsed := base
+	collapsed.PagesPerSec = base.PagesPerSec / 1000
+	if err := CheckTrajectory(strings.NewReader(h), []BenchPerf{collapsed}, math.NaN()); err == nil {
+		t.Error("tolerance NaN accepted")
 	}
 }
 

@@ -60,6 +60,24 @@ type Kernel struct {
 	irqHandlers map[int]func()
 
 	current *Process
+
+	// ctr holds handles on the vCPU counters bumped per fault, ioctl and
+	// context switch, resolved on first use rather than in NewKernel:
+	// every fork boots a kernel, and most forks never bump most of them.
+	ctr kernelCounters
+}
+
+// kernelCounters holds the kernel's lazily resolved counter handles.
+type kernelCounters struct {
+	demandFaults, softDirtyFaults, ufdFaults, ufdIoctls, contextSwitches *sim.Counter
+}
+
+// count adds n to a lazily resolved vCPU counter handle.
+func (k *Kernel) count(h **sim.Counter, name string, n int64) {
+	if *h == nil {
+		*h = k.VCPU.Counters.Handle(name)
+	}
+	(*h).Add(n)
 }
 
 // NewKernel boots a guest kernel on the given vCPU, wiring itself as the

@@ -181,7 +181,7 @@ func (p *Process) handleFault(gva mem.GVA, write bool) error {
 	if !present {
 		// Ordinary demand paging.
 		sp := p.k.VCPU.Prof.Begin(prof.SubGuestOS, "demand_fault")
-		p.k.VCPU.Counters.Inc(CtrDemandFaults)
+		p.k.count(&p.k.ctr.demandFaults, CtrDemandFaults, 1)
 		p.k.Clock.Advance(p.k.Model.DemandFault)
 		cost := int64(p.k.Model.DemandFault)
 		if tr := p.k.VCPU.Tracer; tr.Enabled(trace.KindDemandFault) {
@@ -199,7 +199,7 @@ func (p *Process) handleFault(gva mem.GVA, write bool) error {
 		// bit and restores write permission (§III-B). The cost is the
 		// kernel-space page fault handling metric M5.
 		sp := p.k.VCPU.Prof.Begin(prof.SubGuestOS, "softdirty_fault")
-		p.k.VCPU.Counters.Inc(CtrSoftDirtyFaults)
+		p.k.count(&p.k.ctr.softDirtyFaults, CtrSoftDirtyFaults, 1)
 		cost := int64(p.k.Model.PFHKernel.PerPage(p.curveSize()))
 		p.k.Clock.Advance(time.Duration(cost))
 		if tr := p.k.VCPU.Tracer; tr.Enabled(trace.KindSoftDirtyFault) {

@@ -115,7 +115,7 @@ func (s *Scheduler) switchTo(p *Process) {
 	k := s.k
 	old := k.current
 	if old != nil {
-		s.k.VCPU.Counters.Inc(CtrContextSwitches)
+		k.count(&k.ctr.contextSwitches, CtrContextSwitches, 1)
 		s.switches++
 		tr, ev := k.VCPU.Tracer, k.VCPU.Met
 		var start int64
@@ -143,7 +143,7 @@ func (s *Scheduler) switchTo(p *Process) {
 // ContextSwitch forces a schedule-out/schedule-in cycle for p immediately.
 func (s *Scheduler) ContextSwitch(p *Process) {
 	m := s.k.Model
-	s.k.VCPU.Counters.Add(CtrContextSwitches, 2)
+	s.k.count(&s.k.ctr.contextSwitches, CtrContextSwitches, 2)
 	s.switches += 2
 	tr, ev := s.k.VCPU.Tracer, s.k.VCPU.Met
 	var start int64

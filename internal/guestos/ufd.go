@@ -80,13 +80,13 @@ func (u *ufdState) raise(p *Process, gva mem.GVA, write, missing bool) error {
 	k := p.k
 	sp := k.VCPU.Prof.Begin(prof.SubGuestOS, "ufd_fault")
 	defer sp.End()
-	k.VCPU.Counters.Inc(CtrUfdFaults)
+	k.count(&k.ctr.ufdFaults, CtrUfdFaults, 1)
 	// The faulting thread context-switches to the handler and back (2 x
 	// M1). The userspace handling cost itself (M6) is charged by the
 	// tracker-side handler: the paper attributes it to Tracker ("the time
 	// spent in Tracker", §III-A) while the tracked thread stays suspended
 	// for its whole duration.
-	k.VCPU.Counters.Add(CtrContextSwitches, 2)
+	k.count(&k.ctr.contextSwitches, CtrContextSwitches, 2)
 	k.Clock.Advance(2 * k.Model.ContextSwitch)
 	if u.handler == nil {
 		return fmt.Errorf("%w: no handler registered (pid %d, %v)", ErrUfdUnresolved, p.Pid, gva)
@@ -156,14 +156,14 @@ func (p *Process) ufdProtectRange(r Region) error {
 		}
 		return true
 	})
-	p.k.VCPU.Counters.Add(CtrUfdIoctls, int64(pages))
+	p.k.count(&p.k.ctr.ufdIoctls, CtrUfdIoctls, int64(pages))
 	p.k.Clock.Advance(p.k.Model.IoctlWriteProtectPerPage * time.Duration(pages))
 	return failed
 }
 
 // UfdWriteProtect re-protects one page (tracker re-arming between rounds).
 func (p *Process) UfdWriteProtect(gva mem.GVA) error {
-	p.k.VCPU.Counters.Inc(CtrUfdIoctls)
+	p.k.count(&p.k.ctr.ufdIoctls, CtrUfdIoctls, 1)
 	p.k.Clock.Advance(p.k.Model.IoctlWriteProtectPerPage)
 	return p.PT.Update(gva.PageFloor(), func(e pgtable.PTE) pgtable.PTE {
 		return (e | pgtable.FlagUfdWP) &^ pgtable.FlagWritable
@@ -173,7 +173,7 @@ func (p *Process) UfdWriteProtect(gva mem.GVA) error {
 // UfdWriteUnprotect resolves a write-protect fault: restores write access
 // and wakes the tracked thread (UFFDIO_WRITEPROTECT with WP=0).
 func (p *Process) UfdWriteUnprotect(gva mem.GVA) error {
-	p.k.VCPU.Counters.Inc(CtrUfdIoctls)
+	p.k.count(&p.k.ctr.ufdIoctls, CtrUfdIoctls, 1)
 	p.k.Clock.Advance(p.k.Model.IoctlWriteProtectPerPage)
 	return p.PT.Update(gva.PageFloor(), func(e pgtable.PTE) pgtable.PTE {
 		return (e | pgtable.FlagWritable) &^ pgtable.FlagUfdWP
@@ -183,7 +183,7 @@ func (p *Process) UfdWriteUnprotect(gva mem.GVA) error {
 // UfdCopyZero resolves a missing fault by installing a fresh zero page
 // (UFFDIO_ZEROPAGE).
 func (p *Process) UfdCopyZero(gva mem.GVA) error {
-	p.k.VCPU.Counters.Inc(CtrUfdIoctls)
+	p.k.count(&p.k.ctr.ufdIoctls, CtrUfdIoctls, 1)
 	p.k.Clock.Advance(p.k.Model.IoctlWriteProtectPerPage)
 	return p.mapPage(gva)
 }

@@ -246,9 +246,9 @@ func (vm *VM) drainPMLBuffer() error {
 			frame = f
 		}
 	}
-	// Counter refs resolved lazily per drain so untouched counters stay
-	// absent from snapshots while the per-entry map hash disappears.
-	var migCtr, ringCtr *int64
+	// Counter handles resolved on first use per drain keep the map hash out
+	// of the per-entry loop and allocate nothing for a counter never bumped.
+	var migCtr, ringCtr *sim.Counter
 	for slot := first; slot < vmcs.PMLBufferEntries; slot++ {
 		var raw uint64
 		if frame != nil {
@@ -272,17 +272,17 @@ func (vm *VM) drainPMLBuffer() error {
 		if vm.enabledByHyp {
 			vm.migLog[gpa] = struct{}{}
 			if migCtr == nil {
-				migCtr = vm.VCPU.Counters.Ref(CtrMigLogged)
+				migCtr = vm.VCPU.Counters.Handle(CtrMigLogged)
 			}
-			*migCtr++
+			migCtr.Inc()
 		}
 		if slot := vm.rings[vm.activeTag]; vm.enabledByGuest && slot != nil {
 			slot.ring.Push(uint64(gpa))
 			slot.armedClear = append(slot.armedClear, gpa)
 			if ringCtr == nil {
-				ringCtr = vm.VCPU.Counters.Ref(CtrRingCopied)
+				ringCtr = vm.VCPU.Counters.Handle(CtrRingCopied)
 			}
-			*ringCtr++
+			ringCtr.Inc()
 			vm.Clock.Advance(perEntry)
 			copied++
 		}

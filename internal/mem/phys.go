@@ -15,11 +15,13 @@ var (
 	ErrCrossesFrame = errors.New("mem: access crosses a frame boundary")
 )
 
-// slabFrames is how many frames one backing allocation holds. Handing
-// backing arrays out of slabs keeps a workload touching gigabytes at
-// hundreds of allocator calls instead of millions; 2 MiB slabs also let the
-// Go allocator hand back freshly mapped (pre-zeroed) spans for most of the
-// volume.
+// slabFrames is how many frames one backing allocation holds at most.
+// Handing backing arrays out of slabs keeps a workload touching gigabytes
+// at hundreds of allocator calls instead of millions; 2 MiB slabs also let
+// the Go allocator hand back freshly mapped (pre-zeroed) spans for most of
+// the volume. Page slabs start at one page and double up to this size, so
+// a PhysMem that materializes a handful of pages (a forked cell writing
+// only its log buffers) does not zero 2 MiB for them.
 const slabFrames = 512
 
 // Sparse-frame tuning: a frame buffers up to sparseWritesMax small writes
@@ -169,6 +171,7 @@ type PhysMem struct {
 	free     []HPA
 	fslab    []Frame          // frame structs for upcoming allocations
 	slab     [][PageSize]byte // pre-zeroed backing for materializations
+	slabLen  int              // length of the last page slab allocated
 	swslab   []sparseWrite    // private write buffers for diverging frames
 	maxBytes uint64           // 0 means unlimited
 	// epoch counts the events after which an externally cached frame pointer
@@ -320,7 +323,8 @@ func (p *PhysMem) Materialize(f *Frame) *[PageSize]byte {
 func (p *PhysMem) materializeLocked(f *Frame) *[PageSize]byte {
 	if f.data == nil || f.ro {
 		if len(p.slab) == 0 {
-			p.slab = make([][PageSize]byte, slabFrames)
+			p.slabLen = min(max(2*p.slabLen, 1), slabFrames)
+			p.slab = make([][PageSize]byte, p.slabLen)
 		}
 		d := &p.slab[0]
 		p.slab = p.slab[1:]
@@ -445,6 +449,7 @@ func (p *PhysMem) Reset() {
 	p.base = nil
 	p.fslab = nil
 	p.slab = nil
+	p.slabLen = 0
 	p.swslab = nil
 	p.live = 0
 	p.free = nil

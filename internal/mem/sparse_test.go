@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -176,5 +177,34 @@ func TestSparseFrameBytesAndU64At(t *testing.T) {
 	}
 	if !bytes.Equal(full, full2) {
 		t.Error("FrameBytes differ before/after materialization")
+	}
+}
+
+// TestFirstMaterializationAllocatesLittle pins growing page slabs: a fresh
+// PhysMem that materializes one page allocates a small slab for it, not a
+// 2 MiB one, and Reset starts the growth over.
+func TestFirstMaterializationAllocatesLittle(t *testing.T) {
+	page := make([]byte, PageSize)
+	page[0] = 1
+	var p *PhysMem
+	for _, name := range []string{"fresh", "after Reset"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if p == nil {
+			p = NewPhysMem(0)
+		} else {
+			p.Reset()
+		}
+		hpa, err := p.AllocFrame()
+		if err == nil {
+			err = p.Write(hpa, page)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: materializing one page allocated %d bytes, want < 64 KiB", name, got)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // for the given virtual duration before the rule fires. A burn rule
 // compares the downtime-budget burn rate - estimated stop-and-copy
 // downtime over Options.DowntimeBudget, averaged over the trailing window
-// - against a factor (1.0 = exactly on budget). Examples:
+// - against a factor (1.0 = exactly on budget, at most 1e12). Examples:
 //
 //	monitor/dirty_rate_pps{vm0/pml} > 50000 for 2ms
 //	migration/events{mig_nack} >= 5
@@ -116,6 +116,13 @@ func ParseRules(spec string) ([]Rule, error) {
 	return out, nil
 }
 
+// maxBurnFactor bounds a burn rule's factor. A NaN, infinite or huge
+// factor would wrap the per-mille threshold negative, and the rule would
+// fire on every evaluation. Below this bound the threshold also stays
+// under 2^50, where String's rendering of it as threshold/1000 parses
+// back to the same threshold.
+const maxBurnFactor = 1e12
+
 func parseRule(s string) (Rule, error) {
 	var r Rule
 
@@ -130,6 +137,11 @@ func parseRule(s string) (Rule, error) {
 		}
 		r.For = d.Nanoseconds()
 		s = strings.TrimSpace(s[:i])
+		// A series that itself contains " for " would read as a bad
+		// duration once String drops a zero 'for' clause.
+		if strings.Contains(s, " for ") {
+			return r, fmt.Errorf("%q contains ' for ' outside the 'for' clause", s)
+		}
 	}
 
 	// Split "<lhs> <op> <value>" on the first operator occurrence.
@@ -165,8 +177,8 @@ func parseRule(s string) (Rule, error) {
 			return r, fmt.Errorf("burn window must be positive, got %v", w)
 		}
 		factor, err := strconv.ParseFloat(rhs, 64)
-		if err != nil || factor < 0 {
-			return r, fmt.Errorf("bad burn factor %q (want e.g. 1.5)", rhs)
+		if err != nil || !(factor >= 0 && factor <= maxBurnFactor) {
+			return r, fmt.Errorf("bad burn factor %q (want e.g. 1.5, at most %g)", rhs, maxBurnFactor)
 		}
 		r.Burn = true
 		r.Window = w.Nanoseconds()

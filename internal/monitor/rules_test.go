@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +89,12 @@ func TestParseRulesRejectsBadSpecs(t *testing.T) {
 		"burn(-1ms) > 1.5",                    // negative burn window
 		"burn(1ms) > nope",                    // bad burn factor
 		"burn(1ms) > -0.5",                    // negative burn factor
+		"burn(1ms) > NaN",                     // per-mille threshold not a number
+		"burn(1ms) > Inf",                     // per-mille threshold infinite
+		"burn(1ms) > 1e300",                   // per-mille threshold past int64
+		"burn(1ms) > 1e16",                    // per-mille threshold past int64
+		"burn(1ms) > 4.5e12",                  // threshold/1000 no longer round-trips
+		"a for b/c > 1 for 0s",                // ' for ' inside the series
 		"monitor/x > 5, monitor/y > sideways", // second rule bad
 	}
 	for _, spec := range bad {
@@ -159,4 +166,39 @@ func TestRuleStringBurnFactor(t *testing.T) {
 	if s := rules[0].String(); !strings.Contains(s, "1.5") {
 		t.Errorf("String() = %q, want the 1.5 factor rendered", s)
 	}
+}
+
+// FuzzParseRules checks that the rule grammar is total and canonical:
+// every input either fails to parse, or yields rules whose String forms,
+// joined by commas, parse back to the same rules.
+func FuzzParseRules(f *testing.F) {
+	for _, seed := range []string{
+		"monitor/dirty_rate_pps{vm0/pml} > 50000 for 2ms",
+		"migration/events{mig_nack} >= 5",
+		"pml/full_exits != 0, ept/violations <= -1",
+		"burn(1ms) > 1.5 for 500us",
+		"burn(2ms) == 1",
+		"burn(1ms) > NaN",
+		"a/b{x for 1s} > 1 for 0s",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseRules(spec)
+		if err != nil {
+			return
+		}
+		canon := make([]string, len(rules))
+		for i, r := range rules {
+			canon[i] = r.String()
+		}
+		joined := strings.Join(canon, ",")
+		again, err := ParseRules(joined)
+		if err != nil {
+			t.Fatalf("ParseRules(%q) renders %q, which does not parse: %v", spec, joined, err)
+		}
+		if !reflect.DeepEqual(again, rules) {
+			t.Fatalf("ParseRules(%q) = %+v, but its canonical form %q parses to %+v", spec, rules, joined, again)
+		}
+	})
 }

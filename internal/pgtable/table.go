@@ -44,10 +44,17 @@ type node struct {
 // a page table belongs to exactly one guest process on one vCPU.
 type Table struct {
 	root    *node
-	present int   // number of mapped pages
-	nodes   int   // number of allocated radix nodes (root included)
-	walkOps int64 // cumulative levels touched, for cost accounting
-	Walks   int64 // number of full translations performed
+	present int // number of mapped pages
+	nodes   int // number of allocated radix nodes (root included)
+
+	// psc is the paging-structure cache: the leaf the last walk reached,
+	// and pscRegion the 2 MiB region it maps (gva >> regionShift). Walks
+	// in that region skip the three upper levels. Unmap drops it, because
+	// its walk may prune the leaf, and walk hands it to a writer only when
+	// this table owns it. Like the vCPU software TLB it is host work only,
+	// switched by simcache.TLBEnabled.
+	psc       *node
+	pscRegion uint64
 
 	// rev is the incrementally maintained GPA-page -> GVA-page inverse
 	// index behind ReverseLookup's O(1) host-work path. The virtual-time
@@ -108,6 +115,9 @@ func (n *node) copyFor(tg *tableTag) *node {
 	return c
 }
 
+// regionShift is the span one leaf node maps: 512 pages, 2 MiB.
+const regionShift = mem.PageShift + indexBits
+
 // walk descends to the leaf node for gva. When alloc is true, missing
 // interior nodes are created. When write is true, every node on the path
 // that is shared with a CowClone source is replaced by a private copy
@@ -115,13 +125,16 @@ func (n *node) copyFor(tg *tableTag) *node {
 // the leaf (or hand out a writable Slot on it) must set it. Returns the
 // leaf node and the final index, or nil when the path does not exist.
 func (t *Table) walk(gva mem.GVA, alloc, write bool) (*node, int) {
+	region := uint64(gva) >> regionShift
+	if l := t.psc; l != nil && t.pscRegion == region && (!write || l.owner == t.tag) &&
+		simcache.TLBEnabled() {
+		return l, indexAt(gva, Levels-1)
+	}
 	if write && t.root.owner != t.tag {
 		t.root = t.root.copyFor(t.tag)
 	}
 	n := t.root
-	t.Walks++
 	for level := 0; level < Levels-1; level++ {
-		t.walkOps++
 		idx := indexAt(gva, level)
 		child := n.children[idx]
 		if child == nil {
@@ -138,16 +151,8 @@ func (t *Table) walk(gva mem.GVA, alloc, write bool) (*node, int) {
 		}
 		n = child
 	}
-	t.walkOps++
+	t.psc, t.pscRegion = n, region
 	return n, indexAt(gva, Levels-1)
-}
-
-// WalkOps returns the cumulative number of page-table levels touched, an
-// input to walk-cost accounting, and resets the counter.
-func (t *Table) WalkOps() int64 {
-	v := t.walkOps
-	t.walkOps = 0
-	return v
 }
 
 // Map installs a translation gva -> gpa with the given flags (FlagPresent is
@@ -173,13 +178,14 @@ func (t *Table) Map(gva mem.GVA, gpa mem.GPA, flags PTE) error {
 func (t *Table) Unmap(gva mem.GVA) (PTE, error) {
 	gva = gva.PageFloor()
 	var path [Levels - 1]*node
+	// The walk below path-copies and may prune the leaf, so the cached one
+	// could be left detached from the tree.
+	t.psc = nil
 	if t.root.owner != t.tag {
 		t.root = t.root.copyFor(t.tag)
 	}
 	n := t.root
-	t.Walks++
 	for level := 0; level < Levels-1; level++ {
-		t.walkOps++
 		path[level] = n
 		idx := indexAt(gva, level)
 		child := n.children[idx]
@@ -192,7 +198,6 @@ func (t *Table) Unmap(gva mem.GVA) (PTE, error) {
 		}
 		n = child
 	}
-	t.walkOps++
 	idx := indexAt(gva, Levels-1)
 	if !n.entries[idx].Present() {
 		return 0, fmt.Errorf("%w: %v", ErrNotMapped, gva)
@@ -354,8 +359,6 @@ func (t *Table) Clone() *Table {
 		root:    cloneNode(t.root, tg),
 		present: t.present,
 		nodes:   t.nodes,
-		walkOps: t.walkOps,
-		Walks:   t.Walks,
 		tag:     tg,
 	}
 	if t.rev != nil {
@@ -396,8 +399,6 @@ func (t *Table) CowClone() *Table {
 		root:       t.root,
 		present:    t.present,
 		nodes:      t.nodes,
-		walkOps:    t.walkOps,
-		Walks:      t.Walks,
 		rev:        t.rev,
 		revAliased: t.revAliased,
 		revShared:  true,

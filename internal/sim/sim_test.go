@@ -140,3 +140,41 @@ func TestCounters(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// TestCounterHandles pins the handle contract hot paths rely on: a handle
+// never detaches, and only touched counters are listed.
+func TestCounterHandles(t *testing.T) {
+	var c Counters
+	h := c.Handle("hot")
+	idle := c.Handle("idle")
+	if names := c.Names(); len(names) != 0 || len(c.Snapshot()) != 0 || c.String() != "" {
+		t.Errorf("untouched handles listed: Names %v, Snapshot %v, String %q", names, c.Snapshot(), c.String())
+	}
+	h.Inc()
+	snap := c.Snapshot()
+	h.Add(4)
+	c.Restore(snap)
+	if got := c.Get("hot"); got != 1 {
+		t.Errorf("after Restore hot = %d, want 1", got)
+	}
+	h.Inc()
+	if got := c.Get("hot"); got != 2 {
+		t.Errorf("handle resolved before Restore: hot = %d, want 2", got)
+	}
+	if s := c.String(); s != "hot=2" {
+		t.Errorf("String = %q, want only the touched counter", s)
+	}
+	c.Reset()
+	if names := c.Names(); len(names) != 0 {
+		t.Errorf("Names after Reset = %v", names)
+	}
+	idle.Add(0)
+	if names := c.Names(); len(names) != 1 || names[0] != "idle" {
+		t.Errorf("Names after a bump following Reset = %v, want [idle]", names)
+	}
+	var d Counters
+	d.Merge(&c)
+	if s := d.String(); s != "idle=0" {
+		t.Errorf("Merge copied %q, want only the touched counter", s)
+	}
+}

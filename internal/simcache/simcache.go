@@ -1,7 +1,8 @@
 // Package simcache holds the global enable switches for the simulator's
-// host-side acceleration caches: the vCPU software TLB, the page table's
-// incremental GPA->GVA reverse index, the vCPU's cached VMCS arming
-// state, and workload host-compute memoization.
+// host-side acceleration caches: the vCPU software TLB and the page
+// table's paging-structure cache, the page table's incremental GPA->GVA
+// reverse index, the vCPU's cached VMCS arming state, and workload
+// host-compute memoization.
 //
 // The caches are pure host-side optimizations: with the switches on or off
 // the simulation must produce byte-identical traces, metrics snapshots and
@@ -17,7 +18,8 @@
 package simcache
 
 var (
-	// tlb enables the per-vCPU GVA translation cache (internal/cpu).
+	// tlb enables the per-vCPU GVA translation cache (internal/cpu) and
+	// the page table's paging-structure cache (internal/pgtable).
 	tlb = true
 	// reverseIndex enables pgtable's incremental GPA->GVA index, making
 	// ReverseLookup O(1) host work instead of an O(present-pages) scan.
@@ -34,7 +36,8 @@ var (
 	workloadMemo = true
 )
 
-// TLBEnabled reports whether the vCPU software TLB is on.
+// TLBEnabled reports whether the vCPU software TLB and the page table's
+// paging-structure cache are on.
 func TLBEnabled() bool { return tlb }
 
 // ReverseIndexEnabled reports whether pgtable's incremental reverse index
