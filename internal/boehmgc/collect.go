@@ -72,8 +72,7 @@ func (g *GC) Collect() (CycleStats, error) {
 		stats.DirtyPages = len(dirty)
 	}
 
-	clear(g.marked)
-	marked := g.marked
+	g.Heap.ClearMarks()
 	// Seed the stack in sorted address order: root map iteration order is
 	// randomized per process, and since per-object scan costs differ (shadow
 	// hits vs word-by-word reads), a different visit order changes the
@@ -91,13 +90,10 @@ func (g *GC) Collect() (CycleStats, error) {
 		if addr == 0 {
 			continue
 		}
-		if _, ok := g.Heap.BlockSize(addr); !ok {
-			continue // conservative: not a managed object
+		if !g.Heap.Mark(addr) {
+			continue // conservative: not a managed object, or marked already
 		}
-		if _, dup := marked[addr]; dup {
-			continue
-		}
-		marked[addr] = struct{}{}
+		stats.Live++
 		g.clock.Advance(g.markEntryCost)
 
 		edges, err := g.objectEdges(addr, full, dirty, &stats)
@@ -122,18 +118,17 @@ func (g *GC) Collect() (CycleStats, error) {
 	}
 	sweep := sim.StartWatch(g.clock)
 	sweepSp := tap.Begin(prof.SubGC, "sweep")
+	// Blocks yields in address order, so frees happen in address order
+	// and the free list - and with it every later allocation address -
+	// is the same in every identically-seeded run.
 	dead := g.dead[:0]
-	g.Heap.Blocks(func(addr mem.GVA, size uint64) bool {
-		if _, live := marked[addr]; !live {
+	g.Heap.Blocks(func(addr mem.GVA, marked bool) bool {
+		if !marked {
 			dead = append(dead, addr)
 		}
 		g.clock.Advance(g.markEntryCost)
 		return true
 	})
-	// Free in address order: map iteration order must not leak into the
-	// free list, or allocation addresses (and thus page-dirty patterns)
-	// would differ between identically-seeded runs.
-	slices.Sort(dead)
 	for _, addr := range dead {
 		delete(g.shadow, addr)
 		if err := g.Heap.Free(addr); err != nil {
@@ -144,7 +139,6 @@ func (g *GC) Collect() (CycleStats, error) {
 	sweepSp.End()
 	stats.SweepTime = sweep.Elapsed()
 	stats.Freed = len(dead)
-	stats.Live = len(marked)
 	if tr.Enabled(trace.KindGCSweep) {
 		tr.Emit(trace.Record{Kind: trace.KindGCSweep, VM: int32(g.Proc.Kernel().VCPU.ID),
 			TS: sweepStart, Cost: g.clock.Nanos() - sweepStart, Arg: int64(stats.Freed)})

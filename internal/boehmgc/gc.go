@@ -35,10 +35,13 @@ func (o Object) IsNil() bool { return o.Addr == 0 }
 // number of leading pointer slots.
 const headerBytes = 8
 
-// encodeHeader packs payload size (bytes) and pointer-slot count.
-func encodeHeader(size uint64, nptrs int) uint64 { return size<<16 | uint64(nptrs)&0xFFFF }
+// maxPtrs is the most pointer slots the header's 16-bit count holds.
+const maxPtrs = 0xFFFF
 
-func decodeHeader(h uint64) (size uint64, nptrs int) { return h >> 16, int(h & 0xFFFF) }
+// encodeHeader packs payload size (bytes) and pointer-slot count.
+func encodeHeader(size uint64, nptrs int) uint64 { return size<<16 | uint64(nptrs)&maxPtrs }
+
+func decodeHeader(h uint64) (size uint64, nptrs int) { return h >> 16, int(h & maxPtrs) }
 
 // CycleStats records one garbage collection cycle, the unit Fig. 5 plots.
 type CycleStats struct {
@@ -81,12 +84,12 @@ type GC struct {
 	// previous cycle never has one and is always scanned.
 	shadow map[mem.GVA]shadowEntry
 
-	// Cycle-scratch structures, reused across cycles so the mark and dirty
-	// sets are not re-grown from empty maps every cycle. Neither map is
-	// ever iterated, so reuse cannot leak map order into the simulation.
-	marked map[mem.GVA]struct{}
-	dirty  map[mem.GVA]struct{}
-	dead   []mem.GVA
+	// Cycle-scratch structures, reused across cycles so the dirty set is
+	// not re-grown from an empty map every cycle. The map is never
+	// iterated, so reuse cannot leak map order into the simulation. Marks
+	// live in the heap's block index.
+	dirty map[mem.GVA]struct{}
+	dead  []mem.GVA
 
 	// TriggerBytes starts a cycle automatically once this many bytes have
 	// been allocated since the previous cycle (0 disables auto cycles).
@@ -112,7 +115,6 @@ func New(proc *guestos.Process, heapBytes uint64, tech tracking.Technique) (*GC,
 		Tech:          tech,
 		roots:         make(map[mem.GVA]struct{}),
 		shadow:        make(map[mem.GVA]shadowEntry),
-		marked:        make(map[mem.GVA]struct{}),
 		dirty:         make(map[mem.GVA]struct{}),
 		clock:         proc.Kernel().Clock,
 		scanWordCost:  model.ReadPerPageOp,
@@ -123,6 +125,9 @@ func New(proc *guestos.Process, heapBytes uint64, tech tracking.Technique) (*GC,
 // Alloc creates an object with size payload bytes, the first nptrs words
 // of which are pointer slots (initialized to nil).
 func (g *GC) Alloc(size uint64, nptrs int) (Object, error) {
+	if nptrs > maxPtrs {
+		return Object{}, fmt.Errorf("%w: %d pointer slots, the header holds at most %d", ErrBadSlot, nptrs, maxPtrs)
+	}
 	if uint64(nptrs*8) > sizeAligned(size) {
 		return Object{}, fmt.Errorf("boehmgc: %d pointer slots exceed %d payload bytes", nptrs, size)
 	}
@@ -212,7 +217,7 @@ func (g *GC) GetData(obj Object, off uint64) (uint64, error) {
 
 // header reads and validates obj's header.
 func (g *GC) header(obj Object) (size uint64, nptrs int, err error) {
-	if _, ok := g.Heap.BlockSize(obj.Addr); !ok {
+	if !g.Heap.Contains(obj.Addr) {
 		return 0, 0, fmt.Errorf("%w: %v", ErrNotManaged, obj.Addr)
 	}
 	h, err := g.Proc.ReadU64(obj.Addr)

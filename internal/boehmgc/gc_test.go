@@ -1,6 +1,7 @@
 package boehmgc
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -175,5 +176,14 @@ func TestBadSlotErrors(t *testing.T) {
 	}
 	if _, err := gc.Alloc(8, 2); err == nil {
 		t.Error("Alloc with more pointer slots than payload succeeded")
+	}
+	// The header counts pointer slots in 16 bits: one more must be
+	// refused before the object is carved or zeroed.
+	big := newTestGC(t, 4<<20)
+	if _, err := big.Alloc(1<<20, maxPtrs+1); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("Alloc with %d pointer slots: %v, want ErrBadSlot", maxPtrs+1, err)
+	}
+	if n := big.LiveObjects(); n != 0 {
+		t.Errorf("refused Alloc left %d live objects", n)
 	}
 }

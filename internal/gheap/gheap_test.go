@@ -2,6 +2,7 @@ package gheap
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,14 @@ func TestAllocErrors(t *testing.T) {
 	}
 	if _, err := h.Alloc(1 << 20); !errors.Is(err, ErrSizeTooBig) {
 		t.Errorf("oversize alloc: %v", err)
+	}
+	// A size whose 8-byte alignment wraps to 0 is oversize too, not an
+	// empty block.
+	if _, err := h.Alloc(math.MaxUint64); !errors.Is(err, ErrSizeTooBig) {
+		t.Errorf("alloc of %d: %v", uint64(math.MaxUint64), err)
+	}
+	if n, _ := h.Live(); n != 0 {
+		t.Fatalf("%d live blocks after failed allocations", n)
 	}
 	// Exhaustion.
 	for {

@@ -60,9 +60,16 @@ type node struct {
 	excl     int64 // exclusive ns: incl minus time spent in child spans
 	count    int64 // completed spans on this path
 	children map[Frame]*node
+	// last is the child resolved most recently. Instrumented code opens
+	// the same child span over and over (a page walk per guest access),
+	// so comparing its frame by value spares hashing the two strings.
+	last *node
 }
 
 func (n *node) child(f Frame) *node {
+	if c := n.last; c != nil && c.frame == f {
+		return c
+	}
 	c := n.children[f]
 	if c == nil {
 		if n.children == nil {
@@ -71,6 +78,7 @@ func (n *node) child(f Frame) *node {
 		c = &node{frame: f}
 		n.children[f] = c
 	}
+	n.last = c
 	return c
 }
 

@@ -161,6 +161,84 @@ func TestTapSteadyStateNoAlloc(t *testing.T) {
 	}
 }
 
+// TestRuntimeFramesShareNode: a frame built at run time, equal to the
+// constants but not sharing their bytes, resolves to the node the
+// constants resolved to, whether the last-child pointer or the map
+// answers.
+func TestRuntimeFramesShareNode(t *testing.T) {
+	p := New()
+	var clock sim.Clock
+	tap := p.Tap(&clock)
+	sub, op := strings.Clone(SubCPU), strings.Join([]string{"page", "walk"}, "_")
+	span(tap, &clock, SubCPU, "page_walk", 1, nil)
+	span(tap, &clock, sub, op, 2, nil) // last-child hit
+	span(tap, &clock, SubGC, "mark", 4, nil)
+	span(tap, &clock, sub, op, 8, nil) // map hit
+	if n := len(p.root.children); n != 2 {
+		t.Fatalf("root has %d children, want 2", n)
+	}
+	walk := p.root.children[Frame{Sub: SubCPU, Op: "page_walk"}]
+	if walk == nil || walk.count != 3 || walk.incl != 11 {
+		t.Fatalf("cpu/page_walk node = %+v, want count 3, incl 11", walk)
+	}
+}
+
+// TestAlternatingSiblingsFoldAsMapAlone: siblings opened in turn under
+// one parent, which replaces the last-child pointer on every span, fold
+// into the tree a map-only lookup builds.
+func TestAlternatingSiblingsFoldAsMapAlone(t *testing.T) {
+	run := func(mapOnly bool) *Profiler {
+		p := New()
+		var clock sim.Clock
+		tap := p.Tap(&clock)
+		begin := func(sub, op string) Span {
+			sp := tap.Begin(sub, op)
+			if mapOnly {
+				forgetLast(&p.root)
+			}
+			return sp
+		}
+		for i := int64(1); i <= 6; i++ {
+			outer := begin(SubGC, "mark")
+			for _, f := range []Frame{{SubCPU, "read"}, {SubCPU, "write"}, {SubGuestOS, "read"}} {
+				sp := begin(f.Sub, f.Op)
+				clock.AdvanceNanos(i)
+				sp.End()
+			}
+			clock.AdvanceNanos(10 * (i % 2))
+			outer.End()
+			sp := begin(SubGC, "sweep")
+			clock.AdvanceNanos(i)
+			sp.End()
+		}
+		return p
+	}
+	var got, want bytes.Buffer
+	if err := run(false).WriteFolded(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(true).WriteFolded(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("last-child pointer changed the tree:\n%s\nmap alone:\n%s", got.String(), want.String())
+	}
+	for _, line := range []string{"gc/mark;cpu/read 21\n", "gc/mark;guestos/read 21\n"} {
+		if !strings.Contains(got.String(), line) {
+			t.Errorf("folded output lacks %q:\n%s", line, got.String())
+		}
+	}
+}
+
+// forgetLast clears every node's last-child pointer, so the next lookup
+// under any node goes through its map.
+func forgetLast(n *node) {
+	n.last = nil
+	for _, c := range n.children {
+		forgetLast(c)
+	}
+}
+
 func TestMergeIsOrderIndependent(t *testing.T) {
 	mk := func(seed int64) *Profiler {
 		p := New()

@@ -1,5 +1,7 @@
 package sim
 
+import "encoding/binary"
+
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xorshift64*). Experiments use it to generate workload data so that every
 // run of the simulator sees exactly the same byte streams and access
@@ -48,13 +50,19 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bytes fills b with pseudo-random bytes.
+// Bytes fills b with pseudo-random bytes: each 8-byte run is one Uint64,
+// least significant byte first, and a short tail takes the low bytes of
+// one more.
 func (r *RNG) Bytes(b []byte) {
-	var v uint64
+	for len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b, r.Uint64())
+		b = b[8:]
+	}
+	if len(b) == 0 {
+		return
+	}
+	v := r.Uint64()
 	for i := range b {
-		if i%8 == 0 {
-			v = r.Uint64()
-		}
 		b[i] = byte(v)
 		v >>= 8
 	}

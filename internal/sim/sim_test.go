@@ -91,6 +91,36 @@ func TestRNGRanges(t *testing.T) {
 	}
 }
 
+// TestRNGBytesMatchesByteLoop: Bytes yields the stream a byte-at-a-time
+// fill yields, for every length up to five words and every alignment of
+// the destination, and leaves the generator in the same state.
+func TestRNGBytesMatchesByteLoop(t *testing.T) {
+	byteLoop := func(r *RNG, b []byte) {
+		var v uint64
+		for i := range b {
+			if i%8 == 0 {
+				v = r.Uint64()
+			}
+			b[i] = byte(v)
+			v >>= 8
+		}
+	}
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= 40; n++ {
+			got, want := NewRNG(uint64(7+n)), NewRNG(uint64(7+n))
+			gb, wb := make([]byte, off+n), make([]byte, off+n)
+			got.Bytes(gb[off:])
+			byteLoop(want, wb[off:])
+			if string(gb) != string(wb) {
+				t.Fatalf("offset %d, length %d: Bytes = %x, want %x", off, n, gb[off:], wb[off:])
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("offset %d, length %d: next draw %#x, want %#x", off, n, g, w)
+			}
+		}
+	}
+}
+
 func TestRNGPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
 		r := NewRNG(seed)
