@@ -9,11 +9,9 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
 // benchOptions assembles experiment options from the parsed CLI flags.
@@ -32,41 +30,6 @@ func benchOptions(scale int, full bool, workers int, seed uint64, faultSpec stri
 	}
 }
 
-// parseSpecFlags validates the spec-valued flags. It runs unconditionally
-// at startup - even when -trace is unset or the experiment ignores faults -
-// so a typo in -trace-kinds or -faults exits non-zero instead of silently
-// running without the events or faults the user asked for.
-func parseSpecFlags(traceKinds, faultSpec string) (mask uint64, spec faults.Spec, err error) {
-	mask, err = trace.ParseKinds(traceKinds)
-	if err != nil {
-		return 0, faults.Spec{}, err
-	}
-	spec, err = faults.ParseSpec(faultSpec)
-	if err != nil {
-		return 0, faults.Spec{}, err
-	}
-	return mask, spec, nil
-}
-
-// parseMetricsFlags validates the metrics-valued flags. Like the spec
-// flags, validation is unconditional: a bad -metrics sort mode, interval or
-// export path exits non-zero even when the flag would be ignored this run.
-func parseMetricsFlags(mode, interval, export string) (sortBy string, ival time.Duration, format string, err error) {
-	sortBy, err = metrics.ParseSortMode(mode)
-	if err != nil {
-		return "", 0, "", err
-	}
-	ival, err = metrics.ParseInterval(interval, time.Millisecond)
-	if err != nil {
-		return "", 0, "", err
-	}
-	format, err = metrics.ParseExportPath(export)
-	if err != nil {
-		return "", 0, "", err
-	}
-	return sortBy, ival, format, nil
-}
-
 // parseJSONPath validates a -json flag value: empty disables the report,
 // "-" selects stdout, anything else must end in .json.
 func parseJSONPath(p string) error {
@@ -75,49 +38,6 @@ func parseJSONPath(p string) error {
 		return nil
 	}
 	return fmt.Errorf("bench report path %q must be \"-\" or end in .json", p)
-}
-
-// parsePprofPath validates a -profile flag value: empty disables the
-// export, anything else must end in .pb.gz (the suffix `go tool pprof`
-// and pprof web UIs expect for gzipped protobuf profiles).
-func parsePprofPath(p string) error {
-	p = strings.TrimSpace(p)
-	if p == "" || strings.HasSuffix(p, ".pb.gz") {
-		return nil
-	}
-	return fmt.Errorf("pprof profile path %q must end in .pb.gz", p)
-}
-
-// writeProfExports writes the requested profile exports (folded stacks
-// and/or gzipped pprof protobuf), returning the paths written.
-func writeProfExports(p *prof.Profiler, flamePath, pprofPath string) ([]string, error) {
-	var written []string
-	write := func(path string, fn func(*os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing profile %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
-	if flamePath != "" {
-		if err := write(flamePath, func(f *os.File) error { return p.WriteFolded(f) }); err != nil {
-			return written, err
-		}
-	}
-	if pprofPath != "" {
-		if err := write(pprofPath, func(f *os.File) error { return p.WritePprof(f) }); err != nil {
-			return written, err
-		}
-	}
-	return written, nil
 }
 
 // parseTrajectoryFlags validates the -trajectory flag: empty disables it,
@@ -252,19 +172,4 @@ func writeCapture(bf benchFlags, opt experiments.Options, results []*experiments
 		return err
 	}
 	return nil
-}
-
-// writeMetricsExport writes the registry snapshot to path in the format
-// ParseExportPath derived from its extension.
-func writeMetricsExport(reg *metrics.Registry, path, format string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	snap := reg.Snapshot()
-	if format == metrics.ExportJSONL {
-		return snap.WriteJSONL(f)
-	}
-	return snap.WritePrometheus(f)
 }

@@ -107,7 +107,7 @@ func main() {
 func run(bf benchFlags) (err error) {
 	// Validate every parameterized flag up front: a typo must exit non-zero
 	// even when the flag would not be consumed this run.
-	mask, _, err := parseSpecFlags(bf.traceKinds, bf.faultSpec)
+	mask, _, err := cliflags.ParseSpecFlags(bf.traceKinds, bf.faultSpec)
 	if err != nil {
 		return err
 	}
@@ -119,14 +119,14 @@ func run(bf benchFlags) (err error) {
 	} else if backend != "" {
 		os.Setenv("OOH_BACKEND", backend)
 	}
-	sortBy, ival, exportFmt, err := parseMetricsFlags(bf.metMode, bf.metIval, bf.metExport)
+	sortBy, ival, exportFmt, err := cliflags.ParseMetricsFlags(bf.metMode, bf.metIval, bf.metExport)
 	if err != nil {
 		return err
 	}
 	if err := parseJSONPath(bf.jsonPath); err != nil {
 		return err
 	}
-	if err := parsePprofPath(bf.pprofPath); err != nil {
+	if err := cliflags.ParsePprofPath(bf.pprofPath); err != nil {
 		return err
 	}
 	if err := parseBenchTolerance(bf.benchTol); err != nil {
@@ -283,7 +283,7 @@ func run(bf benchFlags) (err error) {
 				fmt.Printf("\n%s", tab.Render())
 			}
 		}
-		written, err := writeProfExports(profiler, bf.flamePath, bf.pprofPath)
+		written, err := cliflags.WriteProfExports(profiler, bf.flamePath, bf.pprofPath)
 		if err != nil {
 			return err
 		}
@@ -292,7 +292,7 @@ func run(bf benchFlags) (err error) {
 		}
 	}
 	if exportFmt != "" {
-		if err := writeMetricsExport(reg, bf.metExport, exportFmt); err != nil {
+		if err := cliflags.WriteMetricsExport(reg, bf.metExport, exportFmt); err != nil {
 			return err
 		}
 		if !quiet {

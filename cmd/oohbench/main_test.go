@@ -5,12 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/metrics"
 )
 
-// TestParseSpecFlags pins the always-on validation of the spec-valued flags:
-// unknown -trace-kinds or -faults tokens must be rejected regardless of
-// whether the run would have consumed them.
+// TestParseSpecFlags pins the always-on validation run applies to the
+// spec-valued flags through cliflags.ParseSpecFlags: unknown -trace-kinds
+// or -faults tokens must be rejected regardless of whether the run would
+// have consumed them.
 func TestParseSpecFlags(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -32,9 +34,9 @@ func TestParseSpecFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			mask, spec, err := parseSpecFlags(c.traceKinds, c.faultSpec)
+			mask, spec, err := cliflags.ParseSpecFlags(c.traceKinds, c.faultSpec)
 			if (err != nil) != c.wantErr {
-				t.Fatalf("parseSpecFlags(%q, %q) err = %v, wantErr %v", c.traceKinds, c.faultSpec, err, c.wantErr)
+				t.Fatalf("ParseSpecFlags(%q, %q) err = %v, wantErr %v", c.traceKinds, c.faultSpec, err, c.wantErr)
 			}
 			if err != nil {
 				return
@@ -49,9 +51,10 @@ func TestParseSpecFlags(t *testing.T) {
 	}
 }
 
-// TestParseMetricsFlags pins the always-on validation of the -metrics,
-// -metrics-interval and -metrics-export flags: bad values are rejected up
-// front so the CLI exits non-zero before running any experiment.
+// TestParseMetricsFlags pins the always-on validation run applies to the
+// -metrics, -metrics-interval and -metrics-export flags through
+// cliflags.ParseMetricsFlags: bad values are rejected up front so the CLI
+// exits non-zero before running any experiment.
 func TestParseMetricsFlags(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -76,16 +79,16 @@ func TestParseMetricsFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sortBy, ival, format, err := parseMetricsFlags(c.mode, c.interval, c.export)
+			sortBy, ival, format, err := cliflags.ParseMetricsFlags(c.mode, c.interval, c.export)
 			if (err != nil) != c.wantErr {
-				t.Fatalf("parseMetricsFlags(%q, %q, %q) err = %v, wantErr %v",
+				t.Fatalf("ParseMetricsFlags(%q, %q, %q) err = %v, wantErr %v",
 					c.mode, c.interval, c.export, err, c.wantErr)
 			}
 			if err != nil {
 				return
 			}
 			if sortBy != c.wantSort || ival != c.wantIval || format != c.wantFmt {
-				t.Errorf("parseMetricsFlags(%q, %q, %q) = (%q, %v, %q), want (%q, %v, %q)",
+				t.Errorf("ParseMetricsFlags(%q, %q, %q) = (%q, %v, %q), want (%q, %v, %q)",
 					c.mode, c.interval, c.export, sortBy, ival, format, c.wantSort, c.wantIval, c.wantFmt)
 			}
 		})

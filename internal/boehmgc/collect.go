@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/prof"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -39,32 +38,25 @@ func (g *GC) StartIncremental() error {
 // unmodified old objects from the cached shadow graph.
 func (g *GC) Collect() (CycleStats, error) {
 	stats := CycleStats{Cycle: len(g.cycles) + 1}
-	tr, ev := g.Proc.Kernel().VCPU.Tracer, g.Proc.Kernel().VCPU.Met
-	var cycleStart int64
-	if tr != nil || ev != nil {
-		cycleStart = g.clock.Nanos()
-	}
-	total := sim.StartWatch(g.clock)
-	tap := g.Proc.Kernel().VCPU.Prof
-	cySp := tap.Begin(prof.SubGC, "cycle")
+	v := g.Proc.Kernel().VCPU
+	// An error return leaves the inner spans open; ending the cycle span
+	// closes them with it.
+	cySp := v.Begin(prof.SubGC, "cycle")
 	defer cySp.End()
 
 	// --- mark phase -------------------------------------------------------
-	mark := sim.StartWatch(g.clock)
-	markSp := tap.Begin(prof.SubGC, "mark")
+	markSp := v.Begin(prof.SubGC, "mark")
 
 	clear(g.dirty)
 	dirty := g.dirty
 	full := g.Tech == nil || !g.tracking
 	if !full {
-		tw := sim.StartWatch(g.clock)
-		trackSp := tap.Begin(prof.SubGC, "track")
+		trackSp := v.Begin(prof.SubGC, "track")
 		pages, err := g.Tech.Collect()
 		if err != nil {
 			return stats, err
 		}
-		trackSp.End()
-		stats.TrackTime = tw.Elapsed()
+		stats.TrackTime = trackSp.End()
 		for _, p := range pages {
 			dirty[p.PageFloor()] = struct{}{}
 		}
@@ -102,22 +94,10 @@ func (g *GC) Collect() (CycleStats, error) {
 		}
 		stack = append(stack, edges...)
 	}
-	markSp.End()
-	stats.MarkTime = mark.Elapsed()
-	if tr.Enabled(trace.KindGCMark) {
-		tr.Emit(trace.Record{Kind: trace.KindGCMark, VM: int32(g.Proc.Kernel().VCPU.ID),
-			TS: g.clock.Nanos() - int64(stats.MarkTime), Cost: int64(stats.MarkTime),
-			Arg: int64(stats.Scanned)})
-	}
-	ev.Observe(trace.KindGCMark, g.clock.Nanos(), int64(stats.MarkTime), int64(stats.Scanned))
+	stats.MarkTime = markSp.Event(trace.KindGCMark, 0, int64(stats.Scanned))
 
 	// --- sweep phase ------------------------------------------------------
-	var sweepStart int64
-	if tr != nil || ev != nil {
-		sweepStart = g.clock.Nanos()
-	}
-	sweep := sim.StartWatch(g.clock)
-	sweepSp := tap.Begin(prof.SubGC, "sweep")
+	sweepSp := v.Begin(prof.SubGC, "sweep")
 	// Blocks yields in address order, so frees happen in address order
 	// and the free list - and with it every later allocation address -
 	// is the same in every identically-seeded run.
@@ -136,14 +116,8 @@ func (g *GC) Collect() (CycleStats, error) {
 		}
 	}
 	g.dead = dead
-	sweepSp.End()
-	stats.SweepTime = sweep.Elapsed()
 	stats.Freed = len(dead)
-	if tr.Enabled(trace.KindGCSweep) {
-		tr.Emit(trace.Record{Kind: trace.KindGCSweep, VM: int32(g.Proc.Kernel().VCPU.ID),
-			TS: sweepStart, Cost: g.clock.Nanos() - sweepStart, Arg: int64(stats.Freed)})
-	}
-	ev.Observe(trace.KindGCSweep, g.clock.Nanos(), g.clock.Nanos()-sweepStart, int64(stats.Freed))
+	stats.SweepTime = sweepSp.Event(trace.KindGCSweep, 0, int64(stats.Freed))
 
 	// Re-arm the dirty tracker for the next incremental cycle.
 	if g.Tech != nil && !g.tracking {
@@ -154,13 +128,8 @@ func (g *GC) Collect() (CycleStats, error) {
 	}
 	g.bytesSinceGC = 0
 
-	stats.Total = total.Elapsed()
+	stats.Total = cySp.Event(trace.KindGCCycle, 0, int64(stats.Cycle))
 	g.cycles = append(g.cycles, stats)
-	if tr.Enabled(trace.KindGCCycle) {
-		tr.Emit(trace.Record{Kind: trace.KindGCCycle, VM: int32(g.Proc.Kernel().VCPU.ID),
-			TS: cycleStart, Cost: g.clock.Nanos() - cycleStart, Arg: int64(stats.Cycle)})
-	}
-	ev.Observe(trace.KindGCCycle, g.clock.Nanos(), g.clock.Nanos()-cycleStart, int64(stats.Cycle))
 	return stats, nil
 }
 

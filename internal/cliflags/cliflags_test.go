@@ -77,15 +77,26 @@ func TestParseSpecFlags(t *testing.T) {
 		{name: "transport fault spec", faultSpec: "send-fail:0.2,wire-corrupt:0.1,dest-stall:0.3,round-crash:0.1"},
 		{name: "unknown fault point", faultSpec: "cosmic-ray", wantErr: true},
 		{name: "bad fault rate", faultSpec: "ipi-drop:-1", wantErr: true},
+		{name: "fault rate out of range", faultSpec: "ipi-drop:1.5", wantErr: true},
+		{name: "fault rate not a number", faultSpec: "ipi-drop:lots", wantErr: true},
+		{name: "fault seed token", faultSpec: "ipi-drop,seed=7"},
 		{name: "both valid", traceKinds: "fault", faultSpec: "collect-stall:0.1"},
+		{name: "kinds bad, spec good", traceKinds: "nope", faultSpec: "ipi-drop", wantErr: true},
+		{name: "kinds good, spec bad", traceKinds: "vmexit", faultSpec: "nope", wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, spec, err := ParseSpecFlags(c.traceKinds, c.faultSpec)
+			mask, spec, err := ParseSpecFlags(c.traceKinds, c.faultSpec)
 			if (err != nil) != c.wantErr {
 				t.Fatalf("ParseSpecFlags(%q, %q) err = %v, wantErr %v", c.traceKinds, c.faultSpec, err, c.wantErr)
 			}
-			if err == nil && c.faultSpec != "" && spec.Empty() {
+			if err != nil {
+				return
+			}
+			if c.traceKinds != "" && mask == 0 {
+				t.Errorf("non-empty kinds %q produced an empty mask", c.traceKinds)
+			}
+			if c.faultSpec != "" && spec.Empty() {
 				t.Errorf("non-empty fault spec %q parsed to an empty spec", c.faultSpec)
 			}
 		})

@@ -108,20 +108,12 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		if _, err := k.VCPU.Hypercall(hypervisor.HCDrainRing, uint64(s.pid)); err != nil {
 			return nil, err
 		}
-		tr, ev := k.VCPU.Tracer, k.VCPU.Met
-		sp := k.VCPU.Prof.Begin(prof.SubCore, "ring_copy")
-		w := startSpan(clock)
+		sp := k.VCPU.Begin(prof.SubCore, "ring_copy")
 		s.raw = s.s.ring.Drain(s.raw[:0])
 		raw := s.raw
 		perEntry := k.Model.RBCopy.PerPage(s.s.proc.ReservedBytes())
 		clock.Advance(perEntry * time.Duration(len(raw)))
-		s.LastBreakdown.RingCopy = w.stop()
-		sp.End()
-		if tr.Enabled(trace.KindRingCopy) {
-			tr.Emit(trace.Record{Kind: trace.KindRingCopy, VM: int32(k.VCPU.ID), TS: w.start,
-				Cost: int64(s.LastBreakdown.RingCopy), Arg: int64(len(raw))})
-		}
-		ev.Observe(trace.KindRingCopy, clock.Nanos(), int64(s.LastBreakdown.RingCopy), int64(len(raw)))
+		s.LastBreakdown.RingCopy = sp.Event(trace.KindRingCopy, 0, int64(len(raw)))
 
 		if len(raw) == 0 {
 			return nil, nil
@@ -145,8 +137,7 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 				return gva, ok
 			}
 		case s.ReuseReverseIndex:
-			sp := k.VCPU.Prof.Begin(prof.SubCore, "pt_walk")
-			w = startSpan(clock)
+			sp := k.VCPU.Begin(prof.SubCore, "pt_walk")
 			entries, err := k.Pagemap(s.pid)
 			if err != nil {
 				sp.End()
@@ -158,33 +149,20 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 					index[e.GPA.PageFloor()] = e.GVA
 				}
 			}
-			s.LastBreakdown.PTWalk = w.stop()
-			if tr.Enabled(trace.KindPTWalk) {
-				tr.Emit(trace.Record{Kind: trace.KindPTWalk, VM: int32(k.VCPU.ID), TS: w.start,
-					Cost: int64(s.LastBreakdown.PTWalk), Arg: int64(len(entries))})
-			}
-			ev.Observe(trace.KindPTWalk, clock.Nanos(), int64(s.LastBreakdown.PTWalk), int64(len(entries)))
+			s.LastBreakdown.PTWalk = sp.Event(trace.KindPTWalk, 0, int64(len(entries)))
 			s.revIndex = index
-			sp.End()
 			lookup = func(gpa mem.GPA) (mem.GVA, bool) {
 				gva, ok := index[gpa.PageFloor()]
 				return gva, ok
 			}
 		default:
-			sp := k.VCPU.Prof.Begin(prof.SubCore, "pt_walk")
-			w = startSpan(clock)
+			sp := k.VCPU.Begin(prof.SubCore, "pt_walk")
 			pages, err := k.PagemapWalkCharge(s.pid)
 			if err != nil {
 				sp.End()
 				return nil, err
 			}
-			s.LastBreakdown.PTWalk = w.stop()
-			if tr.Enabled(trace.KindPTWalk) {
-				tr.Emit(trace.Record{Kind: trace.KindPTWalk, VM: int32(k.VCPU.ID), TS: w.start,
-					Cost: int64(s.LastBreakdown.PTWalk), Arg: int64(pages)})
-			}
-			ev.Observe(trace.KindPTWalk, clock.Nanos(), int64(s.LastBreakdown.PTWalk), int64(pages))
-			sp.End()
+			s.LastBreakdown.PTWalk = sp.Event(trace.KindPTWalk, 0, int64(pages))
 			pt := s.s.proc.PT
 			lookup = func(gpa mem.GPA) (mem.GVA, bool) {
 				gva, ok := pt.ReverseLookup(gpa.PageFloor())
@@ -192,8 +170,7 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 			}
 		}
 
-		rmSp := k.VCPU.Prof.Begin(prof.SubCore, "reverse_map")
-		w = startSpan(clock)
+		rmSp := k.VCPU.Begin(prof.SubCore, "reverse_map")
 		perLookup := k.Model.ReverseMap.PerPage(s.s.proc.ReservedBytes())
 		if cached {
 			perLookup = k.Model.KernelPageOp
@@ -208,21 +185,14 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 			s.dirty.Add(gva)
 		}
 		out := append([]mem.GVA(nil), s.dirty.Pages()...)
-		s.LastBreakdown.ReverseMap = w.stop()
-		rmSp.End()
+		s.LastBreakdown.ReverseMap = rmSp.Event(trace.KindReverseMap, 0, int64(len(out)))
 		s.LastBreakdown.Entries = len(out)
-		if tr.Enabled(trace.KindReverseMap) {
-			tr.Emit(trace.Record{Kind: trace.KindReverseMap, VM: int32(k.VCPU.ID), TS: w.start,
-				Cost: int64(s.LastBreakdown.ReverseMap), Arg: int64(len(out))})
-		}
-		ev.Observe(trace.KindReverseMap, clock.Nanos(), int64(s.LastBreakdown.ReverseMap), int64(len(out)))
 		return out, nil
 
 	case ModeEPML:
 		// Pull in anything still sitting in the guest-level buffer.
 		s.s.drainGuestBuffer()
-		sp := k.VCPU.Prof.Begin(prof.SubCore, "ring_copy")
-		w := startSpan(clock)
+		sp := k.VCPU.Begin(prof.SubCore, "ring_copy")
 		s.raw = s.s.ring.Drain(s.raw[:0])
 		raw := s.raw
 		perEntry := k.Model.RBCopy.PerPage(s.s.proc.ReservedBytes())
@@ -247,25 +217,9 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 			_ = s.s.proc.PT.ClearFlags(gva, pgtable.FlagDirty)
 			clock.Advance(k.Model.KernelPageOp)
 		}
-		s.LastBreakdown.RingCopy = w.stop()
-		sp.End()
+		s.LastBreakdown.RingCopy = sp.Event(trace.KindRingCopy, 0, int64(len(raw)))
 		s.LastBreakdown.Entries = len(out)
-		if tr := k.VCPU.Tracer; tr.Enabled(trace.KindRingCopy) {
-			tr.Emit(trace.Record{Kind: trace.KindRingCopy, VM: int32(k.VCPU.ID), TS: w.start,
-				Cost: int64(s.LastBreakdown.RingCopy), Arg: int64(len(raw))})
-		}
-		k.VCPU.Met.Observe(trace.KindRingCopy, clock.Nanos(), int64(s.LastBreakdown.RingCopy), int64(len(raw)))
 		return out, nil
 	}
 	return nil, fmt.Errorf("core: unknown mode %v", mod.Mode)
 }
-
-// span measures virtual time.
-type span struct {
-	clock interface{ Nanos() int64 }
-	start int64
-}
-
-func startSpan(c interface{ Nanos() int64 }) span { return span{clock: c, start: c.Nanos()} }
-
-func (s span) stop() time.Duration { return time.Duration(s.clock.Nanos() - s.start) }

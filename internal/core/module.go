@@ -292,11 +292,7 @@ func (s *session) drainGuestBuffer() {
 	}
 	sp := k.VCPU.Prof.Begin(prof.SubCore, "ring_drain")
 	defer sp.End()
-	tr, ev := k.VCPU.Tracer, k.VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = k.Clock.Nanos()
-	}
+	start := k.Clock.Nanos()
 	idx, err := k.VCPU.GuestVMRead(vmcs.FieldGuestPMLIndex)
 	if err != nil {
 		return
@@ -313,10 +309,5 @@ func (s *session) drainGuestBuffer() {
 		s.ring.Push(raw)
 	}
 	_ = k.VCPU.GuestVMWrite(vmcs.FieldGuestPMLIndex, vmcs.PMLResetIndex)
-	now := k.Clock.Nanos()
-	if tr.Enabled(trace.KindRingDrain) {
-		tr.Emit(trace.Record{Kind: trace.KindRingDrain, VM: int32(k.VCPU.ID), TS: start,
-			Cost: now - start, Arg: int64(vmcs.PMLBufferEntries - first)})
-	}
-	ev.Observe(trace.KindRingDrain, now, now-start, int64(vmcs.PMLBufferEntries-first))
+	k.VCPU.Event(trace.KindRingDrain, start, k.Clock.Nanos()-start, 0, int64(vmcs.PMLBufferEntries-first))
 }

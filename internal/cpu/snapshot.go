@@ -16,7 +16,7 @@ var ErrNotQuiescent = errors.New("cpu: vCPU not quiescent for snapshot")
 // (software TLB, arming cache, buffer-frame caches) are performance
 // artifacts, not state: Restore resets them and lets the invalidation
 // machinery rebuild them lazily. The observability handles
-// (Tracer, Met, Prof, Mon, Inj) and the EPT/VMCS/Phys wiring are owned by
+// (tracer, Met, Prof, Mon, Inj) and the EPT/VMCS/Phys wiring are owned by
 // the embedding VM and are not captured here.
 type Snapshot struct {
 	mode        Mode

@@ -92,32 +92,34 @@ type VCPU struct {
 	Costs    Costs
 	Counters sim.Counters
 
-	// Tracer, when non-nil, receives per-event records for every cost this
-	// vCPU (and the layers reached through it) charges to the virtual
-	// clock. Tracing only observes: it never advances the clock, so traced
-	// and untraced runs are bit-identical in virtual time.
-	Tracer *trace.Tracer
+	// tracer, when non-nil, receives one record per traced event this vCPU
+	// (and the layers reached through it) reports through Event - the only
+	// way to reach it, so every traced event also reaches Met. Tracing only
+	// observes: it never advances the clock, so traced and untraced runs are
+	// bit-identical in virtual time. The machine wires it with SetTracer.
+	tracer *trace.Tracer
 
 	// Inj, when non-nil, injects deterministic faults at this vCPU's trust
 	// boundaries (and, through it, the hypervisor's and guest kernel's).
-	// Like Tracer it is single-goroutine; a nil or unarmed injector leaves
-	// the simulation bit-identical to one without injection at all.
+	// Like the tracer it is single-goroutine; a nil or unarmed injector
+	// leaves the simulation bit-identical to one without injection at all.
 	Inj *faults.Injector
 
-	// Met, when non-nil, aggregates the same per-event observations the
-	// Tracer records into the metrics registry: per-kind counters, cost
-	// histograms and sampled time-series. Every site that emits a trace
-	// record also observes it here with identical (kind, cost, arg), which
-	// is what makes registry counters equal trace.Summarize counts on the
-	// same run. Like Tracer, a nil bridge costs one branch per site.
+	// Met, when non-nil, aggregates every event reported through Event into
+	// the metrics registry (per-kind counters, cost histograms, sampled
+	// time-series) with the same (kind, cost, arg) the trace record
+	// carries. Layers use it directly only for the labelled extras that are
+	// not 1:1 with an event (Count, SetGauge); observing an event here
+	// instead of through Event would break trace/metrics agreement.
 	Met *metrics.Events
 
 	// Prof, when non-nil, is the span-profiler tap for this vCPU's
-	// goroutine: hot paths here (and in the layers reached through this
-	// vCPU) open virtual-time spans on it, building the call-path tree
-	// behind flamegraph/pprof exports. Like Tracer it only observes (never
-	// advances the clock) and is single-goroutine; nil disables profiling
-	// at zero cost.
+	// goroutine: layers open virtual-time spans on it, building the
+	// call-path tree behind flamegraph/pprof exports. A span whose interval
+	// is also timed for stats or reported as an event opens through Begin
+	// instead, so one Span serves all three. Like the tracer it only
+	// observes (never advances the clock) and is single-goroutine; nil
+	// disables profiling at zero cost.
 	Prof *prof.Tap
 
 	// Mon, when non-nil, is the online monitor plane. The vCPU itself only
@@ -272,31 +274,17 @@ func (v *VCPU) exit(e *Exit) (uint64, error) {
 		return 0, fmt.Errorf("cpu: unhandled vmexit %v", e.Reason)
 	}
 	v.inc(&v.ctr.vmexits, CtrVMExits)
-	tr, ev := v.Tracer, v.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = v.Clock.Nanos()
-	}
-	sp := v.Prof.Begin(prof.SubCPU, exitOp(e))
+	sp := v.Begin(prof.SubCPU, exitOp(e))
 	v.Clock.Advance(v.Costs.VMExit)
 	prev := v.mode
 	v.mode = VMXRoot
 	ret, err := v.Exits.HandleExit(v, e)
 	v.mode = prev
 	v.Clock.Advance(v.Costs.VMEntry)
-	sp.End()
-	if tr != nil || ev != nil {
-		k, arg := exitTrace(e)
-		now := v.Clock.Nanos()
-		if tr.Enabled(k) {
-			tr.Emit(trace.Record{
-				Kind: k, VM: int32(v.ID), TS: start,
-				Cost: now - start,
-				Addr: uint64(e.GPA), Arg: arg,
-			})
-		}
-		ev.Observe(k, now, now-start, arg)
-		ev.Count(metrics.SubCPU, "vmexits_by_reason", e.Reason.String(), 1)
+	k, arg := exitTrace(e)
+	sp.Event(k, uint64(e.GPA), arg)
+	if v.Met != nil {
+		v.Met.Count(metrics.SubCPU, "vmexits_by_reason", e.Reason.String(), 1)
 	}
 	return ret, err
 }
@@ -337,19 +325,14 @@ func (v *VCPU) Hypercall(nr int, args ...uint64) (uint64, error) {
 	return v.exit(&Exit{Reason: ExitHypercall, Nr: nr, Args: args})
 }
 
-// FaultRecord emits a KindFault trace record for an injected fault that
-// fired at this vCPU (or at a layer reached through it). The fault itself
-// is instantaneous - recovery time is charged, and traced, where recovery
+// FaultRecord reports a KindFault event for an injected fault that fired
+// at this vCPU (or at a layer reached through it). The fault itself is
+// instantaneous - recovery time is charged, and reported, where recovery
 // happens.
 func (v *VCPU) FaultRecord(p faults.Point, addr uint64) {
-	now := v.Clock.Nanos()
-	if tr := v.Tracer; tr.Enabled(trace.KindFault) {
-		tr.Emit(trace.Record{Kind: trace.KindFault, VM: int32(v.ID),
-			TS: now, Addr: addr, Arg: int64(p)})
-	}
-	if ev := v.Met; ev != nil {
-		ev.Observe(trace.KindFault, now, 0, int64(p))
-		ev.Count(metrics.SubFaults, "injections", p.String(), 1)
+	v.Event(trace.KindFault, v.Clock.Nanos(), 0, addr, int64(p))
+	if v.Met != nil {
+		v.Met.Count(metrics.SubFaults, "injections", p.String(), 1)
 	}
 }
 
@@ -453,23 +436,11 @@ func (v *VCPU) pmlLog(gpa mem.GPA) error {
 		}
 		v.inc(&v.ctr.pmlLogs, CtrPMLLogs)
 		v.Clock.Advance(v.Costs.PMLLog)
-		if tr, ev := v.Tracer, v.Met; tr != nil || ev != nil {
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindPMLLog) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindPMLLog, VM: int32(v.ID),
-					TS:   now - int64(v.Costs.PMLLog),
-					Cost: int64(v.Costs.PMLLog), Addr: uint64(gpa),
-				})
-			}
-			if ev != nil {
-				ev.Observe(trace.KindPMLLog, now, int64(v.Costs.PMLLog), 0)
-				// Entries logged since the last drain: the index counts down
-				// from PMLResetIndex, so occupancy is the distance walked.
-				ev.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "",
-					int64(vmcs.PMLResetIndex-idx)+1)
-			}
-		}
+		cost := int64(v.Costs.PMLLog)
+		v.Event(trace.KindPMLLog, v.Clock.Nanos()-cost, cost, uint64(gpa), 0)
+		// Entries logged since the last drain: the index counts down from
+		// PMLResetIndex, so occupancy is the distance walked.
+		v.Met.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "", int64(vmcs.PMLResetIndex-idx)+1)
 		return nil
 	}
 }
@@ -509,35 +480,22 @@ func (v *VCPU) epmlLog(gva mem.GVA) error {
 				return nil
 			}
 			v.Counters.Inc(CtrEPMLFullIRQs)
-			tr, ev := v.Tracer, v.Met
-			var start int64
-			if tr != nil || ev != nil {
-				start = v.Clock.Nanos()
-			}
-			irqSp := v.Prof.Begin(prof.SubCPU, "epml_full_irq")
+			irqSp := v.Begin(prof.SubCPU, "epml_full_irq")
 			v.Clock.Advance(v.Costs.IRQDeliver)
 			if v.IRQ == nil {
 				return errors.New("cpu: EPML buffer full with no IRQ sink")
 			}
-			ev.Count(metrics.SubCPU, "posted_ipis", "", 1)
+			v.Met.Count(metrics.SubCPU, "posted_ipis", "", 1)
 			v.IRQ.DeliverIRQ(v.EPMLVector)
 			if v.Inj.Fire(faults.IPIDup) {
 				// The posted interrupt arrives twice; the second delivery
 				// must find an empty buffer and do no harm.
 				v.FaultRecord(faults.IPIDup, uint64(gva))
 				v.Clock.Advance(v.Costs.IRQDeliver)
-				ev.Count(metrics.SubCPU, "posted_ipis", "", 1)
+				v.Met.Count(metrics.SubCPU, "posted_ipis", "", 1)
 				v.IRQ.DeliverIRQ(v.EPMLVector)
 			}
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindEPMLFullIRQ) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindEPMLFullIRQ, VM: int32(v.ID), TS: start,
-					Cost: now - start, Arg: int64(v.EPMLVector),
-				})
-			}
-			ev.Observe(trace.KindEPMLFullIRQ, now, now-start, int64(v.EPMLVector))
-			irqSp.End()
+			irqSp.Event(trace.KindEPMLFullIRQ, 0, int64(v.EPMLVector))
 			continue
 		}
 		bufRaw, err := fields.Read(vmcs.FieldGuestPMLAddress)
@@ -567,21 +525,9 @@ func (v *VCPU) epmlLog(gva mem.GVA) error {
 		}
 		v.inc(&v.ctr.epmlLogs, CtrEPMLLogs)
 		v.Clock.Advance(v.Costs.PMLLog)
-		if tr, ev := v.Tracer, v.Met; tr != nil || ev != nil {
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindEPMLLog) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindEPMLLog, VM: int32(v.ID),
-					TS:   now - int64(v.Costs.PMLLog),
-					Cost: int64(v.Costs.PMLLog), Addr: uint64(gva),
-				})
-			}
-			if ev != nil {
-				ev.Observe(trace.KindEPMLLog, now, int64(v.Costs.PMLLog), 0)
-				ev.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "guest",
-					int64(vmcs.PMLResetIndex-idx)+1)
-			}
-		}
+		cost := int64(v.Costs.PMLLog)
+		v.Event(trace.KindEPMLLog, v.Clock.Nanos()-cost, cost, uint64(gva), 0)
+		v.Met.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "guest", int64(vmcs.PMLResetIndex-idx)+1)
 		return nil
 	}
 }
@@ -626,22 +572,11 @@ func (v *VCPU) walkForWrite(gva mem.GVA) (mem.HPA, error) {
 			if v.SPPViolation == nil {
 				return 0, fmt.Errorf("cpu: unhandled SPP violation at %v", gva)
 			}
-			tr, ev := v.Tracer, v.Met
-			var start int64
-			if tr != nil || ev != nil {
-				start = v.Clock.Nanos()
-			}
+			start := v.Clock.Nanos()
 			if err := v.SPPViolation(gva, gpa); err != nil {
 				return 0, err
 			}
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindSPPViolation) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindSPPViolation, VM: int32(v.ID), TS: start,
-					Cost: now - start, Addr: uint64(gva),
-				})
-			}
-			ev.Observe(trace.KindSPPViolation, now, now-start, 0)
+			v.Event(trace.KindSPPViolation, start, v.Clock.Nanos()-start, uint64(gva), 0)
 			continue
 		}
 		hpa, eptDirtied, err := v.EPT.WalkWrite(gpa)
@@ -690,29 +625,16 @@ func (v *VCPU) walkForWrite(gva mem.GVA) (mem.HPA, error) {
 // recording the full service span (the envelope around the narrower
 // demand/soft-dirty/ufd kinds the kernel emits).
 func (v *VCPU) tracedFault(gva mem.GVA, write bool) error {
-	tr, ev := v.Tracer, v.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = v.Clock.Nanos()
-	}
-	sp := v.Prof.Begin(prof.SubCPU, "guest_pf")
+	sp := v.Begin(prof.SubCPU, "guest_pf")
 	if err := v.Fault.HandlePageFault(v, gva, write); err != nil {
 		sp.End()
 		return err
 	}
-	sp.End()
 	arg := int64(0)
 	if write {
 		arg = 1
 	}
-	now := v.Clock.Nanos()
-	if tr.Enabled(trace.KindGuestPF) {
-		tr.Emit(trace.Record{
-			Kind: trace.KindGuestPF, VM: int32(v.ID), TS: start,
-			Cost: now - start, Addr: uint64(gva), Arg: arg,
-		})
-	}
-	ev.Observe(trace.KindGuestPF, now, now-start, arg)
+	sp.Event(trace.KindGuestPF, uint64(gva), arg)
 	return nil
 }
 

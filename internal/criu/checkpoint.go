@@ -264,55 +264,36 @@ func (c *Checkpointer) estimatedDowntime(n int) time.Duration {
 // (paper §VI-F: "with SPML and EPML it first collects all dirty pages from
 // the ring buffer and then writes them").
 func (c *Checkpointer) collect(stats *Stats) ([]mem.GVA, error) {
-	tr, ev := c.Proc.Kernel().VCPU.Tracer, c.Proc.Kernel().VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = c.clock.Nanos()
-	}
-	sp := c.Proc.Kernel().VCPU.Prof.Begin(prof.SubCRIU, "collect")
-	defer sp.End()
-	w := sim.StartWatch(c.clock)
+	v := c.Proc.Kernel().VCPU
+	sp := v.Begin(prof.SubCRIU, "collect")
 	// A transient collection failure is retried a bounded number of times
 	// with doubling charged backoff (the wait lands inside this round's
-	// MD/MW stopwatch); anything else, or exhaustion, aborts the round.
+	// MD/MW span); anything else, or exhaustion, aborts the round.
 	dirty, err := c.Tech.Collect()
 	backoff := c.Opts.CollectBackoff
 	for retry := 0; err != nil && errors.Is(err, faults.ErrTransient) && retry < c.Opts.MaxCollectRetries; retry++ {
 		stats.CollectRetries++
-		ev.Count(metrics.SubCRIU, "collect_retries_total", "", 1)
+		v.Met.Count(metrics.SubCRIU, "collect_retries_total", "", 1)
 		c.clock.Advance(backoff)
 		backoff *= 2
 		dirty, err = c.Tech.Collect()
 	}
 	if err != nil {
+		sp.End()
 		return nil, fmt.Errorf("criu: collect: %w", err)
 	}
-	kind := trace.KindCRIUMD
 	if c.Tech.Kind() == costmodel.Proc {
-		stats.MW += w.Elapsed()
-		kind = trace.KindCRIUMW
+		stats.MW += sp.Event(trace.KindCRIUMW, 0, int64(len(dirty)))
 	} else {
-		stats.MD += w.Elapsed()
+		stats.MD += sp.Event(trace.KindCRIUMD, 0, int64(len(dirty)))
 	}
-	now := c.clock.Nanos()
-	if tr.Enabled(kind) {
-		tr.Emit(trace.Record{Kind: kind, VM: int32(c.Proc.Kernel().VCPU.ID), TS: start,
-			Cost: now - start, Arg: int64(len(dirty))})
-	}
-	ev.Observe(kind, now, now-start, int64(len(dirty)))
 	return dirty, nil
 }
 
 // dumpRound reads and writes one round's pages into the image.
 func (c *Checkpointer) dumpRound(img *Image, stats *Stats, pages []mem.GVA) error {
-	tr, ev := c.Proc.Kernel().VCPU.Tracer, c.Proc.Kernel().VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = c.clock.Nanos()
-	}
-	sp := c.Proc.Kernel().VCPU.Prof.Begin(prof.SubCRIU, "dump")
+	sp := c.Proc.Kernel().VCPU.Begin(prof.SubCRIU, "dump")
 	defer sp.End()
-	w := sim.StartWatch(c.clock)
 	model := c.Proc.Kernel().Model
 	n := 0
 	for _, gva := range pages {
@@ -330,16 +311,10 @@ func (c *Checkpointer) dumpRound(img *Image, stats *Stats, pages []mem.GVA) erro
 		c.clock.Advance(model.DiskWritePage)
 		n++
 	}
-	stats.MW += w.Elapsed()
+	stats.MW += sp.Event(trace.KindCRIUMW, 0, int64(n))
 	stats.Rounds++
 	stats.PagesPer = append(stats.PagesPer, n)
 	stats.Dumped += n
-	now := c.clock.Nanos()
-	if tr.Enabled(trace.KindCRIUMW) {
-		tr.Emit(trace.Record{Kind: trace.KindCRIUMW, VM: int32(c.Proc.Kernel().VCPU.ID),
-			TS: start, Cost: now - start, Arg: int64(n)})
-	}
-	ev.Observe(trace.KindCRIUMW, now, now-start, int64(n))
 	return nil
 }
 

@@ -105,7 +105,7 @@ func AblationTimeSlice() (*Result, error) {
 // OneCollect runs the microbenchmark under one technique and returns the
 // per-collection measurements (for the collect-cost bench).
 func OneCollect(kind costmodel.Technique, pages int) (MicroResult, error) {
-	return runMicro(kind, pages, 1, probes{}, false)
+	return runMicro(kind, pages, 1, machine.Config{}, false)
 }
 
 // OneWorkloadPass sets up and runs one pass of the named workload at Small

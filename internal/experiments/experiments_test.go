@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/machine"
 	"repro/internal/workloads"
 )
 
@@ -20,7 +21,7 @@ func TestMicroShapeMatchesPaper(t *testing.T) {
 	const pages = 50 << 8 // 50 MB
 	results := make(map[costmodel.Technique]MicroResult)
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML} {
-		r, err := runMicro(kind, pages, 1, probes{}, false)
+		r, err := runMicro(kind, pages, 1, machine.Config{}, false)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -44,7 +45,7 @@ func TestMicroShapeMatchesPaper(t *testing.T) {
 
 // TestFig3ReverseMapDominates checks the Fig. 3 claim on one size.
 func TestFig3ReverseMapDominates(t *testing.T) {
-	r, err := runMicro(costmodel.SPML, 10<<8, 1, probes{}, false)
+	r, err := runMicro(costmodel.SPML, 10<<8, 1, machine.Config{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestFig3ReverseMapDominates(t *testing.T) {
 func TestTable4FormulaAccuracy(t *testing.T) {
 	model := costmodel.Default()
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.SPML, costmodel.EPML} {
-		r, err := runMicro(kind, 2048, 1, probes{}, false)
+		r, err := runMicro(kind, 2048, 1, machine.Config{}, false)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -91,7 +92,7 @@ func TestCRIUShapeMatchesPaper(t *testing.T) {
 	// Large working set: at paper scale EPML's constant ~11.5ms setup cost
 	// (M3+M10) is negligible against /proc's per-collect pagemap walks.
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.SPML, costmodel.EPML} {
-		r, err := runCRIU("baby", workloads.Large, 4, kind, 1, probes{})
+		r, err := runCRIU("baby", workloads.Large, 4, kind, 1, machine.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -121,7 +122,7 @@ func TestCRIUShapeMatchesPaper(t *testing.T) {
 func TestBoehmShapeMatchesPaper(t *testing.T) {
 	res := make(map[costmodel.Technique]BoehmResult)
 	for _, kind := range boehmTechniques() {
-		r, err := runBoehm("gcbench", workloads.Small, 1, kind, 1, probes{})
+		r, err := runBoehm("gcbench", workloads.Small, 1, kind, 1, machine.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/machine"
 )
 
 // TestFaultMatrixAllSpecsExact runs the whole robustness matrix; any
@@ -55,7 +56,7 @@ func TestFaultMatrixCellsNotVacuous(t *testing.T) {
 	for _, c := range CannedFaultSpecs {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			cell, err := runFaultCell(c, 42, probes{})
+			cell, err := runFaultCell(c, 42, machine.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

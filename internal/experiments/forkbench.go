@@ -23,25 +23,16 @@ type ForkBench struct {
 
 // MeasureForkSpeed measures, best-of-iters, the host wall time of the
 // boot+warm prefix for a pages-sized micro recipe versus forking a
-// captured snapshot of the same prefix. The snapshot is captured once
-// outside both timed loops; each fork is a complete, runnable machine
-// (the fork-determinism suite pins that it behaves identically).
+// captured snapshot of the same prefix (see forkBenchOps).
 func MeasureForkSpeed(pages int, seed uint64, iters int) (ForkBench, error) {
 	if iters <= 0 {
 		iters = 5
 	}
 	fb := ForkBench{Pages: pages}
-
-	m, _, w, err := buildMicroWarm(pages, seed)
+	bootWarm, fork, err := forkBenchOps(pages, seed)
 	if err != nil {
 		return fb, err
 	}
-	snap, err := m.CaptureSnapshot()
-	if err != nil {
-		return fb, fmt.Errorf("experiments: capturing fork-bench snapshot: %w", err)
-	}
-	region := w.Region()
-
 	best := func(f func() error) (int64, error) {
 		bestNS := int64(math.MaxInt64)
 		for i := 0; i < iters; i++ {
@@ -55,15 +46,38 @@ func MeasureForkSpeed(pages int, seed uint64, iters int) (ForkBench, error) {
 		}
 		return bestNS, nil
 	}
-
-	fb.BootWarmNS, err = best(func() error {
-		_, _, _, err := buildMicroWarm(pages, seed)
-		return err
-	})
-	if err != nil {
+	if fb.BootWarmNS, err = best(bootWarm); err != nil {
 		return fb, err
 	}
-	fb.ForkNS, err = best(func() error {
+	if fb.ForkNS, err = best(fork); err != nil {
+		return fb, err
+	}
+	if fb.ForkNS > 0 {
+		fb.Speedup = math.Round(float64(fb.BootWarmNS)/float64(fb.ForkNS)*100) / 100
+	}
+	return fb, nil
+}
+
+// forkBenchOps returns the two ways into a warmed pages-sized micro
+// machine that MeasureForkSpeed compares: rerunning the boot+warm prefix,
+// and forking a snapshot of it captured once up front. Each fork is a
+// complete, runnable machine (the fork-determinism suite pins that it
+// behaves identically).
+func forkBenchOps(pages int, seed uint64) (bootWarm, fork func() error, err error) {
+	m, _, w, err := buildMicroWarm(pages, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, err := m.CaptureSnapshot()
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: capturing fork-bench snapshot: %w", err)
+	}
+	region := w.Region()
+	bootWarm = func() error {
+		_, _, _, err := buildMicroWarm(pages, seed)
+		return err
+	}
+	fork = func() error {
 		fm, err := snap.Fork(machine.Config{})
 		if err != nil {
 			return err
@@ -72,17 +86,10 @@ func MeasureForkSpeed(pages int, seed uint64, iters int) (ForkBench, error) {
 		if !ok {
 			return fmt.Errorf("experiments: fork lost pid %d", microPid)
 		}
-		fw := workloads.NewArrayParser(pages)
-		fw.Adopt(proc, region)
+		workloads.NewArrayParser(pages).Adopt(proc, region)
 		return nil
-	})
-	if err != nil {
-		return fb, err
 	}
-	if fb.ForkNS > 0 {
-		fb.Speedup = math.Round(float64(fb.BootWarmNS)/float64(fb.ForkNS)*100) / 100
-	}
-	return fb, nil
+	return bootWarm, fork, nil
 }
 
 // Perf converts the measurement into the bench-perf/trajectory shape: the

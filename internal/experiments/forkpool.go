@@ -110,14 +110,13 @@ func buildMicroWarm(pages int, seed uint64) (*machine.Machine, *machine.Guest, *
 // warmMicro hands a grid cell its warmed machine: guest, workload process
 // and bound workload, with p's probes attached post-warm. cold forces the
 // boot+warm prefix to rerun; otherwise the pooled snapshot is forked.
-func warmMicro(pages int, seed uint64, p probes, cold bool) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error) {
-	pcfg := machine.Config{Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon}
+func warmMicro(pages int, seed uint64, p machine.Config, cold bool) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error) {
 	if cold {
 		m, g, w, err := buildMicroWarm(pages, seed)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		m.AttachProbes(pcfg)
+		m.AttachProbes(p)
 		proc, ok := g.Kernel.Process(microPid)
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("experiments: warm boot lost pid %d", microPid)
@@ -128,7 +127,7 @@ func warmMicro(pages int, seed uint64, p probes, cold bool) (*machine.Guest, *gu
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	m, err := warm.snap.Fork(pcfg)
+	m, err := warm.snap.Fork(p)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiments: forking warm micro snapshot: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -14,11 +15,11 @@ import (
 // boot+warm - every virtual time, counter and breakdown field.
 func TestForkedMicroMatchesColdBoot(t *testing.T) {
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML} {
-		forked, err := runMicro(kind, 6<<8, 17, probes{}, false)
+		forked, err := runMicro(kind, 6<<8, 17, machine.Config{}, false)
 		if err != nil {
 			t.Fatalf("forked runMicro(%v): %v", kind, err)
 		}
-		cold, err := runMicro(kind, 6<<8, 17, probes{}, true)
+		cold, err := runMicro(kind, 6<<8, 17, machine.Config{}, true)
 		if err != nil {
 			t.Fatalf("cold runMicro(%v): %v", kind, err)
 		}

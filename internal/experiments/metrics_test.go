@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -15,7 +16,7 @@ import (
 // under all four techniques, a CRIU checkpoint, a Boehm GC run and a
 // faulted resilient run - with the given probes attached, touching every
 // instrumented layer.
-func runObservedScenarios(t *testing.T, p probes) {
+func runObservedScenarios(t *testing.T, p machine.Config) {
 	t.Helper()
 	for _, kind := range []costmodel.Technique{
 		costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML,
@@ -48,7 +49,7 @@ func TestMetricsTraceConsistency(t *testing.T) {
 	var sink trace.Memory
 	tr := trace.New(&sink, 1<<16) // full mask: every kind traced
 	reg := metrics.NewRegistry()
-	runObservedScenarios(t, probes{tr: tr, reg: reg})
+	runObservedScenarios(t, machine.Config{Tracer: tr, Metrics: reg})
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -113,10 +114,10 @@ func TestMetricsDeterminism(t *testing.T) {
 	export := func() (string, string) {
 		reg := metrics.NewRegistry()
 		reg.NewSampler(250 * time.Microsecond)
-		if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}, false); err != nil {
+		if _, err := runMicro(costmodel.EPML, 10<<8, 3, machine.Config{Metrics: reg}, false); err != nil {
 			t.Fatalf("runMicro: %v", err)
 		}
-		if _, err := runMicro(costmodel.SPML, 4<<8, 3, probes{reg: reg}, false); err != nil {
+		if _, err := runMicro(costmodel.SPML, 4<<8, 3, machine.Config{Metrics: reg}, false); err != nil {
 			t.Fatalf("runMicro: %v", err)
 		}
 		snap := reg.Snapshot()
@@ -144,7 +145,7 @@ func TestMetricsDeterminism(t *testing.T) {
 	snapHasPoints := false
 	reg := metrics.NewRegistry()
 	reg.NewSampler(250 * time.Microsecond)
-	if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}, false); err != nil {
+	if _, err := runMicro(costmodel.EPML, 10<<8, 3, machine.Config{Metrics: reg}, false); err != nil {
 		t.Fatalf("runMicro: %v", err)
 	}
 	for _, s := range reg.Snapshot().Series {

@@ -88,7 +88,7 @@ func TestEveryMappedKindEmits(t *testing.T) {
 	tr := trace.New(&sink, 1<<16)
 	reg := metrics.NewRegistry()
 	mon := monitor.New(monitor.Config{Rules: rules})
-	p := probes{tr: tr, reg: reg, mon: mon}
+	p := machine.Config{Tracer: tr, Metrics: reg, Monitor: mon}
 
 	// The shared scenario mix covers the tracking techniques, CRIU, GC and
 	// the fault/recovery kinds ...

@@ -77,20 +77,6 @@ type Options struct {
 	ColdBoot bool
 }
 
-// probes bundles the observation-plane attachments (tracer + metrics
-// registry + profiler + monitor) threaded into a scenario's monitored
-// machine.
-type probes struct {
-	tr   *trace.Tracer
-	reg  *metrics.Registry
-	prof *prof.Profiler
-	mon  *monitor.Monitor
-}
-
-func (o Options) probes() probes {
-	return probes{tr: o.Tracer, reg: o.Metrics, prof: o.Profiler, mon: o.Monitor}
-}
-
 // DefaultSeed is the seed used when none was chosen (Seed == 0 and
 // !SeedSet).
 const DefaultSeed uint64 = 42
@@ -170,7 +156,7 @@ const microPasses = 3
 // warm-up, so forked and cold-booted cells emit identical streams. cold
 // forces the boot+warm prefix to rerun instead of forking the pooled
 // snapshot (Options.ColdBoot; output is byte-identical either way).
-func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes, cold bool) (MicroResult, error) {
+func runMicro(kind costmodel.Technique, pages int, seed uint64, p machine.Config, cold bool) (MicroResult, error) {
 	res := MicroResult{Technique: kind, Pages: pages}
 
 	// Ideal run: same warmed machine, no tracking, no probes.
@@ -223,7 +209,7 @@ func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes, cold b
 // (forked from the same pooled snapshot the monitored run uses, unless
 // cold).
 func timeMicroPasses(pages int, seed uint64, cold bool) (time.Duration, error) {
-	g, _, w, err := warmMicro(pages, seed, probes{}, cold)
+	g, _, w, err := warmMicro(pages, seed, machine.Config{}, cold)
 	if err != nil {
 		return 0, err
 	}
@@ -284,7 +270,7 @@ const criuRuns = 3
 // runCRIU checkpoints a workload under one technique, verifying the
 // restored image, and measures the impact on the workload. p's probes
 // (either may be nil) observe the monitored run only.
-func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p probes) (CRIUResult, error) {
+func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p machine.Config) (CRIUResult, error) {
 	res := CRIUResult{Workload: name, Technique: kind}
 
 	// Ideal: the workload's passes without checkpointing.
@@ -312,7 +298,7 @@ func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Techniq
 	}
 
 	// Monitored: same passes with a pre-copy checkpoint interleaved.
-	m, err := machine.New(machine.Config{Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon})
+	m, err := machine.New(p)
 	if err != nil {
 		return res, err
 	}
@@ -394,8 +380,8 @@ const boehmPasses = 4
 // its incremental cycles. kind == Oracle means "untracked" (full traces,
 // no dirty technique), the paper's baseline. p's probes (either may be
 // nil) observe the run.
-func runBoehm(app string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p probes) (BoehmResult, error) {
-	m, err := machine.New(machine.Config{Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon})
+func runBoehm(app string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p machine.Config) (BoehmResult, error) {
+	m, err := machine.New(p)
 	if err != nil {
 		return BoehmResult{App: app, Size: size, Technique: kind}, err
 	}

@@ -1,16 +1,17 @@
 package experiments
 
 import (
+	"repro/internal/machine"
 	"repro/internal/metrics"
-	"repro/internal/monitor"
 	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
-// probeShards fans the observation plane out over a parallel experiment
-// grid: one tracer shard and one metrics registry per grid cell, handed to
-// the cell's worker goroutine, then folded into the destination probes
-// after the par.ForEach barrier.
+// probeShards fans the observation planes out over a parallel experiment
+// grid: one machine.Config of planes per grid cell (its own tracer shard,
+// metrics registry, profiler and forked monitor), handed to the cell's
+// worker goroutine, then folded into the destination planes after the
+// par.ForEach barrier.
 //
 // Sharding is per cell, not per worker slot, on purpose: par.ForEach hands
 // out indices dynamically, so which cells share a worker is a scheduling
@@ -19,86 +20,59 @@ import (
 // stream and snapshot are byte-identical at any worker count - Workers=8
 // observes exactly what Workers=1 does.
 type probeShards struct {
-	dst    probes
-	shards []*trace.Shard
-	regs   []*metrics.Registry
-	profs  []*prof.Profiler
-	mons   []*monitor.Monitor
+	dst    machine.Config
+	cells  []machine.Config
+	shards []*trace.Shard // cells[i].Tracer's shard, for trace.Merge
 }
 
-// newShards builds per-cell probes for an n-cell grid. Disabled planes
-// stay disabled: a nil destination tracer/registry yields nil per-cell
-// probes, so unobserved sweeps pay nothing.
+// newShards builds per-cell planes for an n-cell grid. Disabled planes
+// stay disabled: a nil destination plane yields nil per-cell planes, so
+// unobserved sweeps pay nothing.
 func (o Options) newShards(n int) *probeShards {
-	ps := &probeShards{dst: o.probes()}
-	if ps.dst.tr != nil {
-		ps.shards = make([]*trace.Shard, n)
-		for i := range ps.shards {
-			ps.shards[i] = trace.NewShard(i, ps.dst.tr.Mask())
-		}
+	ps := &probeShards{
+		dst:   machine.Config{Tracer: o.Tracer, Metrics: o.Metrics, Profiler: o.Profiler, Monitor: o.Monitor},
+		cells: make([]machine.Config, n),
 	}
-	if ps.dst.reg != nil {
-		ps.regs = make([]*metrics.Registry, n)
-		for i := range ps.regs {
-			ps.regs[i] = metrics.NewRegistry()
-			if s := ps.dst.reg.Sampler(); s != nil {
-				ps.regs[i].NewSampler(s.Interval())
+	if ps.dst.Tracer != nil {
+		ps.shards = make([]*trace.Shard, n)
+	}
+	for i := range ps.cells {
+		c := &ps.cells[i]
+		if ps.shards != nil {
+			ps.shards[i] = trace.NewShard(i, ps.dst.Tracer.Mask())
+			c.Tracer = ps.shards[i].Tracer
+		}
+		if ps.dst.Metrics != nil {
+			c.Metrics = metrics.NewRegistry()
+			if s := ps.dst.Metrics.Sampler(); s != nil {
+				c.Metrics.NewSampler(s.Interval())
 			}
 		}
-	}
-	if ps.dst.prof != nil {
-		ps.profs = make([]*prof.Profiler, n)
-		for i := range ps.profs {
-			ps.profs[i] = prof.New()
+		if ps.dst.Profiler != nil {
+			c.Profiler = prof.New()
 		}
-	}
-	if ps.dst.mon != nil {
-		ps.mons = make([]*monitor.Monitor, n)
-		for i := range ps.mons {
-			ps.mons[i] = ps.dst.mon.Fork(i)
-		}
+		c.Monitor = ps.dst.Monitor.Fork(i)
 	}
 	return ps
 }
 
-// cell returns grid cell i's probes.
-func (ps *probeShards) cell(i int) probes {
-	var p probes
-	if ps.shards != nil {
-		p.tr = ps.shards[i].Tracer
-	}
-	if ps.regs != nil {
-		p.reg = ps.regs[i]
-	}
-	if ps.profs != nil {
-		p.prof = ps.profs[i]
-	}
-	if ps.mons != nil {
-		p.mon = ps.mons[i]
-	}
-	return p
-}
+// cell returns grid cell i's planes.
+func (ps *probeShards) cell(i int) machine.Config { return ps.cells[i] }
 
-// merge folds every cell's observations into the destination probes, in
-// grid order. Call it after the fan-out barrier - including on error, so a
-// failed sweep still surfaces what the completed cells observed.
+// merge folds every cell's observations into the destination planes, one
+// plane at a time in grid order (the monitor's merge sets gauges the
+// registry merge adds to, so the planes must not interleave). Call it after
+// the fan-out barrier - including on error, so a failed sweep still
+// surfaces what the completed cells observed. Every merge is nil-safe.
 func (ps *probeShards) merge() {
-	if ps.dst.tr != nil {
-		trace.Merge(ps.dst.tr, ps.shards...)
+	trace.Merge(ps.dst.Tracer, ps.shards...)
+	for _, c := range ps.cells {
+		ps.dst.Metrics.Merge(c.Metrics)
 	}
-	if ps.dst.reg != nil {
-		for _, r := range ps.regs {
-			ps.dst.reg.Merge(r)
-		}
+	for _, c := range ps.cells {
+		ps.dst.Profiler.Merge(c.Profiler)
 	}
-	if ps.dst.prof != nil {
-		for _, p := range ps.profs {
-			ps.dst.prof.Merge(p)
-		}
-	}
-	if ps.dst.mon != nil {
-		for _, m := range ps.mons {
-			ps.dst.mon.Merge(m)
-		}
+	for _, c := range ps.cells {
+		ps.dst.Monitor.Merge(c.Monitor)
 	}
 }

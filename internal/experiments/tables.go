@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/workloads"
@@ -154,7 +155,7 @@ func Table4(opt Options) (*Result, error) {
 // replaced by the array parser (the counts, not the pattern, feed the
 // formulas; the parser gives deterministic counts).
 func runMicroWithCounts(kind costmodel.Technique, pages int, seed uint64, cold bool) (MicroResult, error) {
-	return runMicro(kind, pages, seed, probes{}, cold)
+	return runMicro(kind, pages, seed, machine.Config{}, cold)
 }
 
 // Table5 regenerates Table V: the basic costs of metrics M1-M18, constant

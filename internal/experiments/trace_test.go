@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -15,7 +16,7 @@ import (
 func TestFig3TraceMatchesBreakdown(t *testing.T) {
 	mem := &trace.Memory{}
 	tr := trace.New(mem, 0)
-	res, err := runMicro(costmodel.SPML, 10<<8, 1, probes{tr: tr}, false)
+	res, err := runMicro(costmodel.SPML, 10<<8, 1, machine.Config{Tracer: tr}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +54,12 @@ func TestFig3TraceMatchesBreakdown(t *testing.T) {
 // measured virtual time - traced and untraced runs are bit-identical.
 func TestTracingPreservesVirtualTime(t *testing.T) {
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.SPML, costmodel.EPML} {
-		plain, err := runMicro(kind, 2<<8, 1, probes{}, false)
+		plain, err := runMicro(kind, 2<<8, 1, machine.Config{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := trace.New(trace.Discard{}, 0)
-		traced, err := runMicro(kind, 2<<8, 1, probes{tr: tr}, false)
+		traced, err := runMicro(kind, 2<<8, 1, machine.Config{Tracer: tr}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestTracingPreservesVirtualTime(t *testing.T) {
 func TestTrackPhaseRecords(t *testing.T) {
 	mem := &trace.Memory{}
 	tr := trace.New(mem, 0)
-	res, err := runMicro(costmodel.Proc, 4<<8, 1, probes{tr: tr}, false)
+	res, err := runMicro(costmodel.Proc, 4<<8, 1, machine.Config{Tracer: tr}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,7 @@ func (k *Kernel) ClearRefs(pid Pid) error {
 	})
 	k.Clock.Advance(perPage * time.Duration(pages))
 	cost := int64(perPage) * int64(pages)
-	if tr := k.VCPU.Tracer; tr.Enabled(trace.KindClearRefs) {
-		tr.Emit(trace.Record{Kind: trace.KindClearRefs, VM: int32(k.VCPU.ID),
-			TS: k.Clock.Nanos() - cost, Cost: cost, Arg: int64(pages)})
-	}
-	k.VCPU.Met.Observe(trace.KindClearRefs, k.Clock.Nanos(), cost, int64(pages))
+	k.VCPU.Event(trace.KindClearRefs, k.Clock.Nanos()-cost, cost, 0, int64(pages))
 	return nil
 }
 

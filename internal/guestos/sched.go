@@ -117,21 +117,12 @@ func (s *Scheduler) switchTo(p *Process) {
 	if old != nil {
 		k.count(&k.ctr.contextSwitches, CtrContextSwitches, 1)
 		s.switches++
-		tr, ev := k.VCPU.Tracer, k.VCPU.Met
-		var start int64
-		if tr != nil || ev != nil {
-			start = k.Clock.Nanos()
-		}
+		start := k.Clock.Nanos()
 		for _, n := range s.notifiers[old.Pid] {
 			n.ScheduledOut(old)
 		}
 		s.k.Clock.Advance(s.k.Model.ContextSwitch)
-		now := k.Clock.Nanos()
-		if tr.Enabled(trace.KindContextSwitch) {
-			tr.Emit(trace.Record{Kind: trace.KindContextSwitch, VM: int32(k.VCPU.ID),
-				TS: start, Cost: now - start, Arg: int64(old.Pid)})
-		}
-		ev.Observe(trace.KindContextSwitch, now, now-start, int64(old.Pid))
+		k.VCPU.Event(trace.KindContextSwitch, start, k.Clock.Nanos()-start, 0, int64(old.Pid))
 	}
 	k.current = p
 	k.VCPU.SetAddressSpace(p.PT)
@@ -145,11 +136,7 @@ func (s *Scheduler) ContextSwitch(p *Process) {
 	m := s.k.Model
 	s.k.count(&s.k.ctr.contextSwitches, CtrContextSwitches, 2)
 	s.switches += 2
-	tr, ev := s.k.VCPU.Tracer, s.k.VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = s.k.Clock.Nanos()
-	}
+	start := s.k.Clock.Nanos()
 	for _, n := range s.notifiers[p.Pid] {
 		n.ScheduledOut(p)
 	}
@@ -157,10 +144,5 @@ func (s *Scheduler) ContextSwitch(p *Process) {
 	for _, n := range s.notifiers[p.Pid] {
 		n.ScheduledIn(p)
 	}
-	now := s.k.Clock.Nanos()
-	if tr.Enabled(trace.KindContextSwitch) {
-		tr.Emit(trace.Record{Kind: trace.KindContextSwitch, VM: int32(s.k.VCPU.ID),
-			TS: start, Cost: now - start, Arg: int64(p.Pid)})
-	}
-	ev.Observe(trace.KindContextSwitch, now, now-start, int64(p.Pid))
+	s.k.VCPU.Event(trace.KindContextSwitch, start, s.k.Clock.Nanos()-start, 0, int64(p.Pid))
 }

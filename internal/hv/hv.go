@@ -95,13 +95,18 @@ type VirtualCPU interface {
 	ID() int
 	Clock() *sim.Clock
 	Counters() *sim.Counters
-	Tracer() *trace.Tracer
 	Injector() *faults.Injector
+	// Metrics is the bridge for labelled extras (Count, SetGauge); events
+	// go through Event, which feeds the trace and the metrics together.
 	Metrics() *metrics.Events
 	Profiler() *prof.Tap
 	Monitor() *monitor.Monitor
-	// FaultRecord emits the trace/metrics record for an injected fault
-	// that fired at this vCPU (no-op when observability is off).
+	// Event reports one event of kind k: a trace record {TS: ts, Cost:
+	// cost, Addr: addr, Arg: arg} when k is traced, and one metrics
+	// observation at the clock's current time (no-op when both are off).
+	Event(k trace.Kind, ts, cost int64, addr uint64, arg int64)
+	// FaultRecord reports the event for an injected fault that fired at
+	// this vCPU (no-op when observability is off).
 	FaultRecord(p faults.Point, addr uint64)
 	KernelReadGPA(gpa mem.GPA, b []byte) error
 	KernelWriteGPA(gpa mem.GPA, b []byte) error

@@ -163,16 +163,7 @@ func (vm *VM) CollectDirty() ([]mem.GPA, error) {
 // entire dirty-tracking plane to "sim only".
 func (vm *VM) observeLog(gpa mem.GPA) {
 	v := vm.Sim().VCPU
-	tr, ev := v.Tracer, v.Met
-	if tr == nil && ev == nil {
-		return
-	}
-	now := vm.Sim().Clock.Nanos()
-	if tr.Enabled(trace.KindPMLLog) {
-		tr.Emit(trace.Record{Kind: trace.KindPMLLog, VM: int32(v.ID),
-			TS: now, Addr: uint64(gpa)})
-	}
-	ev.Observe(trace.KindPMLLog, now, 0, 0)
+	v.Event(trace.KindPMLLog, v.Clock.Nanos(), 0, uint64(gpa), 0)
 }
 
 // observeDrain mirrors the simulator's PML-buffer drain on the
@@ -183,15 +174,7 @@ func (vm *VM) observeLog(gpa mem.GPA) {
 // absent by design; the cross-backend parity test carries that allowlist.
 func (vm *VM) observeDrain() {
 	v := vm.Sim().VCPU
-	tr, ev := v.Tracer, v.Met
-	if tr == nil && ev == nil {
-		return
-	}
-	now := vm.Sim().Clock.Nanos()
-	if tr.Enabled(trace.KindPMLDrain) {
-		tr.Emit(trace.Record{Kind: trace.KindPMLDrain, VM: int32(v.ID), TS: now})
-	}
-	ev.Observe(trace.KindPMLDrain, now, 0, 0)
+	v.Event(trace.KindPMLDrain, v.Clock.Nanos(), 0, 0, 0)
 }
 
 // StartAccessLogging arms read+write observation with cleared A/D flags.

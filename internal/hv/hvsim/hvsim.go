@@ -1,7 +1,7 @@
 // Package hvsim registers the cycle-accurate PML simulator as the "sim"
 // backend of the hv interface. It is a thin adapter: every call delegates
 // to internal/hypervisor and internal/cpu, whose structs expose public
-// fields (VM.Clock, VCPU.Tracer, ...) and therefore cannot implement the
+// fields (VM.Clock, VCPU.Met, ...) and therefore cannot implement the
 // accessor-method interfaces themselves.
 //
 // Code that genuinely needs the simulator - module loading, ring
@@ -165,11 +165,14 @@ func (v *VCPU) Sim() *cpu.VCPU { return v.sim }
 func (v *VCPU) ID() int                    { return v.sim.ID }
 func (v *VCPU) Clock() *sim.Clock          { return v.sim.Clock }
 func (v *VCPU) Counters() *sim.Counters    { return &v.sim.Counters }
-func (v *VCPU) Tracer() *trace.Tracer      { return v.sim.Tracer }
 func (v *VCPU) Injector() *faults.Injector { return v.sim.Inj }
 func (v *VCPU) Metrics() *metrics.Events   { return v.sim.Met }
 func (v *VCPU) Profiler() *prof.Tap        { return v.sim.Prof }
 func (v *VCPU) Monitor() *monitor.Monitor  { return v.sim.Mon }
+
+func (v *VCPU) Event(k trace.Kind, ts, cost int64, addr uint64, arg int64) {
+	v.sim.Event(k, ts, cost, addr, arg)
+}
 
 func (v *VCPU) FaultRecord(p faults.Point, addr uint64) { v.sim.FaultRecord(p, addr) }
 

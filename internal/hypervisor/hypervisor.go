@@ -230,11 +230,8 @@ func (vm *VM) drainPMLBuffer() error {
 		}
 		return nil
 	}
-	tr, ev := vm.VCPU.Tracer, vm.VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = vm.Clock.Nanos()
-	}
+	ev := vm.VCPU.Met
+	start := vm.Clock.Nanos()
 	copied := int64(0)
 	perEntry := vm.Hyp.Model.RBCopy.PerPage(vm.wsOrDefault())
 	// Resolve the buffer's backing frame once per drain instead of paying
@@ -290,15 +287,8 @@ func (vm *VM) drainPMLBuffer() error {
 	if err := vm.VMCS.Write(vmcs.FieldPMLIndex, vmcs.PMLResetIndex); err != nil {
 		return fmt.Errorf("hypervisor: PML drain: %w", err)
 	}
-	now := vm.Clock.Nanos()
-	if tr.Enabled(trace.KindPMLDrain) {
-		tr.Emit(trace.Record{Kind: trace.KindPMLDrain, VM: int32(vm.ID), TS: start,
-			Cost: now - start, Arg: copied})
-	}
-	if ev != nil {
-		ev.Observe(trace.KindPMLDrain, now, now-start, copied)
-		ev.Count(metrics.SubHypervisor, "pml_entries_logged", "", copied)
-	}
+	vm.VCPU.Event(trace.KindPMLDrain, start, vm.Clock.Nanos()-start, 0, copied)
+	ev.Count(metrics.SubHypervisor, "pml_entries_logged", "", copied)
 	return nil
 }
 

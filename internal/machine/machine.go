@@ -124,16 +124,7 @@ func New(cfg Config) (*Machine, error) {
 		Model: h.Model(),
 		Hyp:   h,
 	}
-	reg := cfg.Metrics
-	if cfg.Monitor != nil {
-		if reg == nil {
-			// The monitor publishes gauges and evaluates rules against a
-			// registry; give it a private one when the caller didn't ask
-			// for metrics themselves.
-			reg = metrics.NewRegistry()
-		}
-		cfg.Monitor.Attach(cfg.Tracer, reg)
-	}
+	reg := cfg.attachMonitor()
 	for i := 0; i < n; i++ {
 		vm, err := h.CreateVM()
 		if err != nil {
@@ -146,6 +137,21 @@ func New(cfg Config) (*Machine, error) {
 		m.Guests = append(m.Guests, g)
 	}
 	return m, nil
+}
+
+// attachMonitor attaches cfg's monitor and returns the registry the
+// guests' metrics bridges feed: cfg.Metrics, or a private registry when
+// only the monitor needs one (it publishes gauges and evaluates rules
+// against a registry even when the caller didn't ask for metrics).
+func (cfg Config) attachMonitor() *metrics.Registry {
+	reg := cfg.Metrics
+	if cfg.Monitor != nil {
+		if reg == nil {
+			reg = metrics.NewRegistry()
+		}
+		cfg.Monitor.Attach(cfg.Tracer, reg)
+	}
+	return reg
 }
 
 // newGuest wires the observability planes into a created VM's vCPU and
@@ -166,7 +172,7 @@ func newGuest(m *Machine, vm hv.VirtualMachine, cfg Config, reg *metrics.Registr
 
 // wireGuestProbes points guest i's vCPU at cfg's observability planes.
 func wireGuestProbes(svm *hypervisor.VM, cfg Config, reg *metrics.Registry, i int) {
-	svm.VCPU.Tracer = cfg.Tracer
+	svm.VCPU.SetTracer(cfg.Tracer)
 	svm.VCPU.Inj = cfg.Faults
 	svm.VCPU.Met = metrics.NewEvents(reg)
 	svm.VCPU.Prof = cfg.Profiler.Tap(svm.VCPU.Clock)
@@ -189,13 +195,7 @@ func wireGuestProbes(svm *hypervisor.VM, cfg Config, reg *metrics.Registry, i in
 // neither sees the warm-up phase. Only the probe fields change; clocks,
 // kernels and memory are untouched.
 func (m *Machine) AttachProbes(cfg Config) {
-	reg := cfg.Metrics
-	if cfg.Monitor != nil {
-		if reg == nil {
-			reg = metrics.NewRegistry()
-		}
-		cfg.Monitor.Attach(cfg.Tracer, reg)
-	}
+	reg := cfg.attachMonitor()
 	for i, g := range m.Guests {
 		wireGuestProbes(g.SimVM(), cfg, reg, i)
 	}

@@ -98,8 +98,7 @@ type EventObserver interface {
 // It pre-resolves one (counter, cost histogram, arg counter) triple per
 // trace kind so Observe is array indexing plus integer updates - no map
 // lookups, no allocations. A nil *Events is a valid disabled bridge whose
-// methods are single-branch no-ops; sites hold it exactly like a nil
-// *trace.Tracer.
+// methods are single-branch no-ops, like a nil *trace.Tracer.
 type Events struct {
 	reg     *Registry
 	counts  [64]*Counter
@@ -137,8 +136,9 @@ func (e *Events) Registry() *Registry {
 
 // Observe records one event of kind k: its per-record cost into the kind's
 // histogram, its Arg into the kind's arg counter, and a tick of the
-// virtual-time sampler. Sites call it with the same (kind, cost, arg) they
-// hand to trace.Tracer.Emit, which is what keeps the two planes equal.
+// virtual-time sampler. Simulated layers do not call it directly: the
+// vCPU's Event makes this call with the same (kind, cost, arg) it hands to
+// trace.Tracer.Emit, which is what keeps the two planes equal.
 func (e *Events) Observe(k trace.Kind, now, cost, arg int64) {
 	if e == nil {
 		return

@@ -223,14 +223,8 @@ func Resume(vm hv.VirtualMachine, j *Journal, runBetween func(round int) error) 
 	defer migSp.End()
 
 	j.Stats.Resumes++
-	v := m.cpu
-	now := vm.Clock().Nanos()
-	if tr := v.Tracer(); tr.Enabled(trace.KindMigResume) {
-		tr.Emit(trace.Record{Kind: trace.KindMigResume, VM: int32(v.ID()), TS: now,
-			Arg: int64(j.NextRound)})
-	}
-	v.Metrics().Observe(trace.KindMigResume, now, 0, int64(j.NextRound))
-	v.Metrics().Count(metrics.SubMigration, "resumes_total", "", 1)
+	m.cpu.Event(trace.KindMigResume, vm.Clock().Nanos(), 0, 0, int64(j.NextRound))
+	m.cpu.Metrics().Count(metrics.SubMigration, "resumes_total", "", 1)
 	return m.converge(total, runBetween)
 }
 
@@ -358,14 +352,8 @@ func (m *Migration) abort(round int) {
 	if m.log != nil {
 		m.log.StopDirtyLogging()
 	}
-	v := m.cpu
-	now := m.vm.Clock().Nanos()
-	if tr := v.Tracer(); tr.Enabled(trace.KindMigAbort) {
-		tr.Emit(trace.Record{Kind: trace.KindMigAbort, VM: int32(v.ID()), TS: now,
-			Arg: int64(round)})
-	}
-	v.Metrics().Observe(trace.KindMigAbort, now, 0, int64(round))
-	v.Metrics().Count(metrics.SubMigration, "aborts_total", "", 1)
+	m.cpu.Event(trace.KindMigAbort, m.vm.Clock().Nanos(), 0, 0, int64(round))
+	m.cpu.Metrics().Count(metrics.SubMigration, "aborts_total", "", 1)
 }
 
 // estimatedDowntime is the stop-and-copy estimate for n pending pages.
@@ -438,12 +426,8 @@ func (m *Migration) sendPage(gpa mem.GPA) error {
 					gpa, attempt, ErrSendFailed)
 			}
 			m.j.Stats.Retries++
-			now := vm.Clock().Nanos()
-			if tr := v.Tracer(); tr.Enabled(trace.KindMigRetry) {
-				tr.Emit(trace.Record{Kind: trace.KindMigRetry, VM: int32(v.ID()), TS: now,
-					Cost: int64(backoff), Addr: uint64(gpa), Arg: int64(attempt)})
-			}
-			v.Metrics().Observe(trace.KindMigRetry, now, int64(backoff), int64(attempt))
+			// Reported before the backoff advance, like a tracking retry.
+			v.Event(trace.KindMigRetry, vm.Clock().Nanos(), int64(backoff), uint64(gpa), int64(attempt))
 			v.Metrics().Count(metrics.SubMigration, "retries_total", "", 1)
 			vm.Clock().Advance(backoff)
 			backoff *= 2
@@ -466,12 +450,7 @@ func (m *Migration) sendPage(gpa mem.GPA) error {
 					gpa, attempt, ErrSendFailed)
 			}
 			m.j.Stats.Resends++
-			now := vm.Clock().Nanos()
-			if tr := v.Tracer(); tr.Enabled(trace.KindMigNack) {
-				tr.Emit(trace.Record{Kind: trace.KindMigNack, VM: int32(v.ID()), TS: now,
-					Addr: uint64(gpa), Arg: int64(attempt)})
-			}
-			v.Metrics().Observe(trace.KindMigNack, now, 0, int64(attempt))
+			v.Event(trace.KindMigNack, vm.Clock().Nanos(), 0, uint64(gpa), int64(attempt))
 			v.Metrics().Count(metrics.SubMigration, "resends_total", "", 1)
 			continue
 		}

@@ -115,9 +115,9 @@ func TestReverseLookupIndexMatchesScan(t *testing.T) {
 
 	for _, gpa := range gpas {
 		idxGVA, idxOK := pt.ReverseLookup(gpa + 0x123) // offset must survive
-		simcache.SetReverseIndex(false)
+		restore := simcache.DisableAll()
 		scanGVA, scanOK := pt.ReverseLookup(gpa + 0x123)
-		simcache.SetReverseIndex(true)
+		restore()
 		if idxOK != scanOK || idxGVA != scanGVA {
 			t.Errorf("ReverseLookup(%v): index (%v,%v) != scan (%v,%v)",
 				gpa, idxGVA, idxOK, scanGVA, scanOK)

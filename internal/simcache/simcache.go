@@ -8,8 +8,8 @@
 // the simulation must produce byte-identical traces, metrics snapshots and
 // profiles (the cross-check suite in internal/experiments pins this). The
 // switches exist so that equivalence is testable: DisableAll turns every
-// cache off, and SetReverseIndex toggles the reverse index alone for its
-// index-vs-scan test. Production runs leave everything enabled.
+// cache off, which is also how the reverse index's index-vs-scan test
+// reaches the scan. Production runs leave everything enabled.
 //
 // The switches are plain package-level booleans, matching the simulator's
 // single-goroutine-per-machine discipline: they are read on hot paths with
@@ -50,10 +50,6 @@ func ArmCacheEnabled() bool { return armCache }
 // WorkloadMemoEnabled reports whether workloads may memoize host compute
 // over Setup-immutable input regions.
 func WorkloadMemoEnabled() bool { return workloadMemo }
-
-// SetReverseIndex toggles the reverse index. Only call while no machine is
-// running.
-func SetReverseIndex(on bool) { reverseIndex = on }
 
 // DisableAll turns every cache off and returns a function restoring the
 // previous state; tests use it as `defer simcache.DisableAll()()`.

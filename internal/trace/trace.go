@@ -12,12 +12,24 @@
 //
 //   - Zero allocation on the hot path: Emit copies the fixed-size Record
 //     into a preallocated ring and only hands full batches to the sink.
-//   - Disabled tracing costs one branch: every instrumentation site guards
-//     with Enabled(kind), which is nil-receiver safe, so an untraced
-//     simulation pays a nil check and nothing else.
+//   - Disabled tracing costs one branch: both emitters - the vCPU's Event
+//     and the monitor's alerts - guard Emit with Enabled(kind), which is
+//     nil-receiver safe, so an untraced simulation pays a nil check and
+//     nothing else.
 //   - Deterministic: records carry only virtual timestamps; attaching or
 //     detaching a tracer never advances the clock, so traced and untraced
 //     runs produce bit-identical virtual times.
+//
+// Simulated layers never reach a Tracer themselves. They report each event
+// once through their vCPU (internal/cpu), which writes the record when the
+// kind is traced and makes the matching metrics observation in the same
+// call - either an explicit (ts, cost) event or a timed span:
+//
+//	v.Event(trace.KindPMLLog, now-cost, cost, uint64(gpa), 0)
+//
+//	sp := v.Begin(prof.SubCore, "ring_copy")
+//	... charge the drain to the clock ...
+//	elapsed := sp.Event(trace.KindRingCopy, 0, int64(entries))
 //
 // Like sim.Clock, a Tracer is not safe for concurrent use: one tracer
 // belongs to one simulation goroutine. Experiment drivers that fan out
@@ -253,9 +265,9 @@ func (t *Tracer) Disable(kinds ...Kind) {
 }
 
 // Enabled reports whether kind k is traced. It is nil-receiver safe, so
-// instrumentation sites need no separate nil check:
+// an emitter needs no separate nil check:
 //
-//	if tr := v.Tracer; tr.Enabled(trace.KindHypercall) { tr.Emit(...) }
+//	if tr.Enabled(k) { tr.Emit(Record{Kind: k, ...}) }
 func (t *Tracer) Enabled(k Kind) bool {
 	return t != nil && t.mask&(1<<uint(k)) != 0
 }

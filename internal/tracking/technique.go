@@ -15,7 +15,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/cpu"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -66,8 +65,8 @@ type Technique interface {
 	Stats() Stats
 }
 
-// watch is a tiny helper binding a clock (and the vCPU's tracer) to phase
-// accounting.
+// watch binds a technique's phase accounting to the tracked process's
+// vCPU: its clock, and its planes through cpu.VCPU.Begin/Event.
 type watch struct {
 	clock *sim.Clock
 	vcpu  *cpu.VCPU
@@ -80,47 +79,26 @@ func (w watch) measure(dst *time.Duration, fn func() error) error {
 	return err
 }
 
-// phase is measure plus a trace record of the phase span. arg, evaluated
-// after fn so it can report results (pages collected), supplies the
-// record's Arg; nil means the technique's cost-model id.
+// phase runs fn under a tracking span, adds its time to dst and, on
+// success, reports it as one event of kind. arg, evaluated after fn so it
+// can report results (pages collected), supplies the event's Arg; nil
+// means the technique's cost-model id.
 func (w watch) phase(dst *time.Duration, kind trace.Kind, tech costmodel.Technique,
 	arg func() int64, fn func() error) error {
-	var tr *trace.Tracer
-	var ev *metrics.Events
-	if w.vcpu != nil {
-		tr, ev = w.vcpu.Tracer, w.vcpu.Met
+	sp := w.vcpu.Begin(prof.SubTracking, phaseOp(kind))
+	if err := fn(); err != nil {
+		*dst += sp.End()
+		return err
 	}
-	var start int64
-	if tr != nil || ev != nil {
-		start = w.clock.Nanos()
-	}
-	sp := w.tap().Begin(prof.SubTracking, phaseOp(kind))
-	defer sp.End()
-	err := w.measure(dst, fn)
-	if err == nil && kind == trace.KindTrackCollect && arg != nil {
-		pagesReported.Add(arg())
-	}
-	if err == nil && (tr != nil || ev != nil) {
-		a := int64(tech)
-		if arg != nil {
-			a = arg()
+	a := int64(tech)
+	if arg != nil {
+		a = arg()
+		if kind == trace.KindTrackCollect {
+			pagesReported.Add(a)
 		}
-		now := w.clock.Nanos()
-		if tr.Enabled(kind) {
-			tr.Emit(trace.Record{Kind: kind, VM: int32(w.vcpu.ID), TS: start,
-				Cost: now - start, Arg: a})
-		}
-		ev.Observe(kind, now, now-start, a)
 	}
-	return err
-}
-
-// tap returns the profiler tap, nil when the watch has no vCPU bound.
-func (w watch) tap() *prof.Tap {
-	if w.vcpu == nil {
-		return nil
-	}
-	return w.vcpu.Prof
+	*dst += sp.Event(kind, 0, a)
+	return nil
 }
 
 // phaseOp maps a tracking-phase trace kind to its profiler span op.

@@ -2,6 +2,7 @@ package tracking
 
 import (
 	"errors"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/guestos"
@@ -63,31 +64,24 @@ func (t *UfdTechnique) Init() error {
 // The userspace handling cost (M6 per fault) is both the tracked thread's
 // suspension and the tracker's own work; it accrues to CollectTime.
 func (t *UfdTechnique) handle(ev guestos.UfdEvent) error {
-	tr, evm := t.k.VCPU.Tracer, t.k.VCPU.Met
-	var start int64
-	if tr != nil || evm != nil {
-		start = t.k.Clock.Nanos()
+	start := t.k.Clock.Nanos()
+	t.k.Clock.Advance(t.k.Model.PFHUser.PerPage(ev.Proc.ReservedBytes()))
+	page := ev.GVA.PageFloor()
+	t.order = append(t.order, page)
+	var err error
+	if ev.Missing {
+		err = ev.Proc.UfdCopyZero(page)
+	} else {
+		err = ev.Proc.UfdWriteUnprotect(page)
 	}
-	err := t.w.measure(&t.stats.CollectTime, func() error {
-		t.k.Clock.Advance(t.k.Model.PFHUser.PerPage(ev.Proc.ReservedBytes()))
-		page := ev.GVA.PageFloor()
-		t.order = append(t.order, page)
-		if ev.Missing {
-			return ev.Proc.UfdCopyZero(page)
-		}
-		return ev.Proc.UfdWriteUnprotect(page)
-	})
+	cost := t.k.Clock.Nanos() - start
+	t.stats.CollectTime += time.Duration(cost)
 	if err == nil {
 		arg := int64(0)
 		if ev.Missing {
 			arg = 1
 		}
-		now := t.k.Clock.Nanos()
-		if tr.Enabled(trace.KindUfdFault) {
-			tr.Emit(trace.Record{Kind: trace.KindUfdFault, VM: int32(t.k.VCPU.ID), TS: start,
-				Cost: now - start, Addr: uint64(ev.GVA.PageFloor()), Arg: arg})
-		}
-		evm.Observe(trace.KindUfdFault, now, now-start, arg)
+		t.k.VCPU.Event(trace.KindUfdFault, start, cost, uint64(page), arg)
 	}
 	return err
 }
