@@ -19,7 +19,7 @@ import (
 
 // benchOpt keeps bench runs at the default (scaled) sizes.
 func benchOpt() experiments.Options {
-	return experiments.Options{Scale: 1, Runs: 1}
+	return experiments.Options{Scale: 1}
 }
 
 // runExperiment executes one experiment per benchmark iteration. Besides

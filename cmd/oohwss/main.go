@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,69 +23,63 @@ import (
 )
 
 func main() {
-	var (
-		name      = flag.String("workload", "histogram", "workload: "+strings.Join(workloads.Names(), ", "))
-		size      = flag.String("size", "small", "config size: small, medium, large")
-		scale     = flag.Int("scale", 1, "workload scale factor")
-		intervals = flag.Int("intervals", 4, "sampling intervals (one workload pass each)")
-		seed      = flag.Uint64("seed", 42, "workload data seed")
-		backend   = flag.String("backend", "", cliflags.BackendUsage())
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "oohwss: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	sz, err := parseSize(*size)
+// run parses args on its own flag set and writes the per-interval working
+// set sizes to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("oohwss", flag.ExitOnError)
+	var (
+		name      = fs.String("workload", "histogram", "workload: "+strings.Join(workloads.Names(), ", "))
+		size      = fs.String("size", "small", "config size: small, medium, large")
+		scale     = fs.Int("scale", 1, "workload scale factor")
+		intervals = fs.Int("intervals", 4, "sampling intervals (one workload pass each)")
+		seed      = fs.Uint64("seed", 42, "workload data seed")
+		backend   = fs.String("backend", "", cliflags.BackendUsage())
+	)
+	fs.Parse(args)
+
+	sz, err := cliflags.ParseSize(*size)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	be, err := cliflags.ParseBackend(*backend)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	m, err := machine.New(machine.Config{Backend: be})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	g := m.Guest(0)
 	proc := g.Kernel.Spawn(*name)
 	w, err := workloads.New(*name, sz, *scale)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := w.Setup(workloads.NewRegionAlloc(proc, false), sim.NewRNG(*seed)); err != nil {
-		fail(err)
+		return err
 	}
 
 	est := wss.New(g.VM)
-	fmt.Printf("sampling WSS of %s (%s) over %d intervals via PML-R\n\n", *name, sz, *intervals)
+	fmt.Fprintf(out, "sampling WSS of %s (%s) over %d intervals via PML-R\n\n", *name, sz, *intervals)
 	for i := 1; i <= *intervals; i++ {
 		est.BeginInterval()
 		if err := w.Run(); err != nil {
-			fail(err)
+			return err
 		}
 		s, err := est.EndInterval()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("interval %d: %6d pages (%s)\n", i, s.Pages, report.FormatBytes(s.Bytes))
+		fmt.Fprintf(out, "interval %d: %6d pages (%s)\n", i, s.Pages, report.FormatBytes(s.Bytes))
 	}
-	fmt.Printf("\npeak working set: %d pages (%s); reserved address space: %s\n",
+	fmt.Fprintf(out, "\npeak working set: %d pages (%s); reserved address space: %s\n",
 		est.Peak(), report.FormatBytes(uint64(est.Peak())*4096),
 		report.FormatBytes(proc.ReservedBytes()))
-}
-
-func parseSize(s string) (workloads.Size, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return workloads.Small, nil
-	case "medium":
-		return workloads.Medium, nil
-	case "large":
-		return workloads.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "oohwss: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -15,10 +15,10 @@ import (
 // arming state and the workload memo all promise: they change how fast the
 // simulator runs, never what it computes.
 // unprobed lists experiments whose runners never attach the Options
-// probes to their machines (microbenchmark tables via runMicroWithCounts,
-// scalability sweeps via runBoehmOn, the ablations); their outputs are
-// still compared byte-for-byte, but the trace stream is legitimately
-// empty.
+// probes to their machines (Table IV's micro grid runs with its planes
+// detached, the scalability sweeps via runBoehmOn, the ablations); their
+// outputs are still compared byte-for-byte, but the trace stream is
+// legitimately empty.
 var unprobed = map[string]bool{
 	"ablation-ring":  true,
 	"ablation-slice": true,

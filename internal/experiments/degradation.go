@@ -10,7 +10,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/migration"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -232,15 +231,9 @@ func DegradationSurface(opt Options) (*Result, error) {
 		}
 	}
 
-	cells := make([]degCell, len(grid))
-	ps := opt.newShards(len(grid))
-	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
-		var err error
-		cells[i], err = runDegradationCell(grid[i].mix, grid[i].tech, grid[i].writes,
-			opt.Seed, i, ps.cell(i))
-		return err
+	cells, err := sweep(opt, len(grid), func(i int, p machine.Config) (degCell, error) {
+		return runDegradationCell(grid[i].mix, grid[i].tech, grid[i].writes, opt.Seed, i, p)
 	})
-	ps.merge()
 	if err != nil {
 		return nil, err
 	}

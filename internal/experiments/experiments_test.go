@@ -11,7 +11,7 @@ import (
 
 // smallOpt keeps unit-test experiment runs quick.
 func smallOpt() Options {
-	return Options{Scale: 1, Runs: 1, Workers: 0}
+	return Options{Scale: 1, Workers: 0}
 }
 
 // TestMicroShapeMatchesPaper re-derives the paper's headline claims from

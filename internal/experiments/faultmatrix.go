@@ -9,7 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/tracking"
@@ -183,14 +182,9 @@ func FaultMatrix(opt Options) (*Result, error) {
 		specs = append(append([]CannedFaultSpec{}, specs...),
 			CannedFaultSpec{Name: "custom", Spec: opt.FaultSpec, Tech: costmodel.EPML})
 	}
-	cells := make([]faultCell, len(specs))
-	ps := opt.newShards(len(specs))
-	err := par.ForEach(len(specs), opt.Workers, func(i int) error {
-		var err error
-		cells[i], err = runFaultCell(specs[i], opt.Seed, ps.cell(i))
-		return err
+	cells, err := sweep(opt, len(specs), func(i int, p machine.Config) (faultCell, error) {
+		return runFaultCell(specs[i], opt.Seed, p)
 	})
-	ps.merge()
 	if err != nil {
 		return nil, err
 	}

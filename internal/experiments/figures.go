@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -15,14 +14,7 @@ import (
 func Fig3(opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	sizes := opt.microSizes()
-	results := make([]MicroResult, len(sizes))
-	ps := opt.newShards(len(sizes))
-	err := par.ForEach(len(sizes), opt.Workers, func(i int) error {
-		var err error
-		results[i], err = runMicro(costmodel.SPML, sizes[i]<<8, opt.Seed, ps.cell(i), opt.ColdBoot)
-		return err
-	})
-	ps.merge()
+	grid, err := microGrid(opt, []costmodel.Technique{costmodel.SPML}, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +22,7 @@ func Fig3(opt Options) (*Result, error) {
 	out := report.NewTable("Fig. 3: SPML collection phase breakdown",
 		"Memory", "Reverse mapping", "PT walk", "RB copy", "RevMap share")
 	for i, mb := range sizes {
-		bd := results[i].Fetch
+		bd := grid[i].Fetch
 		share := 0.0
 		if t := bd.Total(); t > 0 {
 			share = float64(bd.ReverseMap) / float64(t) * 100
@@ -50,40 +42,17 @@ func Fig4(opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	sizes := opt.microSizes()
 	kinds := []costmodel.Technique{costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML}
-
-	type cell struct {
-		kind costmodel.Technique
-		mb   int
-		res  MicroResult
-	}
-	var grid []cell
-	for _, kind := range kinds {
-		for _, mb := range sizes {
-			grid = append(grid, cell{kind: kind, mb: mb})
-		}
-	}
-	ps := opt.newShards(len(grid))
-	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
-		r, err := runMicro(grid[i].kind, grid[i].mb<<8, opt.Seed, ps.cell(i), opt.ColdBoot)
-		grid[i].res = r
-		return err
-	})
-	ps.merge()
+	grid, err := microGrid(opt, kinds, sizes)
 	if err != nil {
 		return nil, err
 	}
 
-	headers := []string{"Technique"}
-	for _, mb := range sizes {
-		headers = append(headers, report.FormatBytes(uint64(mb)<<20))
-	}
-	out := report.NewTable("Fig. 4: slowdown (x) of each technique on the microbenchmark", headers...)
-	for _, kind := range kinds {
-		row := []any{kind.String()}
-		for _, c := range grid {
-			if c.kind == kind {
-				row = append(row, report.FormatFactor(c.res.Slowdown()))
-			}
+	out := report.NewTable("Fig. 4: slowdown (x) of each technique on the microbenchmark",
+		sizeHeaders("Technique", sizes)...)
+	for _, cells := range rows(grid, len(sizes)) {
+		row := []any{cells[0].Technique.String()}
+		for _, r := range cells {
+			row = append(row, report.FormatFactor(r.Slowdown()))
 		}
 		out.AddRow(row...)
 	}
@@ -91,43 +60,34 @@ func Fig4(opt Options) (*Result, error) {
 	return &Result{ID: "fig4", Title: "Fig. 4: microbenchmark slowdown", Tables: []*report.Table{out}}, nil
 }
 
+// sizeHeaders is a micro table's header row: first, then one column per
+// memory size.
+func sizeHeaders(first string, sizesMB []int) []string {
+	headers := []string{first}
+	for _, mb := range sizesMB {
+		headers = append(headers, report.FormatBytes(uint64(mb)<<20))
+	}
+	return headers
+}
+
 // Fig5 regenerates Figure 5: Boehm GC time per application and config under
 // /proc, SPML and EPML, highlighting the first cycle (SPML's reverse map).
 func Fig5(opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	grid := boehmGrid(opt, boehmTechniques())
-	ps := opt.newShards(len(grid))
-	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
-		c := &grid[i]
-		r, err := runBoehm(c.app, c.size, opt.Scale, c.kind, opt.Seed, ps.cell(i))
-		if err != nil {
-			return fmt.Errorf("fig5 %s/%s/%s: %w", c.app, c.size, c.kind, err)
-		}
-		c.res = r
-		return nil
-	})
-	ps.merge()
+	grid, err := boehmGrid(opt, "fig5", boehmTechniques())
 	if err != nil {
 		return nil, err
 	}
 
 	out := report.NewTable("Fig. 5: Boehm GC time (total, [first cycle]) per technique",
 		"App", "Config", "/proc", "SPML", "EPML", "cycles")
-	i := 0
-	for _, app := range opt.boehmApps() {
-		for _, size := range boehmSizes(opt) {
-			row := []any{app, size.String()}
-			cycles := 0
-			for range boehmTechniques() {
-				r := grid[i].res
-				i++
-				row = append(row, fmt.Sprintf("%s [%s]",
-					report.FormatDuration(r.GCTime), report.FormatDuration(r.FirstGC)))
-				cycles = len(r.Cycles)
-			}
-			row = append(row, cycles)
-			out.AddRow(row...)
+	for _, cells := range rows(grid, len(boehmTechniques())) {
+		row := []any{cells[0].App, cells[0].Size.String()}
+		for _, r := range cells {
+			row = append(row, fmt.Sprintf("%s [%s]",
+				report.FormatDuration(r.GCTime), report.FormatDuration(r.FirstGC)))
 		}
+		out.AddRow(append(row, len(cells[len(cells)-1].Cycles))...)
 	}
 	out.AddNote("paper: ignoring the first cycle SPML beats /proc by up to 36%%; EPML beats both (<=58%%/47%%)")
 	return &Result{ID: "fig5", Title: "Fig. 5: Boehm GC time", Tables: []*report.Table{out}}, nil
@@ -140,63 +100,24 @@ func Fig6(opt Options) (*Result, error) {
 	// The grid includes the untracked Oracle baseline as a cell of its own
 	// per (app, size), so baselines run in parallel with the tracked cells.
 	kinds := append([]costmodel.Technique{costmodel.Oracle}, boehmTechniques()...)
-	grid := boehmGrid(opt, kinds)
-	ps := opt.newShards(len(grid))
-	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
-		c := &grid[i]
-		r, err := runBoehm(c.app, c.size, opt.Scale, c.kind, opt.Seed, ps.cell(i))
-		if err != nil {
-			return fmt.Errorf("fig6 %s/%s/%s: %w", c.app, c.size, c.kind, err)
-		}
-		c.res = r
-		return nil
-	})
-	ps.merge()
+	grid, err := boehmGrid(opt, "fig6", kinds)
 	if err != nil {
 		return nil, err
 	}
 
 	out := report.NewTable("Fig. 6: overhead (%) of Boehm GC tracking on the application",
 		"App", "Config", "/proc", "SPML", "EPML")
-	i := 0
-	for _, app := range opt.boehmApps() {
-		for _, size := range boehmSizes(opt) {
-			base := grid[i].res // the Oracle cell leads each (app, size) group
-			i++
-			row := []any{app, size.String()}
-			for range boehmTechniques() {
-				r := grid[i].res
-				i++
-				r.Ideal = base.AppTime
-				row = append(row, report.FormatPercent(r.TrackedOverheadPct()))
-			}
-			out.AddRow(row...)
+	for _, cells := range rows(grid, len(kinds)) {
+		base := cells[0] // the Oracle cell leads each (app, size) row
+		row := []any{base.App, base.Size.String()}
+		for _, r := range cells[1:] {
+			r.Ideal = base.AppTime
+			row = append(row, report.FormatPercent(r.TrackedOverheadPct()))
 		}
+		out.AddRow(row...)
 	}
 	out.AddNote("paper: /proc <=232%%, SPML <=273%% (string-match), EPML <=24%%, avg ~3%%")
 	return &Result{ID: "fig6", Title: "Fig. 6: Boehm impact on Tracked", Tables: []*report.Table{out}}, nil
-}
-
-// boehmCell is one (app, size, technique) cell of a Boehm figure's grid.
-type boehmCell struct {
-	app  string
-	size workloads.Size
-	kind costmodel.Technique
-	res  BoehmResult
-}
-
-// boehmGrid enumerates a Boehm figure's grid in row order: apps, then
-// sizes, then kinds innermost. Renderers walk the same order.
-func boehmGrid(opt Options, kinds []costmodel.Technique) []boehmCell {
-	var grid []boehmCell
-	for _, app := range opt.boehmApps() {
-		for _, size := range boehmSizes(opt) {
-			for _, kind := range kinds {
-				grid = append(grid, boehmCell{app: app, size: size, kind: kind})
-			}
-		}
-	}
-	return grid
 }
 
 func boehmSizes(opt Options) []workloads.Size {
@@ -232,40 +153,16 @@ func Fig9(opt Options) (*Result, error) {
 // criuFigure runs the CRIU grid once and projects one statistic.
 func criuFigure(opt Options, id, title string, cell func(CRIUResult) string, note string) (*Result, error) {
 	opt = opt.withDefaults()
-	kinds := []costmodel.Technique{costmodel.Proc, costmodel.SPML, costmodel.EPML}
-	apps := opt.criuWorkloads()
-
-	type item struct {
-		app  string
-		kind costmodel.Technique
-		res  CRIUResult
-	}
-	var grid []item
-	for _, app := range apps {
-		for _, kind := range kinds {
-			grid = append(grid, item{app: app, kind: kind})
-		}
-	}
-	ps := opt.newShards(len(grid))
-	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
-		r, err := runCRIU(grid[i].app, workloads.Large, opt.Scale, grid[i].kind, opt.Seed, ps.cell(i))
-		grid[i].res = r
-		return err
-	})
-	ps.merge()
+	grid, err := criuGrid(opt, opt.criuWorkloads())
 	if err != nil {
 		return nil, err
 	}
 
 	out := report.NewTable(title, "App (Large)", "/proc", "SPML", "EPML")
-	for _, app := range apps {
-		row := []any{app}
-		for _, kind := range kinds {
-			for _, it := range grid {
-				if it.app == app && it.kind == kind {
-					row = append(row, cell(it.res))
-				}
-			}
+	for _, cells := range rows(grid, len(criuKinds)) {
+		row := []any{cells[0].Workload}
+		for _, r := range cells {
+			row = append(row, cell(r))
 		}
 		out.AddRow(row...)
 	}

@@ -154,7 +154,7 @@ func TestCompareBenchReportsAccumulates(t *testing.T) {
 // TestMeasurePerf smokes the cached/uncached measurement on a cheap
 // experiment and checks the derived fields are consistent.
 func TestMeasurePerf(t *testing.T) {
-	res, p, err := MeasurePerf("table1", Options{Scale: 1, Runs: 1})
+	res, p, err := MeasurePerf("table1", Options{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestMetricsDeterminism(t *testing.T) {
 // TestBenchReportSchema pins the ooh-bench/v1 report shape end to end:
 // assemble from a real experiment, serialize, validate.
 func TestBenchReportSchema(t *testing.T) {
-	opt := Options{Scale: 1, Runs: 1, Seed: 5}
+	opt := Options{Scale: 1, Seed: 5}
 	res, err := Run("fig3", opt)
 	if err != nil {
 		t.Fatalf("fig3: %v", err)

@@ -28,8 +28,6 @@ type Options struct {
 	// Scale multiplies workload sizes toward the paper's absolutes
 	// (default 1: laptop-tractable sizes preserving all ratios).
 	Scale int
-	// Runs averages each measurement over this many runs (paper: 5).
-	Runs int
 	// Workers bounds the experiment-level fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Full includes the most expensive points (500 MB / 1 GB micro sizes,
@@ -85,9 +83,6 @@ func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
-	if o.Runs <= 0 {
-		o.Runs = 1
-	}
 	if o.Seed == 0 && !o.SeedSet {
 		o.Seed = DefaultSeed
 	}
@@ -120,23 +115,22 @@ type MicroResult struct {
 	Fetch core.FetchBreakdown
 }
 
-// TrackedOverheadPct returns the Table I overhead on Tracked.
-func (r MicroResult) TrackedOverheadPct() float64 {
-	if r.Ideal == 0 {
+// overheadPct is the paper's overhead measure: the time t spent beyond
+// the ideal baseline, in percent of the baseline (0 without one).
+func overheadPct(t, ideal time.Duration) float64 {
+	if ideal == 0 {
 		return 0
 	}
-	return float64(r.Tracked-r.Ideal) / float64(r.Ideal) * 100
+	return float64(t-ideal) / float64(ideal) * 100
 }
+
+// TrackedOverheadPct returns the Table I overhead on Tracked.
+func (r MicroResult) TrackedOverheadPct() float64 { return overheadPct(r.Tracked, r.Ideal) }
 
 // TrackerOverheadPct returns the Table I overhead on Tracker: the
 // technique's own time relative to the ideal run (the paper sets Tracker's
 // ideal time equal to Tracked's).
-func (r MicroResult) TrackerOverheadPct() float64 {
-	if r.Ideal == 0 {
-		return 0
-	}
-	return float64(r.Tracker) / float64(r.Ideal) * 100
-}
+func (r MicroResult) TrackerOverheadPct() float64 { return overheadPct(r.Ideal+r.Tracker, r.Ideal) }
 
 // Slowdown returns Tracked/Ideal (Fig. 4's y-axis).
 func (r MicroResult) Slowdown() float64 {
@@ -151,22 +145,46 @@ func (r MicroResult) Slowdown() float64 {
 const microPasses = 3
 
 // runMicro executes the Listing-1 scenario under one technique and returns
-// the measured times and raw event counts. p's tracer and metrics registry
-// (either may be nil) observe the monitored run only - probes attach after
-// warm-up, so forked and cold-booted cells emit identical streams. cold
-// forces the boot+warm prefix to rerun instead of forking the pooled
-// snapshot (Options.ColdBoot; output is byte-identical either way).
+// the measured times and raw event counts: the ideal baseline, then the
+// monitored run. p's planes (any may be nil) observe the monitored run
+// only - probes attach after warm-up, so forked and cold-booted cells emit
+// identical streams. cold forces the boot+warm prefix to rerun instead of
+// forking the pooled snapshot (Options.ColdBoot; output is byte-identical
+// either way).
 func runMicro(kind costmodel.Technique, pages int, seed uint64, p machine.Config, cold bool) (MicroResult, error) {
-	res := MicroResult{Technique: kind, Pages: pages}
-
-	// Ideal run: same warmed machine, no tracking, no probes.
 	ideal, err := timeMicroPasses(pages, seed, cold)
 	if err != nil {
-		return res, err
+		return MicroResult{Technique: kind, Pages: pages}, err
 	}
+	res, err := trackMicro(kind, pages, seed, p, cold)
 	res.Ideal = ideal
+	return res, err
+}
 
-	// Monitored run.
+// microGrid runs the Listing-1 scenario over kinds x sizes (MiB), kinds
+// outer, and returns the cells in that order, observed through opt's
+// planes. The ideal baseline depends only on the size, so it runs once per
+// size, in an unobserved sweep, and every technique's cell of that size
+// shares it.
+func microGrid(opt Options, kinds []costmodel.Technique, sizesMB []int) ([]MicroResult, error) {
+	n := len(sizesMB)
+	pages := func(i int) int { return sizesMB[i%n] << 8 } // 1 MiB = 256 pages
+	ideals, err := sweep(opt.unobserved(), n, func(i int, _ machine.Config) (time.Duration, error) {
+		return timeMicroPasses(pages(i), opt.Seed, opt.ColdBoot)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sweep(opt, len(kinds)*n, func(i int, p machine.Config) (MicroResult, error) {
+		res, err := trackMicro(kinds[i/n], pages(i), opt.Seed, p, opt.ColdBoot)
+		res.Ideal = ideals[i%n]
+		return res, err
+	})
+}
+
+// trackMicro is runMicro's monitored run; it leaves Ideal unset.
+func trackMicro(kind costmodel.Technique, pages int, seed uint64, p machine.Config, cold bool) (MicroResult, error) {
+	res := MicroResult{Technique: kind, Pages: pages}
 	g, proc, w, err := warmMicro(pages, seed, p, cold)
 	if err != nil {
 		return res, err
@@ -213,9 +231,15 @@ func timeMicroPasses(pages int, seed uint64, cold bool) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	return timePasses(g, microPasses, w.Run)
+}
+
+// timePasses runs n workload passes on g and returns the virtual time they
+// took.
+func timePasses(g *machine.Guest, n int, run func() error) (time.Duration, error) {
 	start := g.Kernel.Clock.Nanos()
-	for pass := 0; pass < microPasses; pass++ {
-		if err := w.Run(); err != nil {
+	for i := 0; i < n; i++ {
+		if err := run(); err != nil {
 			return 0, err
 		}
 	}
@@ -257,58 +281,83 @@ type CRIUResult struct {
 }
 
 // TrackedOverheadPct is Fig. 9's y-axis.
-func (r CRIUResult) TrackedOverheadPct() float64 {
-	if r.Ideal == 0 {
-		return 0
-	}
-	return float64(r.Tracked-r.Ideal) / float64(r.Ideal) * 100
-}
+func (r CRIUResult) TrackedOverheadPct() float64 { return overheadPct(r.Tracked, r.Ideal) }
 
 // criuRuns is how many workload passes surround the checkpoint.
 const criuRuns = 3
 
 // runCRIU checkpoints a workload under one technique, verifying the
-// restored image, and measures the impact on the workload. p's probes
-// (either may be nil) observe the monitored run only.
+// restored image, and measures the impact on the workload: the ideal
+// baseline, then the checkpointed run. p's planes (any may be nil) observe
+// the checkpointed run only.
 func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p machine.Config) (CRIUResult, error) {
-	res := CRIUResult{Workload: name, Technique: kind}
-
-	// Ideal: the workload's passes without checkpointing.
-	{
-		m, err := machine.New(machine.Config{})
-		if err != nil {
-			return res, err
-		}
-		g := m.Guest(0)
-		proc := g.Kernel.Spawn(name)
-		w, err := workloads.New(name, size, scale)
-		if err != nil {
-			return res, err
-		}
-		if err := w.Setup(workloads.NewRegionAlloc(proc, false), sim.NewRNG(seed)); err != nil {
-			return res, err
-		}
-		start := g.Kernel.Clock.Nanos()
-		for i := 0; i < criuRuns; i++ {
-			if err := w.Run(); err != nil {
-				return res, err
-			}
-		}
-		res.Ideal = time.Duration(g.Kernel.Clock.Nanos() - start)
+	ideal, err := criuIdeal(name, size, scale, seed)
+	if err != nil {
+		return CRIUResult{Workload: name, Technique: kind}, err
 	}
+	res, err := checkpointCRIU(name, size, scale, kind, seed, p)
+	res.Ideal = ideal
+	return res, err
+}
 
-	// Monitored: same passes with a pre-copy checkpoint interleaved.
+// criuKinds are the techniques the CRIU figures compare.
+var criuKinds = []costmodel.Technique{costmodel.Proc, costmodel.SPML, costmodel.EPML}
+
+// criuGrid checkpoints every app's Large configuration under every
+// criuKinds technique, apps outer, and returns the cells in that order,
+// observed through opt's planes. The ideal baseline depends only on the
+// app, so it runs once per app, in an unobserved sweep, and every
+// technique's cell of that app shares it.
+func criuGrid(opt Options, apps []string) ([]CRIUResult, error) {
+	ideals, err := sweep(opt.unobserved(), len(apps), func(i int, _ machine.Config) (time.Duration, error) {
+		return criuIdeal(apps[i], workloads.Large, opt.Scale, opt.Seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := len(criuKinds)
+	return sweep(opt, len(apps)*n, func(i int, p machine.Config) (CRIUResult, error) {
+		res, err := checkpointCRIU(apps[i/n], workloads.Large, opt.Scale, criuKinds[i%n], opt.Seed, p)
+		res.Ideal = ideals[i/n]
+		return res, err
+	})
+}
+
+// setupCRIU boots a machine with p's planes and sets the named workload up
+// in a fresh process: the prefix the ideal and checkpointed runs share.
+func setupCRIU(name string, size workloads.Size, scale int, seed uint64, p machine.Config) (*machine.Guest, *guestos.Process, workloads.Workload, error) {
 	m, err := machine.New(p)
 	if err != nil {
-		return res, err
+		return nil, nil, nil, err
 	}
 	g := m.Guest(0)
 	proc := g.Kernel.Spawn(name)
 	w, err := workloads.New(name, size, scale)
 	if err != nil {
-		return res, err
+		return nil, nil, nil, err
 	}
 	if err := w.Setup(workloads.NewRegionAlloc(proc, false), sim.NewRNG(seed)); err != nil {
+		return nil, nil, nil, err
+	}
+	return g, proc, w, nil
+}
+
+// criuIdeal times the workload's passes without checkpointing and with no
+// probes attached.
+func criuIdeal(name string, size workloads.Size, scale int, seed uint64) (time.Duration, error) {
+	g, _, w, err := setupCRIU(name, size, scale, seed, machine.Config{})
+	if err != nil {
+		return 0, err
+	}
+	return timePasses(g, criuRuns, w.Run)
+}
+
+// checkpointCRIU is runCRIU's checkpointed run: the same passes with a
+// pre-copy checkpoint interleaved. It leaves Ideal unset.
+func checkpointCRIU(name string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p machine.Config) (CRIUResult, error) {
+	res := CRIUResult{Workload: name, Technique: kind}
+	g, proc, w, err := setupCRIU(name, size, scale, seed, p)
+	if err != nil {
 		return res, err
 	}
 	tech, err := g.NewTechnique(kind, proc)
@@ -366,12 +415,7 @@ type BoehmResult struct {
 }
 
 // TrackedOverheadPct is Fig. 6's y-axis.
-func (r BoehmResult) TrackedOverheadPct() float64 {
-	if r.Ideal == 0 {
-		return 0
-	}
-	return float64(r.AppTime-r.Ideal) / float64(r.Ideal) * 100
-}
+func (r BoehmResult) TrackedOverheadPct() float64 { return overheadPct(r.AppTime, r.Ideal) }
 
 // boehmPasses is how many workload passes run between forced GC cycles.
 const boehmPasses = 4
@@ -386,6 +430,22 @@ func runBoehm(app string, size workloads.Size, scale int, kind costmodel.Techniq
 		return BoehmResult{App: app, Size: size, Technique: kind}, err
 	}
 	return runBoehmOn(m.Guest(0), app, size, scale, kind, seed)
+}
+
+// boehmGrid runs Boehm over opt's apps x sizes x kinds, kinds innermost,
+// and returns the cells in that order, observed through opt's planes. id
+// names the figure in a failing cell's error.
+func boehmGrid(opt Options, id string, kinds []costmodel.Technique) ([]BoehmResult, error) {
+	apps, sizes := opt.boehmApps(), boehmSizes(opt)
+	perApp := len(sizes) * len(kinds)
+	return sweep(opt, len(apps)*perApp, func(i int, p machine.Config) (BoehmResult, error) {
+		app, size, kind := apps[i/perApp], sizes[i%perApp/len(kinds)], kinds[i%len(kinds)]
+		r, err := runBoehm(app, size, opt.Scale, kind, opt.Seed, p)
+		if err != nil {
+			return r, fmt.Errorf("%s %s/%s/%s: %w", id, app, size, kind, err)
+		}
+		return r, nil
+	})
 }
 
 // runBoehmOn is runBoehm against an existing guest (the multi-VM

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
+	"sort"
 
 	"repro/internal/costmodel"
-	"repro/internal/machine"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -32,47 +30,19 @@ func (r *Result) Render() string {
 func Table1(opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	sizes := opt.microSizes()
-	kinds := []costmodel.Technique{costmodel.Ufd, costmodel.Proc}
-
-	type cell struct {
-		kind costmodel.Technique
-		mb   int
-		res  MicroResult
-	}
-	grid := make([]cell, 0, len(sizes)*len(kinds))
-	for _, kind := range kinds {
-		for _, mb := range sizes {
-			grid = append(grid, cell{kind: kind, mb: mb})
-		}
-	}
-	ps := opt.newShards(len(grid))
-	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
-		pages := grid[i].mb << 8 // 1 MiB = 256 pages
-		r, err := runMicro(grid[i].kind, pages, opt.Seed, ps.cell(i), opt.ColdBoot)
-		grid[i].res = r
-		return err
-	})
-	ps.merge()
+	grid, err := microGrid(opt, []costmodel.Technique{costmodel.Ufd, costmodel.Proc}, sizes)
 	if err != nil {
 		return nil, err
 	}
 
-	headers := []string{"On Tracked"}
-	for _, mb := range sizes {
-		headers = append(headers, report.FormatBytes(uint64(mb)<<20))
-	}
-	tracked := report.NewTable("Table I (top): overhead (%) on Tracked", headers...)
-	headers2 := append([]string{"On Tracker"}, headers[1:]...)
-	tracker := report.NewTable("Table I (bottom): overhead (%) on Tracker", headers2...)
-	for _, kind := range kinds {
-		rowTd := []any{kind.String()}
-		rowTk := []any{kind.String()}
-		for _, c := range grid {
-			if c.kind != kind {
-				continue
-			}
-			rowTd = append(rowTd, fmt.Sprintf("%.0f", c.res.TrackedOverheadPct()))
-			rowTk = append(rowTk, fmt.Sprintf("%.0f", c.res.TrackerOverheadPct()))
+	tracked := report.NewTable("Table I (top): overhead (%) on Tracked", sizeHeaders("On Tracked", sizes)...)
+	tracker := report.NewTable("Table I (bottom): overhead (%) on Tracker", sizeHeaders("On Tracker", sizes)...)
+	for _, cells := range rows(grid, len(sizes)) {
+		rowTd := []any{cells[0].Technique.String()}
+		rowTk := []any{cells[0].Technique.String()}
+		for _, r := range cells {
+			rowTd = append(rowTd, fmt.Sprintf("%.0f", r.TrackedOverheadPct()))
+			rowTk = append(rowTk, fmt.Sprintf("%.0f", r.TrackerOverheadPct()))
 		}
 		tracked.AddRow(rowTd...)
 		tracker.AddRow(rowTk...)
@@ -96,7 +66,12 @@ func Table2(loc map[string]int) (*Result, error) {
 	res := &Result{ID: "table2", Title: "Table II: implementation size", Tables: []*report.Table{paper}}
 	if len(loc) > 0 {
 		ours := report.NewTable("This reproduction: Go lines per subsystem", "Package", "LOC")
-		for _, name := range sortedKeys(loc) {
+		names := make([]string, 0, len(loc))
+		for name := range loc {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
 			ours.AddRow(name, loc[name])
 		}
 		res.Tables = append(res.Tables, ours)
@@ -104,36 +79,28 @@ func Table2(loc map[string]int) (*Result, error) {
 	return res, nil
 }
 
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
-// Table4 regenerates Table IV: validation of the formula engine. CRIU
-// checkpoints tkrzw baby under SPML and /proc; the measured E(C_tker) and
-// E(C_tked_tker) are compared against Formulas 1-4 evaluated on the
-// observed event counts.
+// Table4 regenerates Table IV: validation of the formula engine. The
+// Listing-1 array parser runs under SPML, /proc and EPML with no planes
+// attached, and the measured E(C_tker) and E(C_tked_tker) are compared
+// against Formulas 1-4 evaluated on the observed event counts (the
+// counts, not the access pattern, feed the formulas; the parser gives
+// deterministic counts). The caption keeps the paper's "CRIU + tkrzw baby"
+// wording: the rendered table is pinned output.
 func Table4(opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	kinds := []costmodel.Technique{costmodel.SPML, costmodel.Proc, costmodel.EPML}
+	// 16 MiB per unit of scale: 4096 pages at scale 1.
+	grid, err := microGrid(opt.unobserved(), kinds, []int{16 * opt.Scale})
+	if err != nil {
+		return nil, err
+	}
+
 	model := costmodel.Default()
 	out := report.NewTable("Table IV: measured vs estimated times (CRIU + tkrzw baby)",
 		"Technique", "E(C_tker) meas", "E(C_tker) est", "acc (%)",
 		"E(C_tked_tker) meas", "E(C_tked_tker) est", "acc (%)")
-
-	for _, kind := range []costmodel.Technique{costmodel.SPML, costmodel.Proc, costmodel.EPML} {
-		mr, err := runMicroWithCounts(kind, 4096*opt.Scale, opt.Seed, opt.ColdBoot)
-		if err != nil {
-			return nil, err
-		}
-		est := model.Estimate(kind, mr.Counts)
+	for _, mr := range grid {
+		est := model.Estimate(mr.Technique, mr.Counts)
 		// E(C_p) is the tracking routine's own work; in the micro scenario
 		// it is empty, so E(C_tker) reduces to E(C_x).
 		tkerMeas := mr.Tracker
@@ -143,19 +110,12 @@ func Table4(opt Options) (*Result, error) {
 		// init hypercalls/ioctls), so compare against the wall measure.
 		tkedMeas := mr.TrackedWall
 		tkedEst := est.Tracked(mr.Ideal, 0)
-		out.AddRow(kind.String(),
+		out.AddRow(mr.Technique.String(),
 			tkerMeas, tkerEst, fmt.Sprintf("%.1f", costmodel.Accuracy(tkerEst, tkerMeas)),
 			tkedMeas, tkedEst, fmt.Sprintf("%.1f", costmodel.Accuracy(tkedEst, tkedMeas)))
 	}
 	out.AddNote("paper reports 96.34%% / 99%% average accuracy for Formulas 2 and 4")
 	return &Result{ID: "table4", Title: "Table IV: formula validation", Tables: []*report.Table{out}}, nil
-}
-
-// runMicroWithCounts is runMicro with the baby workload's access pattern
-// replaced by the array parser (the counts, not the pattern, feed the
-// formulas; the parser gives deterministic counts).
-func runMicroWithCounts(kind costmodel.Technique, pages int, seed uint64, cold bool) (MicroResult, error) {
-	return runMicro(kind, pages, seed, machine.Config{}, cold)
 }
 
 // Table5 regenerates Table V: the basic costs of metrics M1-M18, constant
@@ -233,19 +193,7 @@ func Table6(opt Options) (*Result, error) {
 	return &Result{ID: "table6", Title: "Table VI: metric influence analysis", Tables: []*report.Table{out}}, nil
 }
 
-// averageDuration means durations (for Options.Runs > 1 grids).
-func averageDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range ds {
-		total += d
-	}
-	return total / time.Duration(len(ds))
-}
-
-// workloadNames returns the apps used by the CRIU figures: Phoenix Large +
+// criuWorkloads returns the apps used by the CRIU figures: Phoenix Large +
 // tkrzw engines, trimmed when not Full.
 func (o Options) criuWorkloads() []string {
 	if o.Full {

@@ -19,7 +19,7 @@ import (
 // oohbench -capture / oohdiff pipeline performs.
 func benchCapture(t *testing.T, name string, scale int) *Capture {
 	t.Helper()
-	opt := experiments.Options{Scale: scale, Runs: 1}
+	opt := experiments.Options{Scale: scale}
 	reg := metrics.NewRegistry()
 	p := prof.New()
 	opt.Metrics = reg
