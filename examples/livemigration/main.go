@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"repro/internal/costmodel"
-	"repro/internal/hv"
 	"repro/internal/machine"
 	"repro/internal/mem"
 )
@@ -40,13 +39,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Hypervisor-level dirty logging for live migration starts too. The
-	// dirty log is an hv capability discovered by assertion; the simulator
-	// VM underneath exposes the coordination flags.
-	svm := g.SimVM()
-	g.VM.(hv.DirtyLog).StartDirtyLogging()
+	// Hypervisor-level dirty logging for live migration starts too; the VM
+	// exposes the coordination flags.
+	g.VM.StartDirtyLogging()
 	fmt.Printf("coordination flags: enabled_by_guest=%v enabled_by_hyp=%v\n\n",
-		svm.EnabledByGuest(), svm.EnabledByHyp())
+		g.VM.EnabledByGuest(), g.VM.EnabledByHyp())
 
 	// Simulated pre-copy: three migration rounds while the app dirties
 	// pages and the guest tracker collects independently.
@@ -60,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hypDirty, err := g.VM.(hv.DirtyLog).CollectDirty()
+		hypDirty, err := g.VM.CollectDirty()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,10 +66,10 @@ func main() {
 	}
 
 	// The hypervisor finishes migration; PML must stay on for the guest.
-	g.VM.(hv.DirtyLog).StopDirtyLogging()
-	fmt.Printf("\nafter hypervisor stops: PML still enabled for guest? %v\n", svm.VMCS.PMLEnabled())
+	g.VM.StopDirtyLogging()
+	fmt.Printf("\nafter hypervisor stops: PML still enabled for guest? %v\n", g.VM.VMCS.PMLEnabled())
 	if err := tech.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after guest session closes: PML enabled? %v\n", svm.VMCS.PMLEnabled())
+	fmt.Printf("after guest session closes: PML enabled? %v\n", g.VM.VMCS.PMLEnabled())
 }

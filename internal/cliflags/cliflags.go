@@ -9,15 +9,14 @@ package cliflags
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/faults"
-	"repro/internal/hv"
-	_ "repro/internal/hv/hvoracle" // register, so -backend validates against the full set
-	_ "repro/internal/hv/hvsim"
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/trace"
@@ -41,24 +40,19 @@ func ParseTech(s string) (costmodel.Technique, error) {
 	return 0, fmt.Errorf("unknown technique %q", s)
 }
 
-// ParseBackend validates a -backend flag value against the registered hv
-// backends. Empty is allowed and selects hv.DefaultBackend() - the
-// OOH_BACKEND environment variable, or "sim".
+// ParseBackend validates a -backend flag value against machine.Backends.
+// Empty is allowed and selects machine.DefaultBackend() - the OOH_BACKEND
+// environment variable, or "sim".
 func ParseBackend(s string) (string, error) {
-	if s == "" {
-		return "", nil
+	if s == "" || slices.Contains(machine.Backends(), s) {
+		return s, nil
 	}
-	for _, name := range hv.Backends() {
-		if s == name {
-			return s, nil
-		}
-	}
-	return "", fmt.Errorf("unknown backend %q (have %s)", s, strings.Join(hv.Backends(), ", "))
+	return "", fmt.Errorf("unknown backend %q (have %s)", s, strings.Join(machine.Backends(), ", "))
 }
 
 // BackendUsage is the shared -backend flag help text.
 func BackendUsage() string {
-	return "hv backend: " + strings.Join(hv.Backends(), ", ") + " (empty = $OOH_BACKEND or sim)"
+	return "hv backend: " + strings.Join(machine.Backends(), ", ") + " (empty = $OOH_BACKEND or sim)"
 }
 
 // ParseSize maps a -size flag value to a workload config size.

@@ -111,11 +111,6 @@ func New(proc *guestos.Process, tech tracking.Technique, opts Options) *Checkpoi
 	}
 }
 
-// ErrNotConverging reports a workload dirtying memory faster than pre-copy
-// can drain it within MaxRounds; the final stop-and-copy still succeeds, so
-// this is informational and never returned by Run.
-var ErrNotConverging = errors.New("criu: pre-copy did not converge")
-
 // ErrSLOAbort reports a checkpoint whose last dirty set could not be
 // dumped within Options.DowntimeBudget even after MaxRounds: rather than
 // pause the process past its SLO, the checkpoint aborted cleanly.

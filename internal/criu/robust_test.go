@@ -171,7 +171,7 @@ func TestCheckpointWorkloadErrorAbortsCleanly(t *testing.T) {
 		t.Error("process paused by a failed workload pass")
 	}
 	// The tracker session was closed: hypervisor-level logging disarmed.
-	if g.SimVM().EnabledByHyp() {
+	if g.VM.EnabledByHyp() {
 		t.Error("dirty logging still armed after abort")
 	}
 	if err := proc.WriteU64(base, 1); err != nil {

@@ -76,7 +76,7 @@ type Table struct {
 	// first access to any page after a clear is guaranteed to walk - an
 	// observer therefore sees at least one callback per page per logging
 	// interval, which is exactly the "perfect oracle" dirty-bit semantics
-	// the hvoracle backend implements. Observers run on the vCPU's
+	// the hypervisor's oracle log implements. Observers run on the vCPU's
 	// goroutine and must not mutate the table.
 	WriteObserver func(gpa mem.GPA)
 	ReadObserver  func(gpa mem.GPA)

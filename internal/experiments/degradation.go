@@ -181,13 +181,13 @@ func runDegradationCell(mix TransportFaultMix, tech costmodel.Technique, writes 
 		cell.exact = "yes"
 		// The image must cover every mapped guest frame - the workload
 		// region plus whatever the tracking session mapped (its ring).
-		if mapped := g.VM.MappedCount(); len(image) != mapped {
+		if mapped := g.VM.EPT.Mapped(); len(image) != mapped {
 			cell.exact = "NO"
 			return fail(fmt.Errorf("final image has %d frames, VM maps %d", len(image), mapped))
 		}
 		buf := make([]byte, mem.PageSize)
 		for gpa, want := range image {
-			if err := g.VM.VCPU().KernelReadGPA(gpa, buf); err != nil {
+			if err := g.VM.VCPU.KernelReadGPA(gpa, buf); err != nil {
 				return fail(err)
 			}
 			if !bytes.Equal(buf, want) {
@@ -198,7 +198,7 @@ func runDegradationCell(mix TransportFaultMix, tech costmodel.Technique, writes 
 	} else {
 		// Aborted paths must leave no silent partial state: dirty logging
 		// disarmed and the source guest still writable.
-		if g.SimVM().EnabledByHyp() {
+		if g.VM.EnabledByHyp() {
 			return fail(errors.New("dirty logging still armed after abort"))
 		}
 		if err := proc.WriteU64(region.Start, 0xAB0DE); err != nil {

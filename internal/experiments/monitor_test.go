@@ -110,7 +110,7 @@ func TestEveryMappedKindEmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Guest(0).SimVM().VCPU.GuestVMWrite(vmcs.FieldGuestPMLEnable, 1); err == nil {
+	if err := m.Guest(0).VM.VCPU.GuestVMWrite(vmcs.FieldGuestPMLEnable, 1); err == nil {
 		t.Fatal("unshadowed guest vmwrite succeeded, want the #UD-style refusal")
 	}
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/guestos"
-	"repro/internal/hv"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/migration"
@@ -14,15 +13,13 @@ import (
 	"repro/internal/wss"
 )
 
-// forEachBackend runs scenario once per registered backend, as a subtest
-// named after it. Every registered backend must pass every scenario that
-// exercises a capability it advertises; capabilities a backend does not
-// advertise skip its subtest (like a KVM_CAP probe coming back 0).
+// forEachBackend runs scenario once per backend, as a subtest named after
+// it. Every backend must pass every scenario.
 func forEachBackend(t *testing.T, scenario func(t *testing.T, backend string)) {
 	t.Helper()
-	names := hv.Backends()
+	names := machine.Backends()
 	if len(names) == 0 {
-		t.Fatal("no hv backends registered")
+		t.Fatal("no backends")
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) { scenario(t, name) })
@@ -69,10 +66,7 @@ func gpaOf(t *testing.T, proc *guestos.Process, gva mem.GVA) mem.GPA {
 func TestDirtyLogExactSets(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		g, proc, base := boot(t, backend, 64)
-		dl, ok := g.VM.(hv.DirtyLog)
-		if !ok {
-			t.Skipf("backend %q does not advertise DirtyLog", backend)
-		}
+		dl := g.VM
 		dl.StartDirtyLogging()
 		defer dl.StopDirtyLogging()
 
@@ -114,6 +108,21 @@ func TestDirtyLogExactSets(t *testing.T) {
 		} else if !slices.Equal(got, []mem.GPA{gpaOf(t, proc, gva)}) {
 			t.Errorf("re-armed collect = %v, want the rewritten page only", got)
 		}
+
+		// Two offsets of one page - a read at +0, then a write at +8 - are
+		// one page, reported once at its page-aligned GPA.
+		gva = base.Add(27 * mem.PageSize)
+		if _, err := proc.ReadU64(gva); err != nil {
+			t.Fatal(err)
+		}
+		if err := proc.WriteU64(gva.Add(8), 27); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = dl.CollectDirty(); err != nil {
+			t.Fatal(err)
+		} else if !slices.Equal(got, []mem.GPA{gpaOf(t, proc, gva)}) {
+			t.Errorf("one page touched at two offsets collected %v, want its page GPA once", got)
+		}
 	})
 }
 
@@ -124,10 +133,7 @@ func TestDirtyLogExactSets(t *testing.T) {
 func TestDirtyLogStartHygiene(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		g, proc, base := boot(t, backend, 16)
-		dl, ok := g.VM.(hv.DirtyLog)
-		if !ok {
-			t.Skipf("backend %q does not advertise DirtyLog", backend)
-		}
+		dl := g.VM
 		write := func(page uint64) mem.GVA {
 			gva := base.Add(page * mem.PageSize)
 			if err := proc.WriteU64(gva, page); err != nil {
@@ -160,9 +166,6 @@ func TestDirtyLogStartHygiene(t *testing.T) {
 func TestAccessLogIntervals(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		g, proc, base := boot(t, backend, 128)
-		if _, ok := g.VM.(hv.AccessLog); !ok {
-			t.Skipf("backend %q does not advertise AccessLog", backend)
-		}
 		est := wss.New(g.VM)
 
 		est.BeginInterval()
@@ -195,6 +198,22 @@ func TestAccessLogIntervals(t *testing.T) {
 		} else if s.Pages != 5 {
 			t.Errorf("interval 2: WSS = %d pages, want 5 (intervals must be independent)", s.Pages)
 		}
+
+		// One page touched at two offsets - a read at +0, then a write at
+		// +8 - is one page of working set.
+		est.BeginInterval()
+		gva := base.Add(60 * mem.PageSize)
+		if _, err := proc.ReadU64(gva); err != nil {
+			t.Fatal(err)
+		}
+		if err := proc.WriteU64(gva.Add(8), 60); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = est.EndInterval(); err != nil {
+			t.Fatal(err)
+		} else if s.Pages != 1 {
+			t.Errorf("interval 3: WSS = %d pages, want 1 (one page at two offsets)", s.Pages)
+		}
 	})
 }
 
@@ -204,9 +223,6 @@ func TestAccessLogIntervals(t *testing.T) {
 func TestMigrationConverges(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		g, proc, base := boot(t, backend, 96)
-		if _, ok := g.VM.(hv.DirtyLog); !ok {
-			t.Skipf("backend %q does not advertise DirtyLog", backend)
-		}
 		image, stats, err := migration.Migrate(g.VM, migration.Options{}, func(round int) error {
 			return proc.WriteU64(base, 0xA5A5_0000+uint64(round))
 		})
@@ -218,7 +234,7 @@ func TestMigrationConverges(t *testing.T) {
 		}
 		for gpa, want := range image {
 			got := make([]byte, mem.PageSize)
-			if err := g.VM.VCPU().KernelReadGPA(gpa, got); err != nil {
+			if err := g.VM.VCPU.KernelReadGPA(gpa, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -285,20 +301,19 @@ func TestForkIsolation(t *testing.T) {
 		}
 
 		// Dirty logging in the fork starts from a clean slate.
-		if dl, ok := fg.VM.(hv.DirtyLog); ok {
-			dl.StartDirtyLogging()
-			defer dl.StopDirtyLogging()
-			gva := base.Add(5 * mem.PageSize)
-			if err := fproc.WriteU64(gva, 0xBEEF); err != nil {
-				t.Fatal(err)
-			}
-			got, err := dl.CollectDirty()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := []mem.GPA{gpaOf(t, fproc, gva)}; !slices.Equal(got, want) {
-				t.Errorf("fork CollectDirty = %v, want %v", got, want)
-			}
+		dl := fg.VM
+		dl.StartDirtyLogging()
+		defer dl.StopDirtyLogging()
+		gva := base.Add(5 * mem.PageSize)
+		if err := fproc.WriteU64(gva, 0xBEEF); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dl.CollectDirty()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []mem.GPA{gpaOf(t, fproc, gva)}; !slices.Equal(got, want) {
+			t.Errorf("fork CollectDirty = %v, want %v", got, want)
 		}
 	})
 }

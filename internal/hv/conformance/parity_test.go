@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/hv"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -61,10 +60,7 @@ func dirtyMix(t *testing.T, backend string) (kinds, counters, gauges map[string]
 		}
 	}
 
-	dl, ok := g.VM.(hv.DirtyLog)
-	if !ok {
-		t.Fatalf("backend %q does not advertise DirtyLog", backend)
-	}
+	dl := g.VM
 	dl.StartDirtyLogging()
 	defer dl.StopDirtyLogging()
 	// Round 1: every page, overflowing sim's buffer. Rounds 2-3: shrinking

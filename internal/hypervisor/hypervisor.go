@@ -2,15 +2,21 @@
 // VM and vCPU lifecycle, EPT and PML buffer management, vmexit handling,
 // the OoH hypercall extensions (SPML's enable/disable_logging, EPML's
 // one-shot VMCS-shadowing setup), the enabled_by_guest/enabled_by_hyp
-// coordination flags of §IV-C, and a PML-backed live-migration dirty log,
-// which is PML's original purpose and lets tests show guest-level (SPML)
-// and hypervisor-level dirty tracking coexisting.
+// coordination flags of §IV-C, and the hypervisor's own dirty and access
+// logs: a PML-backed live-migration dirty log, which is PML's original
+// purpose and lets tests show guest-level (SPML) and hypervisor-level
+// dirty tracking coexisting, and its PML-R read-logging extension behind
+// working-set estimation.
+//
+// A hypervisor built with NewOracle (the "oracle" backend) gives its VMs
+// a second implementation of those two logs instead: a zero-cost oracle
+// that observes EPT walks directly (see oracleLog). Everything else - the
+// vCPU, the guest-facing PML paths, the hypercalls - is the same.
 package hypervisor
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/cpu"
@@ -29,7 +35,6 @@ import (
 // Errors returned by the hypervisor.
 var (
 	ErrUnknownHypercall = errors.New("hypervisor: unknown hypercall")
-	ErrPMLBusy          = errors.New("hypervisor: PML already enabled by the other level")
 	ErrNoGuestRing      = errors.New("hypervisor: no shared ring registered")
 )
 
@@ -56,12 +61,19 @@ type Hypervisor struct {
 
 	vms    []*VM
 	nextID int
+	oracle bool // VMs get the oracle's dirty and access log
 }
 
 // New returns a hypervisor managing the given physical memory with the
 // given cost model.
 func New(phys *mem.PhysMem, model *costmodel.Model) *Hypervisor {
 	return &Hypervisor{Phys: phys, Model: model}
+}
+
+// NewOracle is New for the "oracle" backend: every VM it creates or forks
+// harvests its dirty and access logs from EPT observers (see oracleLog).
+func NewOracle(phys *mem.PhysMem, model *costmodel.Model) *Hypervisor {
+	return &Hypervisor{Phys: phys, Model: model, oracle: true}
 }
 
 // VMs returns the created VMs in creation order.
@@ -99,6 +111,9 @@ type VM struct {
 
 	// migration dirty log (hypervisor-level PML use).
 	migLog map[mem.GPA]struct{}
+	// oracle, when non-nil, serves the dirty and access logs instead of
+	// PML (a VM of a NewOracle hypervisor).
+	oracle *oracleLog
 }
 
 // CreateVM builds a VM: vCPU, empty EPT, VMCS with an allocated PML buffer.
@@ -107,8 +122,21 @@ func (h *Hypervisor) CreateVM() (*VM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hypervisor: PML buffer: %w", err)
 	}
+	vm := h.newVM(h.nextID, pmlBuf)
+	h.nextID++
+	if err := vm.VMCS.Write(vmcs.FieldPMLAddress, uint64(pmlBuf)); err != nil {
+		return nil, fmt.Errorf("hypervisor: programming PML address: %w", err)
+	}
+	h.vms = append(h.vms, vm)
+	return vm, nil
+}
+
+// newVM builds VM id with its vCPU over h's memory and cost model, and
+// the oracle log when h was built with NewOracle. CreateVM and
+// NewVMFromSnapshot both start here.
+func (h *Hypervisor) newVM(id int, pmlBuf mem.HPA) *VM {
 	vm := &VM{
-		ID:     h.nextID,
+		ID:     id,
 		Hyp:    h,
 		Clock:  &sim.Clock{},
 		EPT:    ept.New(),
@@ -117,30 +145,29 @@ func (h *Hypervisor) CreateVM() (*VM, error) {
 		rings:  make(map[uint64]*ringSlot),
 		migLog: make(map[mem.GPA]struct{}),
 	}
-	h.nextID++
-	if err := vm.VMCS.Write(vmcs.FieldPMLAddress, uint64(pmlBuf)); err != nil {
-		return nil, fmt.Errorf("hypervisor: programming PML address: %w", err)
-	}
+	m := h.Model
 	vm.VCPU = &cpu.VCPU{
-		ID:    vm.ID,
+		ID:    id,
 		Clock: vm.Clock,
 		Phys:  h.Phys,
 		VMCS:  vm.VMCS,
 		EPT:   vm.EPT,
 		Exits: vm,
 		Costs: cpu.Costs{
-			WriteOp:    h.Model.WritePerPageOp,
-			ReadOp:     h.Model.ReadPerPageOp,
-			VMExit:     h.Model.VMExit,
-			VMEntry:    h.Model.VMEntry,
-			PMLLog:     h.Model.PMLLogEntry,
-			IRQDeliver: h.Model.IRQDelivery,
-			VMRead:     h.Model.VMRead,
-			VMWrite:    h.Model.VMWrite,
+			WriteOp:    m.WritePerPageOp,
+			ReadOp:     m.ReadPerPageOp,
+			VMExit:     m.VMExit,
+			VMEntry:    m.VMEntry,
+			PMLLog:     m.PMLLogEntry,
+			IRQDeliver: m.IRQDelivery,
+			VMRead:     m.VMRead,
+			VMWrite:    m.VMWrite,
 		},
 	}
-	h.vms = append(h.vms, vm)
-	return vm, nil
+	if h.oracle {
+		vm.installOracle()
+	}
+	return vm
 }
 
 // ringSlot is one tracked process's shared ring plus the GPAs handed to it
@@ -435,6 +462,10 @@ func (vm *VM) handleHypercall(nr int, args []uint64) (uint64, error) {
 // migration). It coexists with SPML through the coordination flags: each
 // level only consumes the entries it asked for.
 func (vm *VM) StartDirtyLogging() {
+	if vm.oracle != nil {
+		vm.oracle.startDirty()
+		return
+	}
 	// A previous Start/Stop cycle must not bleed into this one: entries
 	// drained after the last StopDirtyLogging would otherwise surface in
 	// this session's first CollectDirty. When the guest is not also using
@@ -455,6 +486,10 @@ func (vm *VM) StartDirtyLogging() {
 // hypervisor first checks that the guest is not still using it before
 // turning the hardware feature off.
 func (vm *VM) StopDirtyLogging() {
+	if vm.oracle != nil {
+		vm.oracle.stopDirty()
+		return
+	}
 	vm.enabledByHyp = false
 	if !vm.enabledByGuest {
 		vm.VMCS.SetPMLEnabled(false)
@@ -462,9 +497,12 @@ func (vm *VM) StopDirtyLogging() {
 }
 
 // CollectDirty drains the PML buffer and returns (and clears) the migration
-// dirty log, re-arming the EPT dirty flags for the returned pages - one
-// pre-copy round.
+// dirty log in ascending GPA order, re-arming the EPT dirty flags for the
+// returned pages - one pre-copy round.
 func (vm *VM) CollectDirty() ([]mem.GPA, error) {
+	if vm.oracle != nil {
+		return vm.oracle.collectDirty(), nil
+	}
 	if vm.VCPU.Inj.Fire(faults.CollectFail) {
 		// Fails before any drain work: the buffer and the log keep their
 		// contents intact for the retry.
@@ -474,16 +512,47 @@ func (vm *VM) CollectDirty() ([]mem.GPA, error) {
 	if err := vm.drainPMLBuffer(); err != nil {
 		return nil, err
 	}
-	out := make([]mem.GPA, 0, len(vm.migLog))
-	for gpa := range vm.migLog {
-		out = append(out, gpa)
-	}
 	// Sort at the source: neither the returned slice nor the EPT re-arm
 	// order below may depend on Go map iteration order.
-	slices.Sort(out)
+	out := sortedPages(vm.migLog)
 	for _, gpa := range out {
 		vm.EPT.ClearDirtyPage(gpa)
 	}
 	vm.migLog = make(map[mem.GPA]struct{})
 	return out, nil
+}
+
+// --- hypervisor-level PML-R use: working-set access log -----------------------
+
+// StartAccessLogging arms PML-R, the read-logging PML extension behind
+// working-set estimation: dirty logging plus cleared accessed flags plus
+// read logging, so the first touch (read or write) of every page lands in
+// the PML buffer.
+func (vm *VM) StartAccessLogging() {
+	if vm.oracle != nil {
+		vm.oracle.startAccess()
+		return
+	}
+	vm.StartDirtyLogging()
+	vm.EPT.ClearAccessed()
+	vm.VCPU.PMLLogReads = true
+}
+
+// StopAccessLogging disarms PML-R and the dirty logging under it.
+func (vm *VM) StopAccessLogging() {
+	if vm.oracle != nil {
+		vm.oracle.stopAccess()
+		return
+	}
+	vm.VCPU.PMLLogReads = false
+	vm.StopDirtyLogging()
+}
+
+// CollectAccessed returns every page touched - read or written - since
+// the previous collection (or StartAccessLogging), in ascending GPA order.
+func (vm *VM) CollectAccessed() ([]mem.GPA, error) {
+	if vm.oracle != nil {
+		return vm.oracle.collectAccessed(), nil
+	}
+	return vm.CollectDirty()
 }

@@ -3,12 +3,10 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/ept"
 	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/vmcs"
 )
 
@@ -38,9 +36,14 @@ type VMSnapshot struct {
 }
 
 // CaptureSnapshot captures the VM's state. The VM must be quiescent: no
-// guest rings registered (the guest module that owns them holds host-side
-// closures a restore cannot rebuild) and no vCPU write hooks attached.
+// oracle log armed (its observer sets are host-side harvest state, and a
+// fork must not inherit a half-collected interval), no guest rings
+// registered (the guest module that owns them holds host-side closures a
+// restore cannot rebuild) and no vCPU write hooks attached.
 func (vm *VM) CaptureSnapshot() (*VMSnapshot, error) {
+	if o := vm.oracle; o != nil && (o.dirtyOn || o.accessOn) {
+		return nil, fmt.Errorf("%w: oracle logging armed", ErrNotQuiescent)
+	}
 	if n := len(vm.rings); n != 0 {
 		return nil, fmt.Errorf("%w: %d guest rings registered", ErrNotQuiescent, n)
 	}
@@ -48,11 +51,6 @@ func (vm *VM) CaptureSnapshot() (*VMSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	migLog := make([]mem.GPA, 0, len(vm.migLog))
-	for gpa := range vm.migLog {
-		migLog = append(migLog, gpa)
-	}
-	slices.Sort(migLog)
 	return &VMSnapshot{
 		id:        vm.ID,
 		clock:     vm.Clock.Nanos(),
@@ -64,7 +62,7 @@ func (vm *VM) CaptureSnapshot() (*VMSnapshot, error) {
 		byHyp:     vm.enabledByHyp,
 		activeTag: vm.activeTag,
 		trackedWS: vm.trackedWS,
-		migLog:    migLog,
+		migLog:    sortedPages(vm.migLog),
 	}, nil
 }
 
@@ -97,36 +95,10 @@ func (vm *VM) RestoreSnapshot(s *VMSnapshot) error {
 // Unlike CreateVM it does not allocate a PML buffer: the buffer frame
 // already exists in h's (forked) physical memory at the captured HPA. The
 // VM keeps the captured identity so forked runs charge costs and emit
-// trace records exactly as the original would.
+// trace records exactly as the original would. An oracle fork starts
+// with its logs disarmed, as capture requires of its source.
 func (h *Hypervisor) NewVMFromSnapshot(s *VMSnapshot) (*VM, error) {
-	vm := &VM{
-		ID:     s.id,
-		Hyp:    h,
-		Clock:  &sim.Clock{},
-		EPT:    ept.New(),
-		VMCS:   vmcs.New(),
-		pmlBuf: s.pmlBuf,
-		rings:  make(map[uint64]*ringSlot),
-		migLog: make(map[mem.GPA]struct{}),
-	}
-	vm.VCPU = &cpu.VCPU{
-		ID:    vm.ID,
-		Clock: vm.Clock,
-		Phys:  h.Phys,
-		VMCS:  vm.VMCS,
-		EPT:   vm.EPT,
-		Exits: vm,
-		Costs: cpu.Costs{
-			WriteOp:    h.Model.WritePerPageOp,
-			ReadOp:     h.Model.ReadPerPageOp,
-			VMExit:     h.Model.VMExit,
-			VMEntry:    h.Model.VMEntry,
-			PMLLog:     h.Model.PMLLogEntry,
-			IRQDeliver: h.Model.IRQDelivery,
-			VMRead:     h.Model.VMRead,
-			VMWrite:    h.Model.VMWrite,
-		},
-	}
+	vm := h.newVM(s.id, s.pmlBuf)
 	if err := vm.RestoreSnapshot(s); err != nil {
 		return nil, err
 	}

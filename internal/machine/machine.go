@@ -1,26 +1,22 @@
-// Package machine assembles the full simulated stack - hypervisor backend,
-// VMs, guest kernels, OoH modules/libs - and hands out tracking techniques
+// Package machine assembles the full simulated stack - hypervisor, VMs,
+// guest kernels, OoH modules/libs - and hands out tracking techniques
 // bound to guest processes. It is the composition root used by the
 // experiments, the public facade and the tests.
 //
-// The hypervisor is reached through the hv interface, selected by
-// Config.Backend (default: hv.DefaultBackend, which honours OOH_BACKEND).
-// The guest kernel and the OoH modules still need the simulator core
-// underneath - they wire vCPU fields and shared rings directly - so every
-// backend machine composes must expose it via a Sim() accessor; both
-// registered backends ("sim", "oracle") do.
+// Config.Backend picks the hypervisor's own dirty and access logs (see
+// Backends): "sim" harvests them through PML, "oracle" through zero-cost
+// EPT observers. Everything else is the same simulator on both.
 package machine
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/cpu"
 	"repro/internal/faults"
 	"repro/internal/guestos"
-	"repro/internal/hv"
-	_ "repro/internal/hv/hvoracle" // register the "oracle" backend
-	_ "repro/internal/hv/hvsim"    // register the "sim" backend
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -32,8 +28,8 @@ import (
 
 // Config parameterizes a machine.
 type Config struct {
-	// Backend names the hv backend to boot on ("" = hv.DefaultBackend(),
-	// i.e. the OOH_BACKEND environment variable or "sim").
+	// Backend names the backend to boot on ("" = DefaultBackend(), i.e.
+	// the OOH_BACKEND environment variable or "sim").
 	Backend string
 	// Model is the cost model; nil selects costmodel.Default().
 	Model *costmodel.Model
@@ -84,29 +80,53 @@ type Config struct {
 type Machine struct {
 	Phys   *mem.PhysMem
 	Model  *costmodel.Model
-	Hyp    hv.Hypervisor
+	Hyp    *hypervisor.Hypervisor
 	Guests []*Guest
-}
 
-// SimHyp returns the simulator hypervisor underneath the hv backend.
-func (m *Machine) SimHyp() *hypervisor.Hypervisor {
-	return m.Hyp.(interface{ Sim() *hypervisor.Hypervisor }).Sim()
+	backend string // the resolved Config.Backend; snapshots carry it
 }
 
 // Guest bundles one VM with its guest kernel and lazily loaded OoH modules.
 type Guest struct {
-	VM     hv.VirtualMachine
+	VM     *hypervisor.VM
 	Kernel *guestos.Kernel
 
 	spmlLib *core.Lib
 	epmlLib *core.Lib
 }
 
-// SimVM returns the simulator VM underneath the hv wrapper, for the code
-// that genuinely needs simulator-only surface: module loading, shared
-// rings, EPT/VMCS poking in tests.
-func (g *Guest) SimVM() *hypervisor.VM {
-	return g.VM.(interface{ Sim() *hypervisor.VM }).Sim()
+// Backends returns the backend names, sorted: "oracle" and "sim".
+func Backends() []string { return []string{"oracle", "sim"} }
+
+// DefaultBackend returns the backend used when none is named: the
+// OOH_BACKEND environment variable when set (the conformance CI runs every
+// suite under each value), otherwise "sim".
+func DefaultBackend() string {
+	if name := os.Getenv("OOH_BACKEND"); name != "" {
+		return name
+	}
+	return "sim"
+}
+
+// newMachine builds the named backend's hypervisor over phys ("" means
+// DefaultBackend) and the machine around it, with no guests yet.
+func newMachine(backend string, phys *mem.PhysMem, model *costmodel.Model) (*Machine, error) {
+	if backend == "" {
+		backend = DefaultBackend()
+	}
+	if model == nil {
+		model = costmodel.Default()
+	}
+	var h *hypervisor.Hypervisor
+	switch backend {
+	case "sim":
+		h = hypervisor.New(phys, model)
+	case "oracle":
+		h = hypervisor.NewOracle(phys, model)
+	default:
+		return nil, fmt.Errorf("machine: hv: unknown backend %q (have %v)", backend, Backends())
+	}
+	return &Machine{Phys: phys, Model: model, Hyp: h, backend: backend}, nil
 }
 
 // New boots a machine.
@@ -115,26 +135,17 @@ func New(cfg Config) (*Machine, error) {
 	if n <= 0 {
 		n = 1
 	}
-	h, err := hv.New(cfg.Backend, hv.Config{HostMemBytes: cfg.HostMemBytes, Model: cfg.Model})
+	m, err := newMachine(cfg.Backend, mem.NewPhysMem(cfg.HostMemBytes), cfg.Model)
 	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	m := &Machine{
-		Phys:  h.Phys(),
-		Model: h.Model(),
-		Hyp:   h,
+		return nil, err
 	}
 	reg := cfg.attachMonitor()
 	for i := 0; i < n; i++ {
-		vm, err := h.CreateVM()
+		vm, err := m.Hyp.CreateVM()
 		if err != nil {
 			return nil, fmt.Errorf("machine: creating VM %d: %w", i, err)
 		}
-		g, err := newGuest(m, vm, cfg, reg, i)
-		if err != nil {
-			return nil, err
-		}
-		m.Guests = append(m.Guests, g)
+		m.Guests = append(m.Guests, newGuest(m, vm, cfg, reg, i))
 	}
 	return m, nil
 }
@@ -156,34 +167,29 @@ func (cfg Config) attachMonitor() *metrics.Registry {
 
 // newGuest wires the observability planes into a created VM's vCPU and
 // boots its guest kernel. Shared between New (cold boot) and Fork.
-func newGuest(m *Machine, vm hv.VirtualMachine, cfg Config, reg *metrics.Registry, i int) (*Guest, error) {
-	sv, ok := vm.(interface{ Sim() *hypervisor.VM })
-	if !ok {
-		return nil, fmt.Errorf("machine: backend VM %T does not expose the simulator core", vm)
-	}
-	svm := sv.Sim()
-	wireGuestProbes(svm, cfg, reg, i)
-	k := guestos.NewKernel(svm.VCPU, m.Model)
+func newGuest(m *Machine, vm *hypervisor.VM, cfg Config, reg *metrics.Registry, i int) *Guest {
+	wireGuestProbes(vm.VCPU, cfg, reg, i)
+	k := guestos.NewKernel(vm.VCPU, m.Model)
 	if cfg.DisablePreemption {
 		k.Sched.SetDisabled(true)
 	}
-	return &Guest{VM: vm, Kernel: k}, nil
+	return &Guest{VM: vm, Kernel: k}
 }
 
 // wireGuestProbes points guest i's vCPU at cfg's observability planes.
-func wireGuestProbes(svm *hypervisor.VM, cfg Config, reg *metrics.Registry, i int) {
-	svm.VCPU.SetTracer(cfg.Tracer)
-	svm.VCPU.Inj = cfg.Faults
-	svm.VCPU.Met = metrics.NewEvents(reg)
-	svm.VCPU.Prof = cfg.Profiler.Tap(svm.VCPU.Clock)
+func wireGuestProbes(v *cpu.VCPU, cfg Config, reg *metrics.Registry, i int) {
+	v.SetTracer(cfg.Tracer)
+	v.Inj = cfg.Faults
+	v.Met = metrics.NewEvents(reg)
+	v.Prof = cfg.Profiler.Tap(v.Clock)
 	if cfg.Monitor != nil {
-		svm.VCPU.Met.SetObserver(int32(i), cfg.Monitor)
-		svm.VCPU.Mon = cfg.Monitor
+		v.Met.SetObserver(int32(i), cfg.Monitor)
+		v.Mon = cfg.Monitor
 	}
 	if i == 0 {
 		// Only the first guest feeds the sampler's default series;
 		// duplicate registrations from later guests would shadow them.
-		svm.VCPU.Met.WatchDefaults()
+		v.Met.WatchDefaults()
 	}
 }
 
@@ -197,7 +203,7 @@ func wireGuestProbes(svm *hypervisor.VM, cfg Config, reg *metrics.Registry, i in
 func (m *Machine) AttachProbes(cfg Config) {
 	reg := cfg.attachMonitor()
 	for i, g := range m.Guests {
-		wireGuestProbes(g.SimVM(), cfg, reg, i)
+		wireGuestProbes(g.VM.VCPU, cfg, reg, i)
 	}
 }
 
@@ -207,7 +213,7 @@ func (m *Machine) Guest(i int) *Guest { return m.Guests[i] }
 // SPML returns the guest's SPML OoH library, loading the module on first use.
 func (g *Guest) SPML() *core.Lib {
 	if g.spmlLib == nil {
-		g.spmlLib = core.NewLib(core.NewModule(g.Kernel, g.SimVM(), core.ModeSPML))
+		g.spmlLib = core.NewLib(core.NewModule(g.Kernel, g.VM, core.ModeSPML))
 	}
 	return g.spmlLib
 }
@@ -215,7 +221,7 @@ func (g *Guest) SPML() *core.Lib {
 // EPML returns the guest's EPML OoH library, loading the module on first use.
 func (g *Guest) EPML() *core.Lib {
 	if g.epmlLib == nil {
-		g.epmlLib = core.NewLib(core.NewModule(g.Kernel, g.SimVM(), core.ModeEPML))
+		g.epmlLib = core.NewLib(core.NewModule(g.Kernel, g.VM, core.ModeEPML))
 	}
 	return g.epmlLib
 }
@@ -246,7 +252,7 @@ func (g *Guest) NewResilient(preferred costmodel.Technique, proc *guestos.Proces
 	factory := func(kind costmodel.Technique) (tracking.Technique, error) {
 		return g.NewTechnique(kind, proc)
 	}
-	return tracking.NewResilient(proc, g.VM.VCPU().Injector(), factory, tracking.LadderFrom(preferred)...)
+	return tracking.NewResilient(proc, g.VM.VCPU.Inj, factory, tracking.LadderFrom(preferred)...)
 }
 
 // AllTechniques lists the four real techniques in the paper's comparison

@@ -175,10 +175,10 @@ func TestSPMLHypervisorCoexistence(t *testing.T) {
 	if err := tech.Init(); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
-	g.SimVM().StartDirtyLogging() // hypervisor-level use starts concurrently
+	g.VM.StartDirtyLogging() // hypervisor-level use starts concurrently
 
-	if !g.SimVM().EnabledByGuest() || !g.SimVM().EnabledByHyp() {
-		t.Fatalf("coordination flags: guest=%v hyp=%v", g.SimVM().EnabledByGuest(), g.SimVM().EnabledByHyp())
+	if !g.VM.EnabledByGuest() || !g.VM.EnabledByHyp() {
+		t.Fatalf("coordination flags: guest=%v hyp=%v", g.VM.EnabledByGuest(), g.VM.EnabledByHyp())
 	}
 
 	for p := 0; p < 64; p++ {
@@ -194,7 +194,7 @@ func TestSPMLHypervisorCoexistence(t *testing.T) {
 	if len(guestSet) != 64 {
 		t.Errorf("guest collected %d pages, want 64", len(guestSet))
 	}
-	migSet, err := g.SimVM().CollectDirty()
+	migSet, err := g.VM.CollectDirty()
 	if err != nil {
 		t.Fatalf("CollectDirty: %v", err)
 	}
@@ -204,14 +204,14 @@ func TestSPMLHypervisorCoexistence(t *testing.T) {
 
 	// Stopping the hypervisor's use must not disable PML while the guest
 	// still uses it.
-	g.SimVM().StopDirtyLogging()
-	if !g.SimVM().VMCS.PMLEnabled() {
+	g.VM.StopDirtyLogging()
+	if !g.VM.VMCS.PMLEnabled() {
 		t.Error("PML disabled while enabled_by_guest is still set")
 	}
 	if err := tech.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if g.SimVM().VMCS.PMLEnabled() {
+	if g.VM.VMCS.PMLEnabled() {
 		t.Error("PML still enabled after both levels released it")
 	}
 }

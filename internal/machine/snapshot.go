@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/costmodel"
 	"repro/internal/guestos"
-	"repro/internal/hv"
+	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
 
@@ -23,13 +24,13 @@ import (
 // exactly what the experiment grid drivers do.
 type Snapshot struct {
 	backend string
-	cfgTmpl Config // model + host-mem shape the capture source booted with
+	model   *costmodel.Model // the capture source's
 	phys    *mem.Snapshot
 	guests  []guestSnapshot
 }
 
 type guestSnapshot struct {
-	vm     hv.Snapshot
+	vm     *hypervisor.VMSnapshot
 	kernel *guestos.Snapshot
 }
 
@@ -41,10 +42,7 @@ var ErrBackendMismatch = errors.New("machine: snapshot backend mismatch")
 // (see Snapshot); the machine keeps running afterwards - post-capture
 // writes copy their pages out of the shared image.
 func (m *Machine) CaptureSnapshot() (*Snapshot, error) {
-	s := &Snapshot{
-		backend: m.Hyp.Name(),
-		cfgTmpl: Config{Backend: m.Hyp.Name(), Model: m.Model},
-	}
+	s := &Snapshot{backend: m.backend, model: m.Model}
 	for i, g := range m.Guests {
 		ks, err := g.Kernel.CaptureSnapshot()
 		if err != nil {
@@ -67,8 +65,8 @@ func (m *Machine) CaptureSnapshot() (*Snapshot, error) {
 // same guest count). Every *guestos.Process handle resolved before the
 // restore is stale afterwards - re-resolve through Kernel.Process(pid).
 func (m *Machine) RestoreSnapshot(s *Snapshot) error {
-	if name := m.Hyp.Name(); name != s.backend {
-		return fmt.Errorf("%w: snapshot %q, machine %q", ErrBackendMismatch, s.backend, name)
+	if m.backend != s.backend {
+		return fmt.Errorf("%w: snapshot %q, machine %q", ErrBackendMismatch, s.backend, m.backend)
 	}
 	if len(m.Guests) != len(s.guests) {
 		return fmt.Errorf("machine: snapshot has %d guests, machine %d", len(s.guests), len(m.Guests))
@@ -98,29 +96,17 @@ func (s *Snapshot) Fork(cfg Config) (*Machine, error) {
 	if cfg.Backend != "" && cfg.Backend != s.backend {
 		return nil, fmt.Errorf("%w: snapshot %q, config %q", ErrBackendMismatch, s.backend, cfg.Backend)
 	}
-	h, err := hv.New(s.backend, hv.Config{Phys: s.phys.NewPhysMem(), Model: s.cfgTmpl.Model})
+	m, err := newMachine(s.backend, s.phys.NewPhysMem(), s.model)
 	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	forker, ok := h.(hv.Forker)
-	if !ok {
-		return nil, fmt.Errorf("machine: backend %q cannot fork VM snapshots", s.backend)
-	}
-	m := &Machine{
-		Phys:  h.Phys(),
-		Model: h.Model(),
-		Hyp:   h,
+		return nil, err
 	}
 	reg := cfg.attachMonitor()
 	for i := range s.guests {
-		vm, err := forker.NewVMFromSnapshot(s.guests[i].vm)
+		vm, err := m.Hyp.NewVMFromSnapshot(s.guests[i].vm)
 		if err != nil {
 			return nil, fmt.Errorf("machine: forking VM %d: %w", i, err)
 		}
-		g, err := newGuest(m, vm, cfg, reg, i)
-		if err != nil {
-			return nil, err
-		}
+		g := newGuest(m, vm, cfg, reg, i)
 		// newGuest boots a pristine kernel on the restored vCPU; replay
 		// the captured kernel state (processes, page tables, scheduler)
 		// over it. cfg.DisablePreemption still wins, as it does on a cold

@@ -2,10 +2,12 @@ package machine
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
-	"repro/internal/hv"
+	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
 
@@ -38,7 +40,7 @@ func image(t *testing.T, g *Guest) map[mem.GPA][]byte {
 	out := make(map[mem.GPA][]byte)
 	for _, gpa := range g.VM.MappedPages() {
 		buf := make([]byte, mem.PageSize)
-		if err := g.VM.VCPU().KernelReadGPA(gpa, buf); err != nil {
+		if err := g.VM.VCPU.KernelReadGPA(gpa, buf); err != nil {
 			t.Fatal(err)
 		}
 		out[gpa] = buf
@@ -69,14 +71,14 @@ func TestMachineForkDiverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	captured := image(t, pg)
-	capClock := pg.VM.Clock().Nanos()
+	capClock := pg.VM.Clock.Nanos()
 
 	fork, err := snap.Fork(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fg := fork.Guest(0)
-	if got := fg.VM.Clock().Nanos(); got != capClock {
+	if got := fg.VM.Clock.Nanos(); got != capClock {
 		t.Errorf("fork clock = %d, capture clock = %d", got, capClock)
 	}
 	if !sameImage(image(t, fg), captured) {
@@ -146,7 +148,7 @@ func TestMachineRestoreRewinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	captured := image(t, g)
-	capClock := g.VM.Clock().Nanos()
+	capClock := g.VM.Clock.Nanos()
 	epochBefore := m.Phys.Epoch()
 
 	// Diverge: overwrite pages, spawn a second process with its own pages.
@@ -167,7 +169,7 @@ func TestMachineRestoreRewinds(t *testing.T) {
 	if m.Phys.Epoch() <= epochBefore {
 		t.Error("restore did not advance the physical-memory epoch")
 	}
-	if got := g.VM.Clock().Nanos(); got != capClock {
+	if got := g.VM.Clock.Nanos(); got != capClock {
 		t.Errorf("restored clock = %d, capture clock = %d", got, capClock)
 	}
 	if !sameImage(image(t, g), captured) {
@@ -183,18 +185,17 @@ func TestMachineRestoreRewinds(t *testing.T) {
 	if !ok {
 		t.Fatal("pid 1 lost across restore")
 	}
-	dl := g.VM.(hv.DirtyLog)
-	dl.StartDirtyLogging()
+	g.VM.StartDirtyLogging()
 	for p := 0; p < 3; p++ {
 		if err := proc.WriteU64(base.Add(uint64(p)*mem.PageSize), 7); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dirty, err := dl.CollectDirty()
+	dirty, err := g.VM.CollectDirty()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl.StopDirtyLogging()
+	g.VM.StopDirtyLogging()
 	if len(dirty) != 3 {
 		t.Fatalf("post-restore dirty log has %d pages, want 3", len(dirty))
 	}
@@ -212,20 +213,19 @@ func TestMachineForkOracleBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name := fork.Hyp.Name(); name != "oracle" {
+	if name := fork.backend; name != "oracle" {
 		t.Fatalf("fork booted backend %q, want oracle", name)
 	}
 	fg := fork.Guest(0)
 	proc, _ := fg.Kernel.Process(1)
-	dl := fg.VM.(hv.DirtyLog)
-	dl.StartDirtyLogging()
+	fg.VM.StartDirtyLogging()
 	want := []int{1, 4, 6}
 	for _, p := range want {
 		if err := proc.WriteU64(base.Add(uint64(p)*mem.PageSize), 9); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dirty, err := dl.CollectDirty()
+	dirty, err := fg.VM.CollectDirty()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,25 +239,99 @@ func TestMachineForkOracleBackend(t *testing.T) {
 	}
 }
 
-// TestCaptureRefusesLiveTracking: a guest with a live SPML session (rings
-// registered, hooks armed) is not quiescent and must not capture.
+// TestCaptureRefusesLiveTracking: a guest with live tracking wiring is
+// not quiescent and must not capture - an SPML session (rings registered,
+// hooks armed), and the oracle backend's dirty or access log while armed.
+// Each capture succeeds again once its tracking stops.
 func TestCaptureRefusesLiveTracking(t *testing.T) {
-	m, g, _ := warmBoot(t, Config{}, 8)
-	proc, _ := g.Kernel.Process(1)
-	tech, err := g.NewTechnique(costmodel.SPML, proc)
+	for _, tc := range []struct {
+		name    string
+		backend string
+		// arm starts the tracking and returns the func that stops it.
+		arm func(t *testing.T, g *Guest) (stop func())
+		// want, when non-nil, is the error the refused capture wraps.
+		want error
+	}{
+		{"spml_session", "", func(t *testing.T, g *Guest) func() {
+			proc, _ := g.Kernel.Process(1)
+			tech, err := g.NewTechnique(costmodel.SPML, proc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tech.Init(); err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				if err := tech.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, nil},
+		{"oracle_dirty_log", "oracle", func(t *testing.T, g *Guest) func() {
+			g.VM.StartDirtyLogging()
+			return g.VM.StopDirtyLogging
+		}, hypervisor.ErrNotQuiescent},
+		{"oracle_access_log", "oracle", func(t *testing.T, g *Guest) func() {
+			g.VM.StartAccessLogging()
+			return g.VM.StopAccessLogging
+		}, hypervisor.ErrNotQuiescent},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, g, _ := warmBoot(t, Config{Backend: tc.backend}, 8)
+			stop := tc.arm(t, g)
+			if _, err := m.CaptureSnapshot(); err == nil {
+				t.Fatal("capture succeeded with live tracking")
+			} else if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("capture error %v, want %v", err, tc.want)
+			}
+			stop()
+			if _, err := m.CaptureSnapshot(); err != nil {
+				t.Fatalf("capture after tracking stopped: %v", err)
+			}
+		})
+	}
+}
+
+// TestNewUnknownBackend: booting an unknown backend fails with an error
+// that names it and every backend there is.
+func TestNewUnknownBackend(t *testing.T) {
+	_, err := New(Config{Backend: "kvm"})
+	if err == nil {
+		t.Fatal("machine.New booted backend \"kvm\"")
+	}
+	for _, want := range []string{`"kvm"`, "oracle", "sim"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// TestSnapshotBackendMismatch: a snapshot never crosses backends - neither
+// a fork configured for another backend nor an in-place restore into a
+// machine booted on one.
+func TestSnapshotBackendMismatch(t *testing.T) {
+	m, _, _ := warmBoot(t, Config{Backend: "sim"}, 4)
+	snap, err := m.CaptureSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tech.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.CaptureSnapshot(); err == nil {
-		t.Fatal("capture succeeded with a live SPML session")
-	}
-	if err := tech.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.CaptureSnapshot(); err != nil {
-		t.Fatalf("capture after session close: %v", err)
+	for _, tc := range []struct {
+		name string
+		do   func() error
+	}{
+		{"fork", func() error {
+			_, err := snap.Fork(Config{Backend: "oracle"})
+			return err
+		}},
+		{"restore", func() error {
+			om, _, _ := warmBoot(t, Config{Backend: "oracle"}, 4)
+			return om.RestoreSnapshot(snap)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.do(); !errors.Is(err, ErrBackendMismatch) {
+				t.Fatalf("sim snapshot into oracle: error %v, want %v", err, ErrBackendMismatch)
+			}
+		})
 	}
 }

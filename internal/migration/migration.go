@@ -17,10 +17,9 @@
 // that a guest's SPML session keeps working while its VM is being
 // live-migrated - the coordination §IV-C was designed for.
 //
-// The migration drives any hv backend: it programs against
-// hv.VirtualMachine and harvests through the hv.DirtyLog capability
-// (discovered by type assertion, like a KVM_CAP probe). The conformance
-// suite runs it under every registered backend.
+// The migration harvests through the VM's dirty log, so it runs on either
+// backend's log (PML or the oracle); the conformance suite runs it on
+// both.
 package migration
 
 import (
@@ -29,7 +28,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/hv"
+	"repro/internal/hypervisor"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
@@ -108,9 +107,6 @@ type Stats struct {
 var (
 	// ErrNoMemory reports a migration attempt on a VM with no mapped memory.
 	ErrNoMemory = errors.New("migration: VM has no mapped guest memory")
-	// ErrNoDirtyLog reports a VM whose backend does not expose the
-	// hv.DirtyLog capability pre-copy depends on.
-	ErrNoDirtyLog = errors.New("migration: backend VM exposes no dirty log")
 	// ErrSLOAbort reports a migration that could not reach a pending set
 	// transferable within Options.DowntimeBudget: rather than violate the
 	// SLO, the migration aborted and the source keeps running.
@@ -127,24 +123,19 @@ var (
 // machine. Use New+Run (or the Migrate convenience wrapper); after a
 // round crash, Resume continues from the journal.
 type Migration struct {
-	vm      hv.VirtualMachine
-	log     hv.DirtyLog // nil when the backend lacks the capability
-	cpu     hv.VirtualCPU
+	vm      *hypervisor.VM
 	j       *Journal
 	perPage time.Duration
 }
 
 // New prepares a migration of vm (nothing is armed until Run).
-func New(vm hv.VirtualMachine, opts Options) *Migration {
+func New(vm *hypervisor.VM, opts Options) *Migration {
 	opts = opts.withDefaults()
-	m := &Migration{
+	return &Migration{
 		vm:      vm,
-		cpu:     vm.VCPU(),
 		j:       &Journal{Phase: PhaseInit, NextRound: 1, Opts: opts, dest: newDest()},
 		perPage: time.Millisecond / time.Duration(opts.BandwidthPagesPerMS),
 	}
-	m.log, _ = vm.(hv.DirtyLog)
-	return m
 }
 
 // Journal returns the migration's transaction log. After a round crash it
@@ -158,7 +149,7 @@ func (m *Migration) Journal() *Journal { return m.j }
 // returned image maps GPA page bases to page contents at the moment of
 // completion. On a transport round-crash the error wraps ErrRoundCrash and
 // a CrashError carrying the journal for Resume.
-func Migrate(vm hv.VirtualMachine, opts Options, runBetween func(round int) error) (map[mem.GPA][]byte, Stats, error) {
+func Migrate(vm *hypervisor.VM, opts Options, runBetween func(round int) error) (map[mem.GPA][]byte, Stats, error) {
 	return New(vm, opts).Run(runBetween)
 }
 
@@ -166,11 +157,8 @@ func Migrate(vm hv.VirtualMachine, opts Options, runBetween func(round int) erro
 // rounds, stop-and-copy.
 func (m *Migration) Run(runBetween func(round int) error) (map[mem.GPA][]byte, Stats, error) {
 	vm, j := m.vm, m.j
-	if m.log == nil {
-		return nil, j.Stats, ErrNoDirtyLog
-	}
-	total := sim.StartWatch(vm.Clock())
-	tap := m.cpu.Profiler()
+	total := sim.StartWatch(vm.Clock)
+	tap := vm.VCPU.Prof
 	migSp := tap.Begin(prof.SubMigration, "migrate")
 	defer migSp.End()
 
@@ -178,7 +166,7 @@ func (m *Migration) Run(runBetween func(round int) error) (map[mem.GPA][]byte, S
 	// writes racing the copy are caught by the next round. It stays armed
 	// across a round crash (the outage's writes are the resume delta) and
 	// is disarmed only on completion or abort.
-	m.log.StartDirtyLogging()
+	vm.StartDirtyLogging()
 
 	// Round 0: full copy of every mapped guest frame (sorted by contract).
 	all := vm.MappedPages()
@@ -204,48 +192,43 @@ func (m *Migration) Run(runBetween func(round int) error) (map[mem.GPA][]byte, S
 // pre-copy rounds. Dirty logging stayed armed across the outage, so only
 // the journaled pending work plus the pages dirtied since the crash are
 // sent - not the full memory again.
-func Resume(vm hv.VirtualMachine, j *Journal, runBetween func(round int) error) (map[mem.GPA][]byte, Stats, error) {
+func Resume(vm *hypervisor.VM, j *Journal, runBetween func(round int) error) (map[mem.GPA][]byte, Stats, error) {
 	if j == nil {
 		return nil, Stats{}, errors.New("migration: nil journal")
 	}
 	if j.dest == nil || j.Phase != PhasePreCopy {
 		return nil, j.Stats, fmt.Errorf("migration: journal not resumable (phase %v)", j.Phase)
 	}
-	m := &Migration{vm: vm, cpu: vm.VCPU(), j: j,
+	m := &Migration{vm: vm, j: j,
 		perPage: time.Millisecond / time.Duration(j.Opts.BandwidthPagesPerMS)}
-	m.log, _ = vm.(hv.DirtyLog)
-	if m.log == nil {
-		return nil, j.Stats, ErrNoDirtyLog
-	}
-	total := sim.StartWatch(vm.Clock())
-	tap := m.cpu.Profiler()
-	migSp := tap.Begin(prof.SubMigration, "migrate")
+	total := sim.StartWatch(vm.Clock)
+	v := vm.VCPU
+	migSp := v.Prof.Begin(prof.SubMigration, "migrate")
 	defer migSp.End()
 
 	j.Stats.Resumes++
-	m.cpu.Event(trace.KindMigResume, vm.Clock().Nanos(), 0, 0, int64(j.NextRound))
-	m.cpu.Metrics().Count(metrics.SubMigration, "resumes_total", "", 1)
+	v.Event(trace.KindMigResume, vm.Clock.Nanos(), 0, 0, int64(j.NextRound))
+	v.Met.Count(metrics.SubMigration, "resumes_total", "", 1)
 	return m.converge(total, runBetween)
 }
 
 // Abort abandons a crashed (or still-journaled) migration instead of
 // resuming it: dirty logging is stopped, the partial destination image is
 // discarded, and the source guest - never paused - remains authoritative.
-func Abort(vm hv.VirtualMachine, j *Journal) {
+func Abort(vm *hypervisor.VM, j *Journal) {
 	if j == nil || j.Phase == PhaseAborted || j.Phase == PhaseCompleted {
 		return
 	}
-	m := &Migration{vm: vm, cpu: vm.VCPU(), j: j}
-	m.log, _ = vm.(hv.DirtyLog)
+	m := &Migration{vm: vm, j: j}
 	m.abort(j.NextRound)
 }
 
 // converge is the shared tail of Run and Resume: pre-copy rounds under the
 // SLO guard, then stop-and-copy.
 func (m *Migration) converge(total sim.Stopwatch, runBetween func(round int) error) (map[mem.GPA][]byte, Stats, error) {
-	vm, j, v := m.vm, m.j, m.cpu
+	vm, j, v := m.vm, m.j, m.vm.VCPU
 	opts := j.Opts
-	tap := v.Profiler()
+	tap := v.Prof
 	j.Phase = PhasePreCopy
 
 	fail := func(round int, err error) (map[mem.GPA][]byte, Stats, error) {
@@ -277,7 +260,7 @@ func (m *Migration) converge(total sim.Stopwatch, runBetween func(round int) err
 		// The transport session can die between rounds. The journal stays
 		// valid, dirty logging stays armed, and the caller decides between
 		// Resume (send the delta) and Abort.
-		if v.Injector().Fire(faults.RoundCrash) {
+		if v.Inj.Fire(faults.RoundCrash) {
 			v.FaultRecord(faults.RoundCrash, 0)
 			j.NextRound = round
 			j.Stats.TotalTime += total.Elapsed()
@@ -293,10 +276,10 @@ func (m *Migration) converge(total sim.Stopwatch, runBetween func(round int) err
 		// convergence target and SLO terms. Its predictor extrapolates the
 		// series and can flag non-convergence rounds before the guard above
 		// would trip ErrSLOAbort.
-		v.Monitor().Round(int32(v.ID()), monitor.SubMigration, round,
+		v.Mon.Round(int32(v.ID), monitor.SubMigration, round,
 			len(dirty), opts.DowntimeTargetPages, opts.MaxRounds,
 			int64(m.estimatedDowntime(len(dirty))), int64(opts.DowntimeBudget),
-			vm.Clock().Nanos())
+			vm.Clock.Nanos())
 		if len(dirty) <= opts.DowntimeTargetPages &&
 			(opts.DowntimeBudget <= 0 || m.estimatedDowntime(len(dirty)) <= opts.DowntimeBudget) {
 			j.Stats.Converged = true
@@ -319,7 +302,7 @@ func (m *Migration) converge(total sim.Stopwatch, runBetween func(round int) err
 	// so a page in both sets is shipped (and charged) once. The transfer
 	// time is the migration downtime.
 	j.Phase = PhaseStopAndCopy
-	down := sim.StartWatch(vm.Clock())
+	down := sim.StartWatch(vm.Clock)
 	sacSp := tap.Begin(prof.SubMigration, "stop_and_copy")
 	last, err := m.collectDirty()
 	if err != nil {
@@ -336,7 +319,7 @@ func (m *Migration) converge(total sim.Stopwatch, runBetween func(round int) err
 	j.Stats.UniquePages = len(j.dest.image)
 	j.Phase = PhaseCompleted
 	j.pending = nil
-	m.log.StopDirtyLogging()
+	vm.StopDirtyLogging()
 	return j.dest.image, j.Stats, nil
 }
 
@@ -349,11 +332,10 @@ func (m *Migration) abort(round int) {
 	j.Stats.Aborted = true
 	j.dest = nil
 	j.pending = nil
-	if m.log != nil {
-		m.log.StopDirtyLogging()
-	}
-	m.cpu.Event(trace.KindMigAbort, m.vm.Clock().Nanos(), 0, 0, int64(round))
-	m.cpu.Metrics().Count(metrics.SubMigration, "aborts_total", "", 1)
+	m.vm.StopDirtyLogging()
+	v := m.vm.VCPU
+	v.Event(trace.KindMigAbort, m.vm.Clock.Nanos(), 0, 0, int64(round))
+	v.Met.Count(metrics.SubMigration, "aborts_total", "", 1)
 }
 
 // estimatedDowntime is the stop-and-copy estimate for n pending pages.
@@ -366,9 +348,9 @@ func (m *Migration) estimatedDowntime(n int) time.Duration {
 // page each per-point fault draw lands on, so ordering is what keeps
 // faulted runs and their traces deterministic).
 func (m *Migration) collectDirty() ([]mem.GPA, error) {
-	sp := m.cpu.Profiler().Begin(prof.SubMigration, "collect")
+	sp := m.vm.VCPU.Prof.Begin(prof.SubMigration, "collect")
 	defer sp.End()
-	return m.log.CollectDirty()
+	return m.vm.CollectDirty()
 }
 
 // dedup unions two page sets in first-seen order, page-floored: the
@@ -392,7 +374,7 @@ func dedup(a, b []mem.GPA) []mem.GPA {
 // sendRound transfers one round's frames into the destination image,
 // charging transfer time per attempt.
 func (m *Migration) sendRound(pages []mem.GPA) error {
-	sp := m.cpu.Profiler().Begin(prof.SubMigration, "send")
+	sp := m.vm.VCPU.Prof.Begin(prof.SubMigration, "send")
 	defer sp.End()
 	for _, gpa := range pages {
 		if err := m.sendPage(gpa.PageFloor()); err != nil {
@@ -409,7 +391,7 @@ func (m *Migration) sendRound(pages []mem.GPA) error {
 // send failures, checksum verification at the destination with NACK and
 // resend on wire corruption, and extra charged time on destination stalls.
 func (m *Migration) sendPage(gpa mem.GPA) error {
-	vm, v := m.vm, m.cpu
+	vm, v := m.vm, m.vm.VCPU
 	opts := m.j.Opts
 	buf := make([]byte, mem.PageSize)
 	if err := v.KernelReadGPA(gpa, buf); err != nil {
@@ -419,7 +401,7 @@ func (m *Migration) sendPage(gpa mem.GPA) error {
 	for attempt := 1; ; attempt++ {
 		// The send can fail before the page reaches the wire (transient
 		// transport failure): retry after a charged backoff.
-		if v.Injector().Fire(faults.SendFail) {
+		if v.Inj.Fire(faults.SendFail) {
 			v.FaultRecord(faults.SendFail, uint64(gpa))
 			if attempt > opts.MaxSendRetries {
 				return fmt.Errorf("migration: sending %v after %d attempts: %w",
@@ -427,19 +409,19 @@ func (m *Migration) sendPage(gpa mem.GPA) error {
 			}
 			m.j.Stats.Retries++
 			// Reported before the backoff advance, like a tracking retry.
-			v.Event(trace.KindMigRetry, vm.Clock().Nanos(), int64(backoff), uint64(gpa), int64(attempt))
-			v.Metrics().Count(metrics.SubMigration, "retries_total", "", 1)
-			vm.Clock().Advance(backoff)
+			v.Event(trace.KindMigRetry, vm.Clock.Nanos(), int64(backoff), uint64(gpa), int64(attempt))
+			v.Met.Count(metrics.SubMigration, "retries_total", "", 1)
+			vm.Clock.Advance(backoff)
 			backoff *= 2
 			continue
 		}
 		// The page is on the wire: charge the transfer.
-		vm.Clock().Advance(m.perPage)
+		vm.Clock.Advance(m.perPage)
 		payload, sum := m.transmit(gpa, buf)
-		if v.Injector().Fire(faults.DestStall) {
+		if v.Inj.Fire(faults.DestStall) {
 			v.FaultRecord(faults.DestStall, uint64(gpa))
 			m.j.Stats.Stalls++
-			vm.Clock().Advance(opts.DestStallTime)
+			vm.Clock.Advance(opts.DestStallTime)
 		}
 		if !m.j.dest.receive(gpa, payload, sum) {
 			// Checksum mismatch at the destination: NACK, resend. Each
@@ -450,8 +432,8 @@ func (m *Migration) sendPage(gpa mem.GPA) error {
 					gpa, attempt, ErrSendFailed)
 			}
 			m.j.Stats.Resends++
-			v.Event(trace.KindMigNack, vm.Clock().Nanos(), 0, uint64(gpa), int64(attempt))
-			v.Metrics().Count(metrics.SubMigration, "resends_total", "", 1)
+			v.Event(trace.KindMigNack, vm.Clock.Nanos(), 0, uint64(gpa), int64(attempt))
+			v.Met.Count(metrics.SubMigration, "resends_total", "", 1)
 			continue
 		}
 		m.j.Stats.PagesSent++
@@ -467,7 +449,7 @@ func (m *Migration) transmit(gpa mem.GPA, buf []byte) (payload []byte, sum uint6
 	payload = make([]byte, len(buf))
 	copy(payload, buf)
 	sum = checksum(payload)
-	if v := m.cpu; v.Injector().Fire(faults.WireCorrupt) {
+	if v := m.vm.VCPU; v.Inj.Fire(faults.WireCorrupt) {
 		v.FaultRecord(faults.WireCorrupt, uint64(gpa))
 		payload[sum%uint64(len(payload))] ^= 0xFF
 	}

@@ -25,7 +25,7 @@ func TestMigrationTransfersAllMemoryCorrectly(t *testing.T) {
 	mismatch := 0
 	for gpa, want := range image {
 		got := make([]byte, mem.PageSize)
-		if err := g.VM.VCPU().KernelReadGPA(gpa, got); err != nil {
+		if err := g.VM.VCPU.KernelReadGPA(gpa, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {

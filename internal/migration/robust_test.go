@@ -50,7 +50,7 @@ func verifyImageExact(t *testing.T, g *machine.Guest, image map[mem.GPA][]byte) 
 	}
 	for gpa, want := range image {
 		got := make([]byte, mem.PageSize)
-		if err := g.VM.VCPU().KernelReadGPA(gpa, got); err != nil {
+		if err := g.VM.VCPU.KernelReadGPA(gpa, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -64,7 +64,7 @@ func verifyImageExact(t *testing.T, g *machine.Guest, image map[mem.GPA][]byte) 
 // its memory.
 func verifySourceRunnable(t *testing.T, g *machine.Guest, base mem.GVA) {
 	t.Helper()
-	if g.SimVM().EnabledByHyp() {
+	if g.VM.EnabledByHyp() {
 		t.Error("hypervisor dirty logging still armed after abort")
 	}
 	proc, _ := g.Kernel.Process(1)
@@ -185,7 +185,7 @@ func TestMigrationRoundCrashResumeSendsOnlyDelta(t *testing.T) {
 	if ce.Journal.ImagePages() != pages {
 		t.Fatalf("journal preserved %d frames, want the full-copy %d", ce.Journal.ImagePages(), pages)
 	}
-	if g.SimVM().EnabledByHyp() != true {
+	if g.VM.EnabledByHyp() != true {
 		t.Fatal("dirty logging disarmed by a crash - the resume delta would be lost")
 	}
 	sentBeforeCrash := ce.Journal.Stats.PagesSent
@@ -198,7 +198,7 @@ func TestMigrationRoundCrashResumeSendsOnlyDelta(t *testing.T) {
 	}
 
 	// The transport comes back: disarm the crash fault and resume.
-	g.SimVM().VCPU.Inj = nil
+	g.VM.VCPU.Inj = nil
 	image, stats, err := Resume(g.VM, ce.Journal, runBetween)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)

@@ -223,7 +223,7 @@ func TestResilientAllTechniquesAbsent(t *testing.T) {
 		t.Errorf("degradations = %d, want 2 (EPML->SPML->ufd)", got)
 	}
 	// The failed ladder walk must not leave dirty logging armed.
-	if g.SimVM().EnabledByHyp() {
+	if g.VM.EnabledByHyp() {
 		t.Error("dirty logging still armed after exhausted ladder")
 	}
 	// And the host is still usable: an unrestricted ladder lands on /proc.

@@ -6,16 +6,15 @@
 //
 // The estimator samples in intervals: arm logging with cleared A/D flags,
 // let the guest run, drain the log; the number of distinct logged frames
-// is the interval's working set. Arming goes through the hv.AccessLog
-// capability, so the estimator runs on any backend that reports one (the
-// "sim" backend arms real PML-R; the "oracle" backend observes EPT walks
-// for free and bounds PML-R's cost from below).
+// is the interval's working set. Arming goes through the VM's access log:
+// on the "sim" backend it arms real PML-R; the "oracle" backend observes
+// EPT walks for free and bounds PML-R's cost from below.
 package wss
 
 import (
 	"errors"
 
-	"repro/internal/hv"
+	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
 
@@ -30,37 +29,21 @@ type Sample struct {
 
 // Estimator samples a VM's working set size.
 type Estimator struct {
-	VM      hv.VirtualMachine
-	log     hv.AccessLog // nil when the backend lacks the capability
+	VM      *hypervisor.VM
 	samples []Sample
 	armed   bool
 }
 
-// Errors reported by the estimator.
-var (
-	// ErrNotArmed reports EndInterval without a matching BeginInterval.
-	ErrNotArmed = errors.New("wss: interval not armed")
-	// ErrNoAccessLog reports a VM whose backend does not expose the
-	// hv.AccessLog capability PML-R estimation depends on.
-	ErrNoAccessLog = errors.New("wss: backend VM exposes no access log")
-)
+// ErrNotArmed reports EndInterval without a matching BeginInterval.
+var ErrNotArmed = errors.New("wss: interval not armed")
 
-// New returns an estimator for vm. The hv.AccessLog capability is probed
-// here; on a backend without one, BeginInterval is a no-op and
-// EndInterval reports ErrNoAccessLog.
-func New(vm hv.VirtualMachine) *Estimator {
-	e := &Estimator{VM: vm}
-	e.log, _ = vm.(hv.AccessLog)
-	return e
-}
+// New returns an estimator for vm.
+func New(vm *hypervisor.VM) *Estimator { return &Estimator{VM: vm} }
 
 // BeginInterval arms PML-R logging with a clean slate: dirty and accessed
 // flags cleared so the first touch of every page this interval is logged.
 func (e *Estimator) BeginInterval() {
-	if e.log == nil {
-		return
-	}
-	e.log.StartAccessLogging()
+	e.VM.StartAccessLogging()
 	e.armed = true
 }
 
@@ -69,7 +52,7 @@ func (e *Estimator) BeginInterval() {
 // every EndInterval path - success or error - leaves the VM clean, the way
 // criu's abort() does for checkpoint sessions.
 func (e *Estimator) disarm() {
-	e.log.StopAccessLogging()
+	e.VM.StopAccessLogging()
 	e.armed = false
 }
 
@@ -77,13 +60,10 @@ func (e *Estimator) disarm() {
 // interval is disarmed on every path: a failed collect must not leak
 // PML-R arming or hypervisor dirty logging into the caller's next steps.
 func (e *Estimator) EndInterval() (Sample, error) {
-	if e.log == nil {
-		return Sample{}, ErrNoAccessLog
-	}
 	if !e.armed {
 		return Sample{}, ErrNotArmed
 	}
-	touched, err := e.log.CollectAccessed()
+	touched, err := e.VM.CollectAccessed()
 	e.disarm()
 	if err != nil {
 		return Sample{}, err

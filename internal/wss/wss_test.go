@@ -171,16 +171,16 @@ func TestWSSEndIntervalErrorDisarms(t *testing.T) {
 	}
 	var spec faults.Spec
 	spec.SetRate(faults.CollectFail, 1)
-	g.SimVM().VCPU.Inj = faults.New(spec, 1)
+	g.VM.VCPU.Inj = faults.New(spec, 1)
 	if _, err := est.EndInterval(); !errors.Is(err, faults.ErrTransient) {
 		t.Fatalf("EndInterval under injected collect failure: %v", err)
 	}
-	g.SimVM().VCPU.Inj = nil
+	g.VM.VCPU.Inj = nil
 
-	if g.SimVM().VCPU.PMLLogReads {
+	if g.VM.VCPU.PMLLogReads {
 		t.Error("PMLLogReads still armed after failed EndInterval")
 	}
-	if g.SimVM().EnabledByHyp() {
+	if g.VM.EnabledByHyp() {
 		t.Error("hypervisor dirty logging still enabled after failed EndInterval")
 	}
 	if _, err := est.EndInterval(); !errors.Is(err, ErrNotArmed) {
