@@ -6,12 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/obsdiff"
-	"repro/internal/prof"
 )
 
 // TestParseTrajectoryTolerance pins the -trajectory-tolerance validation:
@@ -106,10 +104,12 @@ func TestAppendTrajectoryGate(t *testing.T) {
 func TestWriteCaptureBundle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cap")
 	opt := benchOptions(1, false, 0, experiments.DefaultSeed, "")
-	reg := metrics.NewRegistry()
-	reg.NewSampler(time.Millisecond)
+	obs, err := cliflags.ObsFlags{Capture: true}.Build(experiments.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, profiler := obs.Metrics, obs.Profiler
 	opt.Metrics = reg
-	profiler := prof.New()
 	opt.Profiler = profiler
 
 	res, perf, err := experiments.MeasurePerf("fig5", opt)

@@ -139,6 +139,14 @@ func runForkBench(bf benchFlags) error {
 	return nil
 }
 
+// explainTitle names an oohbench run in its explain report.
+func explainTitle(exp string) string {
+	if exp == "" {
+		return "oohbench"
+	}
+	return "oohbench " + exp
+}
+
 // writeCapture bundles the run's observability planes into the -capture
 // directory: the ooh-bench/v1 report (with perf), the folded call-path
 // profile, an ooh-explain/v1 report built from whatever planes the run
@@ -148,11 +156,7 @@ func writeCapture(bf benchFlags, opt experiments.Options, results []*experiments
 	perf []experiments.BenchPerf, reg *metrics.Registry, mon *monitor.Monitor, profiler *prof.Profiler) error {
 	rep := experiments.NewBenchReport(opt, results, reg)
 	rep.Perf = perf
-	title := "oohbench"
-	if bf.exp != "" {
-		title = "oohbench " + bf.exp
-	}
-	explainJSON, err := cliflags.ExplainJSON(title, mon, reg, profiler)
+	explainJSON, err := cliflags.ExplainJSON(explainTitle(bf.exp), mon, reg, profiler)
 	if err != nil {
 		return fmt.Errorf("capture: building explain report: %w", err)
 	}

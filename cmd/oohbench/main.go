@@ -11,10 +11,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,10 +24,6 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
-	"repro/internal/monitor"
-	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
 // benchFlags carries every parsed CLI flag into run.
@@ -36,23 +34,11 @@ type benchFlags struct {
 	workers    int
 	list       bool
 	seed       uint64
-	traceFile  string
-	traceKinds string
-	faultSpec  string
-	metMode    string
-	metIval    string
-	metExport  string
 	jsonPath   string
 	checkJSON  string
-	profTop    bool
-	flamePath  string
-	pprofPath  string
 	perf       bool
 	checkBench string
 	benchTol   float64
-	mon        bool
-	rules      string
-	explainTo  string
 	trajectory string
 	trajTol    float64
 	commit     string
@@ -60,6 +46,7 @@ type benchFlags struct {
 	coldBoot   bool
 	forkBench  bool
 	captureDir string
+	obs        cliflags.ObsFlags
 }
 
 func main() {
@@ -70,23 +57,11 @@ func main() {
 	flag.IntVar(&bf.workers, "workers", 0, "parallel experiment workers (0 = GOMAXPROCS)")
 	flag.BoolVar(&bf.list, "list", false, "list experiment ids and exit")
 	flag.Uint64Var(&bf.seed, "seed", experiments.DefaultSeed, "workload data seed")
-	flag.StringVar(&bf.traceFile, "trace", "", "write a JSONL event trace of the monitored runs to this file")
-	flag.StringVar(&bf.traceKinds, "trace-kinds", "", "comma-separated event kinds to trace (empty or \"all\" = every kind)")
-	flag.StringVar(&bf.faultSpec, "faults", "", "fault spec for the fault-matrix experiment's custom row (faults.ParseSpec grammar)")
-	flag.StringVar(&bf.metMode, "metrics", "", "print a kvm_stat-style metrics table after the run, sorted by 'count' or 'cost'")
-	flag.StringVar(&bf.metIval, "metrics-interval", "", "virtual-time sampling interval for metrics time-series (default 1ms)")
-	flag.StringVar(&bf.metExport, "metrics-export", "", "write a metrics snapshot to this file (.prom/.txt = Prometheus text, .jsonl = JSON lines)")
 	flag.StringVar(&bf.jsonPath, "json", "", "write a machine-readable ooh-bench/v1 report to this .json file (\"-\" = stdout, suppresses tables)")
 	flag.StringVar(&bf.checkJSON, "check-json", "", "validate an ooh-bench/v1 report file against the schema and exit")
-	flag.BoolVar(&bf.profTop, "prof", false, "profile the monitored runs and print top-frame and critical-path tables")
-	flag.StringVar(&bf.flamePath, "flame", "", "write a folded-stack virtual-time profile (flamegraph.pl input) to this file")
-	flag.StringVar(&bf.pprofPath, "profile", "", "write a gzipped pprof profile of virtual time to this .pb.gz file")
 	flag.BoolVar(&bf.perf, "perf", false, "measure host throughput per experiment (cached vs cache-disabled wall-clock, pages-tracked/sec) and add a perf section to the -json report")
 	flag.StringVar(&bf.checkBench, "check-bench", "", "comma-separated baseline BENCH_*.json files: regenerate each and fail if the output diverges or the speedup regresses past -bench-tolerance")
 	flag.Float64Var(&bf.benchTol, "bench-tolerance", 0.5, "fraction of the baseline speedup_vs_uncached a -check-bench candidate may lose before the gate fails")
-	flag.BoolVar(&bf.mon, "mon", false, "enable the online monitor plane (dirty-rate estimators, convergence predictor, alert timeline)")
-	flag.StringVar(&bf.rules, "rules", "", "alert rules evaluated online (e.g. \"monitor/dirty_rate_pps{vm0/pml} > 50000 for 2ms\"); implies -mon")
-	flag.StringVar(&bf.explainTo, "explain", "", "write a run-explain report to this file (.md or .json); implies -mon")
 	flag.StringVar(&bf.trajectory, "trajectory", "", "append one ooh-trajectory/v1 JSONL line per -perf result to this file")
 	flag.Float64Var(&bf.trajTol, "trajectory-tolerance", -1, "fail (before appending) if a -perf result's pages/sec drops more than this fraction below the file's last line for the same experiment; -1 disables the gate")
 	flag.StringVar(&bf.commit, "commit", "", "commit id recorded in -trajectory lines")
@@ -94,6 +69,9 @@ func main() {
 	flag.BoolVar(&bf.coldBoot, "coldboot", false, "disable the snapshot-fork fast path and re-run every boot+warm-up prefix (output is byte-identical either way; CI compares the two)")
 	flag.BoolVar(&bf.forkBench, "fork-bench", false, "measure the snapshot-fork fast path against the boot+warm prefix it replaces and exit (combine with -trajectory to record the result)")
 	flag.StringVar(&bf.captureDir, "capture", "", "write the run's full observability bundle (bench.json, profile.folded, explain.json, trajectory.jsonl) into this directory for oohdiff")
+	bf.obs.FaultRow = true
+	bf.obs.Register()
+	bf.obs.RegisterProf()
 	flag.Parse()
 
 	// main never exits from inside the work: run returns, so every deferred
@@ -107,10 +85,7 @@ func main() {
 func run(bf benchFlags) (err error) {
 	// Validate every parameterized flag up front: a typo must exit non-zero
 	// even when the flag would not be consumed this run.
-	mask, _, err := cliflags.ParseSpecFlags(bf.traceKinds, bf.faultSpec)
-	if err != nil {
-		return err
-	}
+	//
 	// Experiment drivers boot machines with the default backend, so the
 	// -backend flag routes through the OOH_BACKEND environment variable
 	// the default resolution consults.
@@ -119,25 +94,10 @@ func run(bf benchFlags) (err error) {
 	} else if backend != "" {
 		os.Setenv("OOH_BACKEND", backend)
 	}
-	sortBy, ival, exportFmt, err := cliflags.ParseMetricsFlags(bf.metMode, bf.metIval, bf.metExport)
-	if err != nil {
-		return err
-	}
 	if err := parseJSONPath(bf.jsonPath); err != nil {
 		return err
 	}
-	if err := cliflags.ParsePprofPath(bf.pprofPath); err != nil {
-		return err
-	}
 	if err := parseBenchTolerance(bf.benchTol); err != nil {
-		return err
-	}
-	// The rule spec and report paths validate unconditionally too.
-	rules, err := monitor.ParseRules(bf.rules)
-	if err != nil {
-		return err
-	}
-	if err := cliflags.ParseExplainPath(bf.explainTo); err != nil {
 		return err
 	}
 	if err := parseTrajectoryFlags(bf.trajectory, bf.perf || bf.forkBench); err != nil {
@@ -146,6 +106,15 @@ func run(bf benchFlags) (err error) {
 	if err := parseTrajectoryTolerance(bf.trajTol, bf.trajectory); err != nil {
 		return err
 	}
+	// -capture bundles every observability plane, so it implies the
+	// metrics registry and the profiler even when no other flag asked.
+	bf.obs.Capture = bf.captureDir != ""
+	obs, err := bf.obs.Build(bf.seed)
+	if err != nil {
+		return err
+	}
+	// Report closes the trace; this covers the paths that never reach it.
+	defer func() { err = errors.Join(err, obs.Close()) }()
 
 	if bf.forkBench {
 		return runForkBench(bf)
@@ -174,50 +143,9 @@ func run(bf benchFlags) (err error) {
 		return nil
 	}
 
-	opt := benchOptions(bf.scale, bf.full, bf.workers, bf.seed, bf.faultSpec)
+	opt := benchOptions(bf.scale, bf.full, bf.workers, bf.seed, bf.obs.FaultSpec)
 	opt.ColdBoot = bf.coldBoot
-	// -capture bundles every observability plane, so it implies the
-	// metrics registry and the profiler even when no other flag asked.
-	var reg *metrics.Registry
-	if sortBy != "" || exportFmt != "" || bf.captureDir != "" {
-		reg = metrics.NewRegistry()
-		reg.NewSampler(ival)
-		opt.Metrics = reg
-	}
-	var profiler *prof.Profiler
-	if bf.profTop || bf.flamePath != "" || bf.pprofPath != "" || bf.explainTo != "" || bf.captureDir != "" {
-		profiler = prof.New()
-		opt.Profiler = profiler
-	}
-	var mon *monitor.Monitor
-	if bf.mon || bf.rules != "" || bf.explainTo != "" {
-		if reg == nil {
-			// The monitor publishes gauges and evaluates rules against a
-			// registry; make one even when no metrics output was asked for.
-			reg = metrics.NewRegistry()
-			opt.Metrics = reg
-		}
-		mon = monitor.New(monitor.Config{Rules: rules})
-		opt.Monitor = mon
-	}
-	var tr *trace.Tracer
-	if bf.traceFile != "" {
-		f, ferr := os.Create(bf.traceFile)
-		if ferr != nil {
-			return ferr
-		}
-		tr = trace.New(trace.NewJSONLWriter(f), 0)
-		tr.SetMask(mask)
-		opt.Tracer = tr
-	}
-	// Close is idempotent, so this deferred close only settles the file
-	// when an error path skipped the explicit close below - no trace data
-	// is lost on a failed sweep.
-	defer func() {
-		if cerr := tr.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("closing trace: %w", cerr)
-		}
-	}()
+	opt.Tracer, opt.Metrics, opt.Profiler, opt.Monitor = obs.Tracer, obs.Metrics, obs.Profiler, obs.Monitor
 
 	ids := experiments.IDs()
 	if bf.exp != "" {
@@ -262,62 +190,15 @@ func run(bf benchFlags) (err error) {
 		}
 	}
 
-	// Fold the trace plane's own loss count into the metrics plane before
-	// any snapshot is rendered or exported.
-	if tr != nil {
-		if cerr := tr.Close(); cerr != nil {
-			return fmt.Errorf("closing trace: %w", cerr)
-		}
-		reg.Counter("trace", "records_dropped", "").Add(int64(tr.Dropped()))
+	// The observability block settles the trace and folds its loss count
+	// into the metrics plane before the capture and the report read it.
+	w := io.Writer(os.Stdout)
+	if quiet {
+		w = io.Discard
 	}
-
-	if sortBy != "" && !quiet {
-		for _, tab := range metrics.StatTables(reg, sortBy) {
-			fmt.Printf("\n%s", tab.Render())
-		}
-	}
-	if profiler != nil {
-		if bf.profTop && !quiet {
-			fmt.Printf("\n%s", profiler.TopTable(20).Render())
-			if tab := profiler.CriticalPathTable(); tab != nil {
-				fmt.Printf("\n%s", tab.Render())
-			}
-		}
-		written, err := cliflags.WriteProfExports(profiler, bf.flamePath, bf.pprofPath)
-		if err != nil {
-			return err
-		}
-		if !quiet && len(written) > 0 {
-			fmt.Printf("\nprofile: written to %s\n", strings.Join(written, ", "))
-		}
-	}
-	if exportFmt != "" {
-		if err := cliflags.WriteMetricsExport(reg, bf.metExport, exportFmt); err != nil {
-			return err
-		}
-		if !quiet {
-			fmt.Printf("\nmetrics: snapshot written to %s\n", bf.metExport)
-		}
-	}
-	if mon != nil && !quiet {
-		alerts := mon.Alerts()
-		fmt.Printf("\nmonitor: %d alert(s), %d prediction(s)\n", len(alerts), len(mon.Predictions()))
-		for _, a := range alerts {
-			fmt.Printf("  [%12d ns] %-8s %s (value %d, threshold %d)\n",
-				a.TS, a.State, a.Rule, a.Value, a.Threshold)
-		}
-	}
-	if bf.explainTo != "" {
-		title := "oohbench"
-		if bf.exp != "" {
-			title = "oohbench " + bf.exp
-		}
-		if err := cliflags.WriteExplain(bf.explainTo, title, mon, reg, profiler); err != nil {
-			return err
-		}
-		if !quiet {
-			fmt.Printf("\nexplain: report written to %s\n", bf.explainTo)
-		}
+	obs.ExplainTitle = explainTitle(bf.exp)
+	if err := obs.Report(w); err != nil {
+		return err
 	}
 	if bf.trajectory != "" {
 		if err := appendTrajectory(bf.trajectory, bf.commit, perf, bf.trajTol); err != nil {
@@ -328,7 +209,7 @@ func run(bf benchFlags) (err error) {
 		}
 	}
 	if bf.captureDir != "" {
-		if err := writeCapture(bf, opt, results, perf, reg, mon, profiler); err != nil {
+		if err := writeCapture(bf, opt, results, perf, obs.Metrics, obs.Monitor, obs.Profiler); err != nil {
 			return err
 		}
 		if !quiet {
@@ -336,7 +217,7 @@ func run(bf benchFlags) (err error) {
 		}
 	}
 	if bf.jsonPath != "" {
-		rep := experiments.NewBenchReport(opt, results, reg)
+		rep := experiments.NewBenchReport(opt, results, obs.Metrics)
 		rep.Perf = perf
 		out := os.Stdout
 		if !quiet {

@@ -85,11 +85,8 @@ func run(cf criuFlags) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := obs.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+	// Report closes the trace; this covers the paths that never reach it.
+	defer func() { err = errors.Join(err, obs.Close()) }()
 
 	obs.ExplainTitle = fmt.Sprintf("oohcriu %s/%s (%s)", cf.name, sz, kind)
 	m, err := machine.New(machine.Config{Backend: backend, Tracer: obs.Tracer, Faults: obs.Faults,
@@ -134,13 +131,11 @@ func run(cf criuFlags) (err error) {
 	if err != nil {
 		// Aborts are clean by construction (process resumed, tracker
 		// closed); surface the observability summary, then the reason.
-		if rerr := obs.Report(os.Stdout); rerr != nil {
-			return rerr
-		}
+		rerr := obs.Report(os.Stdout)
 		if errors.Is(err, criu.ErrSLOAbort) {
-			return fmt.Errorf("checkpoint aborted, process still running: %w", err)
+			err = fmt.Errorf("checkpoint aborted, process still running: %w", err)
 		}
-		return err
+		return errors.Join(err, rerr)
 	}
 
 	fmt.Printf("\ncheckpoint of %s (%s) with %s:\n", cf.name, sz, t.Name())
@@ -177,8 +172,5 @@ func run(cf criuFlags) (err error) {
 		return fmt.Errorf("restore verification FAILED: %w", err)
 	}
 	fmt.Println("  restore verified: restored memory is byte-identical")
-	if err := obs.Close(); err != nil {
-		return err
-	}
 	return obs.Report(os.Stdout)
 }

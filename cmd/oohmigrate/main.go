@@ -87,11 +87,8 @@ func run(mf migrateFlags) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := obs.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+	// Report closes the trace; this covers the paths that never reach it.
+	defer func() { err = errors.Join(err, obs.Close()) }()
 
 	obs.ExplainTitle = fmt.Sprintf("oohmigrate %s/%s", mf.name, sz)
 	m, err := machine.New(machine.Config{Backend: backend, Tracer: obs.Tracer, Faults: obs.Faults,
@@ -163,10 +160,8 @@ func run(mf migrateFlags) (err error) {
 		if errors.As(err, &ce) {
 			migration.Abort(g.VM, ce.Journal)
 		}
-		if rerr := obs.Report(os.Stdout); rerr != nil {
-			return rerr
-		}
-		return fmt.Errorf("migration aborted (source still running): %w", err)
+		rerr := obs.Report(os.Stdout)
+		return errors.Join(fmt.Errorf("migration aborted (source still running): %w", err), rerr)
 	}
 
 	fmt.Printf("\nmigration of %s (%s): %d frames, %d sent (%.2fx amplification)\n",
@@ -191,9 +186,6 @@ func run(mf migrateFlags) (err error) {
 		if err := tech.Close(); err != nil {
 			return err
 		}
-	}
-	if err := obs.Close(); err != nil {
-		return err
 	}
 	return obs.Report(os.Stdout)
 }

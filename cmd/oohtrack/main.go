@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,40 +18,23 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/costmodel"
-	"repro/internal/faults"
 	"repro/internal/machine"
-	"repro/internal/metrics"
-	"repro/internal/monitor"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/tracking"
 	"repro/internal/workloads"
 )
 
 // trackFlags carries every parsed CLI flag into run.
 type trackFlags struct {
-	name       string
-	tech       string
-	size       string
-	scale      int
-	passes     int
-	seed       uint64
-	traceFile  string
-	traceKinds string
-	summary    bool
-	faultSpec  string
-	metMode    string
-	metIval    string
-	metExport  string
-	profTop    bool
-	flamePath  string
-	pprofPath  string
-	mon        bool
-	rules      string
-	explainTo  string
-	backend    string
+	name    string
+	tech    string
+	size    string
+	scale   int
+	passes  int
+	seed    uint64
+	backend string
+	obs     cliflags.ObsFlags
 }
 
 func main() {
@@ -61,20 +45,10 @@ func main() {
 	flag.IntVar(&tf.scale, "scale", 1, "workload scale factor")
 	flag.IntVar(&tf.passes, "passes", 3, "workload passes (collection after each)")
 	flag.Uint64Var(&tf.seed, "seed", 42, "workload data seed")
-	flag.StringVar(&tf.traceFile, "trace", "", "write a JSONL event trace to this file")
-	flag.StringVar(&tf.traceKinds, "trace-kinds", "", "comma-separated event kinds to trace (empty or \"all\" = every kind)")
-	flag.BoolVar(&tf.summary, "summary", false, "print a per-kind cost breakdown of the trace")
-	flag.StringVar(&tf.faultSpec, "faults", "", "inject faults per this spec and track through a resilient wrapper")
-	flag.StringVar(&tf.metMode, "metrics", "", "print a kvm_stat-style metrics table after the run, sorted by 'count' or 'cost'")
-	flag.StringVar(&tf.metIval, "metrics-interval", "", "virtual-time sampling interval for metrics time-series (default 1ms)")
-	flag.StringVar(&tf.metExport, "metrics-export", "", "write a metrics snapshot to this file (.prom/.txt = Prometheus text, .jsonl = JSON lines)")
-	flag.BoolVar(&tf.profTop, "prof", false, "profile the run and print top-frame and critical-path tables")
-	flag.StringVar(&tf.flamePath, "flame", "", "write a folded-stack virtual-time profile (flamegraph.pl input) to this file")
-	flag.StringVar(&tf.pprofPath, "profile", "", "write a gzipped pprof profile of virtual time to this .pb.gz file")
-	flag.BoolVar(&tf.mon, "mon", false, "enable the online monitor plane (dirty-rate estimators, alert timeline)")
-	flag.StringVar(&tf.rules, "rules", "", "alert rules evaluated online (e.g. \"monitor/dirty_rate_pps{vm0/pml} > 50000 for 2ms\"); implies -mon")
-	flag.StringVar(&tf.explainTo, "explain", "", "write a run-explain report to this file (.md or .json); implies -mon")
 	flag.StringVar(&tf.backend, "backend", "", cliflags.BackendUsage())
+	flag.BoolVar(&tf.obs.Summary, "summary", false, "print a per-kind cost breakdown of the trace")
+	tf.obs.Register()
+	tf.obs.RegisterProf()
 	flag.Parse()
 
 	// main never exits from inside the work: run returns, so every deferred
@@ -95,85 +69,22 @@ func run(tf trackFlags) (err error) {
 	if err != nil {
 		return err
 	}
-	// Validate spec flags up front: a typo must exit non-zero even when the
-	// flag would not be consumed this run.
-	mask, spec, err := cliflags.ParseSpecFlags(tf.traceKinds, tf.faultSpec)
-	if err != nil {
-		return err
-	}
-	sortBy, ival, exportFmt, err := cliflags.ParseMetricsFlags(tf.metMode, tf.metIval, tf.metExport)
-	if err != nil {
-		return err
-	}
-	if err := cliflags.ParsePprofPath(tf.pprofPath); err != nil {
-		return err
-	}
-	// The rule spec and explain path validate unconditionally, like the
-	// specs above: a typo exits non-zero even when unused this run.
-	rules, err := monitor.ParseRules(tf.rules)
-	if err != nil {
-		return err
-	}
-	if err := cliflags.ParseExplainPath(tf.explainTo); err != nil {
-		return err
-	}
-
-	// Trace plumbing: a JSONL file, an in-memory sink for -summary, or a
-	// tee of both.
-	var (
-		tracer *trace.Tracer
-		memory *trace.Memory
-	)
-	if tf.traceFile != "" || tf.summary {
-		var sinks []trace.Sink
-		if tf.traceFile != "" {
-			f, ferr := os.Create(tf.traceFile)
-			if ferr != nil {
-				return ferr
-			}
-			sinks = append(sinks, trace.NewJSONLWriter(f))
-		}
-		if tf.summary {
-			memory = &trace.Memory{}
-			sinks = append(sinks, memory)
-		}
-		tracer = trace.New(trace.Tee(sinks...), 0)
-		tracer.SetMask(mask)
-	}
-	// Close is idempotent, so this deferred close only settles the file
-	// when an error path skips the explicit close below.
-	defer func() {
-		if cerr := tracer.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("closing trace: %w", cerr)
-		}
-	}()
-
-	var inj *faults.Injector
-	if !spec.Empty() {
-		inj = faults.New(spec, tf.seed)
-	}
-	var reg *metrics.Registry
-	if sortBy != "" || exportFmt != "" {
-		reg = metrics.NewRegistry()
-		reg.NewSampler(ival)
-	}
-	var profiler *prof.Profiler
-	if tf.profTop || tf.flamePath != "" || tf.pprofPath != "" || tf.explainTo != "" {
-		profiler = prof.New()
-	}
-	var mon *monitor.Monitor
-	if tf.mon || tf.rules != "" || tf.explainTo != "" {
-		if reg == nil {
-			reg = metrics.NewRegistry()
-		}
-		mon = monitor.New(monitor.Config{Rules: rules})
-	}
 	backend, err := cliflags.ParseBackend(tf.backend)
 	if err != nil {
 		return err
 	}
-	m, err := machine.New(machine.Config{Backend: backend, Tracer: tracer, Faults: inj, Metrics: reg,
-		Profiler: profiler, Monitor: mon})
+	// Build (and thereby validate) the observability flags before any
+	// work: a typo exits non-zero even if the flag would go unused.
+	obs, err := tf.obs.Build(tf.seed)
+	if err != nil {
+		return err
+	}
+	// Report closes the trace; this covers the paths that never reach it.
+	defer func() { err = errors.Join(err, obs.Close()) }()
+
+	obs.ExplainTitle = fmt.Sprintf("oohtrack %s/%s (%s)", tf.name, sz, kind)
+	m, err := machine.New(machine.Config{Backend: backend, Tracer: obs.Tracer, Faults: obs.Faults,
+		Metrics: obs.Metrics, Profiler: obs.Profiler, Monitor: obs.Monitor})
 	if err != nil {
 		return err
 	}
@@ -194,7 +105,7 @@ func run(tf trackFlags) (err error) {
 		t   tracking.Technique
 		res *tracking.Resilient
 	)
-	if inj.Armed() && kind != costmodel.Oracle {
+	if obs.Faults.Armed() && kind != costmodel.Oracle {
 		res = g.NewResilient(kind, proc)
 		t = res
 	} else {
@@ -232,66 +143,9 @@ func run(tf trackFlags) (err error) {
 	fmt.Printf("guest events: %s\n", g.Kernel.VCPU.Counters.String())
 	if res != nil {
 		rec := res.Recovery()
-		fmt.Printf("faults injected: %d (%s)\n", inj.Total(), cliflags.RenderCounts(inj.Counts()))
 		fmt.Printf("recovery: %d retries (%s backoff), %d degradations, %d rescans (%d pages rescued), %d stalls; active rung %s\n",
 			rec.Retries, report.FormatDuration(rec.BackoffTime), rec.Degradations,
 			rec.Rescans, rec.RescuedPages, rec.Stalls, res.Active())
 	}
-
-	if tracer != nil {
-		if cerr := tracer.Close(); cerr != nil {
-			return fmt.Errorf("closing trace: %w", cerr)
-		}
-		// The trace plane's own health is a metric too: a lossy sink means
-		// every count above undercounts.
-		reg.Counter("trace", "records_dropped", "").Add(int64(tracer.Dropped()))
-		if memory != nil {
-			fmt.Printf("\n%s", trace.SummaryTableFor(tracer, memory.Records()).Render())
-		}
-		if tf.traceFile != "" {
-			fmt.Printf("\ntrace: %d records written to %s\n", tracer.Emitted(), tf.traceFile)
-		}
-	}
-	if sortBy != "" {
-		for _, tab := range metrics.StatTables(reg, sortBy) {
-			fmt.Printf("\n%s", tab.Render())
-		}
-	}
-	if exportFmt != "" {
-		if err := cliflags.WriteMetricsExport(reg, tf.metExport, exportFmt); err != nil {
-			return err
-		}
-		fmt.Printf("\nmetrics: snapshot written to %s\n", tf.metExport)
-	}
-	if profiler != nil {
-		if tf.profTop {
-			fmt.Printf("\n%s", profiler.TopTable(20).Render())
-			if tab := profiler.CriticalPathTable(); tab != nil {
-				fmt.Printf("\n%s", tab.Render())
-			}
-		}
-		written, werr := cliflags.WriteProfExports(profiler, tf.flamePath, tf.pprofPath)
-		if werr != nil {
-			return werr
-		}
-		if len(written) > 0 {
-			fmt.Printf("\nprofile: written to %s\n", strings.Join(written, ", "))
-		}
-	}
-	if mon != nil {
-		alerts := mon.Alerts()
-		fmt.Printf("\nmonitor: %d alert(s), %d prediction(s)\n", len(alerts), len(mon.Predictions()))
-		for _, a := range alerts {
-			fmt.Printf("  [%12d ns] %-8s %s (value %d, threshold %d)\n",
-				a.TS, a.State, a.Rule, a.Value, a.Threshold)
-		}
-	}
-	if tf.explainTo != "" {
-		title := fmt.Sprintf("oohtrack %s/%s (%s)", tf.name, sz, kind)
-		if err := cliflags.WriteExplain(tf.explainTo, title, mon, reg, profiler); err != nil {
-			return err
-		}
-		fmt.Printf("\nexplain: report written to %s\n", tf.explainTo)
-	}
-	return nil
+	return obs.Report(os.Stdout)
 }

@@ -16,13 +16,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}{
 		{"bad tech", func(tf *trackFlags) { tf.tech = "pml" }},
 		{"bad size", func(tf *trackFlags) { tf.size = "xl" }},
-		{"bad trace kind", func(tf *trackFlags) { tf.traceKinds = "page_party" }},
-		{"bad fault point", func(tf *trackFlags) { tf.faultSpec = "cosmic-ray" }},
-		{"bad fault rate", func(tf *trackFlags) { tf.faultSpec = "ipi-drop:2" }},
-		{"bad metrics mode", func(tf *trackFlags) { tf.metMode = "vibes" }},
-		{"bad metrics interval", func(tf *trackFlags) { tf.metIval = "-3ms" }},
-		{"bad export path", func(tf *trackFlags) { tf.metExport = "m.csv" }},
-		{"bad pprof path", func(tf *trackFlags) { tf.pprofPath = "p.gz" }},
+		{"bad trace kind", func(tf *trackFlags) { tf.obs.TraceKinds = "page_party" }},
+		{"bad fault point", func(tf *trackFlags) { tf.obs.FaultSpec = "cosmic-ray" }},
+		{"bad fault rate", func(tf *trackFlags) { tf.obs.FaultSpec = "ipi-drop:2" }},
+		{"bad metrics mode", func(tf *trackFlags) { tf.obs.MetMode = "vibes" }},
+		{"bad metrics interval", func(tf *trackFlags) { tf.obs.MetIval = "-3ms" }},
+		{"bad export path", func(tf *trackFlags) { tf.obs.MetExport = "m.csv" }},
+		{"bad pprof path", func(tf *trackFlags) { tf.obs.Profile = "p.gz" }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -111,12 +110,16 @@ func WriteMetricsExport(reg *metrics.Registry, path, format string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	snap := reg.Snapshot()
 	if format == metrics.ExportJSONL {
-		return snap.WriteJSONL(f)
+		err = snap.WriteJSONL(f)
+	} else {
+		err = snap.WritePrometheus(f)
 	}
-	return snap.WritePrometheus(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ParsePprofPath validates a -profile flag value: empty disables the
@@ -160,22 +163,4 @@ func WriteProfExports(p *prof.Profiler, flamePath, pprofPath string) ([]string, 
 		}
 	}
 	return written, nil
-}
-
-// RenderCounts formats per-point fault firing counts as "point:count"
-// pairs in name order.
-func RenderCounts(counts map[string]uint64) string {
-	if len(counts) == 0 {
-		return "-"
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s:%d", k, counts[k])
-	}
-	return strings.Join(parts, " ")
 }

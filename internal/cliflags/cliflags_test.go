@@ -1,13 +1,17 @@
 package cliflags
 
 import (
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -149,10 +153,10 @@ func TestParseMetricsFlags(t *testing.T) {
 }
 
 func TestRenderCounts(t *testing.T) {
-	if got := RenderCounts(nil); got != "-" {
+	if got := faults.RenderCounts(nil); got != "-" {
 		t.Errorf("RenderCounts(nil) = %q, want \"-\"", got)
 	}
-	got := RenderCounts(map[string]uint64{"ipi-drop": 3, "collect-stall": 1})
+	got := faults.RenderCounts(map[string]uint64{"ipi-drop": 3, "collect-stall": 1})
 	if want := "collect-stall:1 ipi-drop:3"; got != want {
 		t.Errorf("RenderCounts = %q, want %q", got, want)
 	}
@@ -225,5 +229,33 @@ func TestObsBuildPlanes(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Report output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestObsReportClosesTraceFirst pins that Report settles the trace before
+// it exports anything: with every record of a trace on /dev/full
+// dropped, the metrics export must already count them, and the close
+// error must still reach the caller.
+func TestObsReportClosesTraceFirst(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	export := filepath.Join(t.TempDir(), "m.prom")
+	o, err := ObsFlags{TraceFile: "/dev/full", MetExport: export}.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 100 {
+		o.Tracer.Emit(trace.Record{Kind: trace.KindVMExit, TS: int64(i)})
+	}
+	if err := o.Report(io.Discard); err == nil {
+		t.Error("Report on a trace that could not be written returned nil")
+	}
+	data, err := os.ReadFile(export)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "ooh_trace_records_dropped 100\n"; !strings.Contains(string(data), want) {
+		t.Errorf("metrics export lacks %q:\n%s", want, data)
 	}
 }

@@ -1,10 +1,12 @@
 package cliflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -13,10 +15,11 @@ import (
 	"repro/internal/trace"
 )
 
-// ObsFlags bundles the observability and fault-injection flags every ooh*
-// command exposes with the same names and semantics: -faults, -trace,
-// -trace-kinds, -metrics, -metrics-interval, -metrics-export, -mon,
-// -rules and -explain.
+// ObsFlags bundles the observability and fault-injection flags the ooh*
+// commands share, with the same names and semantics everywhere. Register
+// installs -faults, -trace, -trace-kinds, -metrics, -metrics-interval,
+// -metrics-export, -mon, -rules and -explain; RegisterProf adds the
+// profiler's -prof, -flame and -profile.
 type ObsFlags struct {
 	FaultSpec  string
 	TraceFile  string
@@ -27,12 +30,30 @@ type ObsFlags struct {
 	Mon        bool
 	Rules      string
 	Explain    string
+	Prof       bool
+	Flame      string
+	Profile    string
+	// Summary carries oohtrack's -summary: the trace is teed into memory
+	// and Report prints its per-kind cost table.
+	Summary bool
+	// Capture is set when oohbench's -capture names a directory: the
+	// bundle is made of the metrics registry and the profiler, so Build
+	// constructs both even when no other flag asks for them.
+	Capture bool
+	// FaultRow makes -faults the fault-matrix experiment's custom row
+	// (oohbench) instead of a live injector: Register says so in its
+	// usage, and Build validates the spec but arms no injector.
+	FaultRow bool
 }
 
 // Register installs the shared flags on the default flag set. Call before
 // flag.Parse.
 func (of *ObsFlags) Register() {
-	flag.StringVar(&of.FaultSpec, "faults", "", "inject faults per this spec (e.g. \"send-fail:0.2,wire-corrupt:0.1\")")
+	faultsUsage := "inject faults per this spec (e.g. \"send-fail:0.2,wire-corrupt:0.1\")"
+	if of.FaultRow {
+		faultsUsage = "fault spec for the fault-matrix experiment's custom row (faults.ParseSpec grammar)"
+	}
+	flag.StringVar(&of.FaultSpec, "faults", "", faultsUsage)
 	flag.StringVar(&of.TraceFile, "trace", "", "write a JSONL event trace to this file")
 	flag.StringVar(&of.TraceKinds, "trace-kinds", "", "comma-separated event kinds to trace (empty or \"all\" = every kind)")
 	flag.StringVar(&of.MetMode, "metrics", "", "print a kvm_stat-style metrics table after the run, sorted by 'count' or 'cost'")
@@ -43,27 +64,33 @@ func (of *ObsFlags) Register() {
 	flag.StringVar(&of.Explain, "explain", "", "write a run-explain report to this file (.md = markdown, .json = ooh-explain/v1); implies -mon")
 }
 
+// RegisterProf installs the profiler flags on the default flag set. Call
+// before flag.Parse.
+func (of *ObsFlags) RegisterProf() {
+	flag.BoolVar(&of.Prof, "prof", false, "profile the run and print top-frame and critical-path tables")
+	flag.StringVar(&of.Flame, "flame", "", "write a folded-stack virtual-time profile (flamegraph.pl input) to this file")
+	flag.StringVar(&of.Profile, "profile", "", "write a gzipped pprof profile of virtual time to this .pb.gz file")
+}
+
 // Obs is the built observability plane: wire Tracer/Faults/Metrics/
-// Profiler/Monitor into machine.Config, then Close and Report when the
-// run ends. Any plane may be nil when the corresponding flags are unset;
-// the machine config and the methods here tolerate that.
+// Profiler/Monitor into machine.Config (or experiments.Options), then
+// Report when the run ends. Any plane may be nil when the corresponding
+// flags are unset; the machine config and the methods here tolerate that.
 type Obs struct {
-	Tracer  *trace.Tracer
-	Faults  *faults.Injector
-	Metrics *metrics.Registry
-	Monitor *monitor.Monitor
-	// Profiler exists when -explain was requested: the report's round
-	// attribution comes from its critical-path analysis.
+	Tracer   *trace.Tracer
+	Faults   *faults.Injector
+	Metrics  *metrics.Registry
+	Monitor  *monitor.Monitor
 	Profiler *prof.Profiler
 	// ExplainTitle names the run in the explain report; commands set it
 	// to their workload/scenario description before calling Report.
 	ExplainTitle string
 
-	traceFile string
+	of        ObsFlags
+	memory    *trace.Memory // the -summary sink
 	sortBy    string
 	exportFmt string
-	exportTo  string
-	explainTo string
+	closed    bool
 }
 
 // Build validates every ObsFlags value (unconditionally - a typo exits
@@ -78,8 +105,8 @@ func (of ObsFlags) Build(seed uint64) (*Obs, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Like -faults and -trace-kinds, the rule spec and explain path are
-	// validated whether or not the monitor ends up used this run.
+	// Like -faults and -trace-kinds, the rule spec and report paths are
+	// validated whether or not their plane ends up used this run.
 	rules, err := monitor.ParseRules(of.Rules)
 	if err != nil {
 		return nil, err
@@ -87,20 +114,30 @@ func (of ObsFlags) Build(seed uint64) (*Obs, error) {
 	if err := ParseExplainPath(of.Explain); err != nil {
 		return nil, err
 	}
-	o := &Obs{traceFile: of.TraceFile, sortBy: sortBy, exportFmt: exportFmt,
-		exportTo: of.MetExport, explainTo: of.Explain}
-	if of.TraceFile != "" {
-		f, err := os.Create(of.TraceFile)
-		if err != nil {
-			return nil, err
+	if err := ParsePprofPath(of.Profile); err != nil {
+		return nil, err
+	}
+	o := &Obs{of: of, sortBy: sortBy, exportFmt: exportFmt}
+	if of.TraceFile != "" || of.Summary {
+		var sinks []trace.Sink
+		if of.TraceFile != "" {
+			f, err := os.Create(of.TraceFile)
+			if err != nil {
+				return nil, err
+			}
+			sinks = append(sinks, trace.NewJSONLWriter(f))
 		}
-		o.Tracer = trace.New(trace.NewJSONLWriter(f), 0)
+		if of.Summary {
+			o.memory = &trace.Memory{}
+			sinks = append(sinks, o.memory)
+		}
+		o.Tracer = trace.New(trace.Tee(sinks...), 0)
 		o.Tracer.SetMask(mask)
 	}
-	if !spec.Empty() {
+	if !spec.Empty() && !of.FaultRow {
 		o.Faults = faults.New(spec, seed)
 	}
-	if sortBy != "" || exportFmt != "" {
+	if sortBy != "" || exportFmt != "" || of.Capture {
 		o.Metrics = metrics.NewRegistry()
 		o.Metrics.NewSampler(ival)
 	}
@@ -112,42 +149,55 @@ func (of ObsFlags) Build(seed uint64) (*Obs, error) {
 		}
 		o.Monitor = monitor.New(monitor.Config{Rules: rules})
 	}
-	if of.Explain != "" {
+	// The explain report's round attribution comes from the profiler's
+	// critical-path analysis.
+	if of.Prof || of.Flame != "" || of.Profile != "" || of.Explain != "" || of.Capture {
 		o.Profiler = prof.New()
 	}
 	return o, nil
 }
 
-// Close settles the trace file. Idempotent and nil-tolerant, so commands
-// can both defer it (to cover error paths) and call it explicitly before
-// reporting.
+// Close settles the trace file. Only the first call reports a close
+// error; later calls and a nil Obs return nil, so commands can defer it
+// to cover the paths that never reach Report without reporting one
+// error twice.
 func (o *Obs) Close() error {
-	if o == nil {
+	if o == nil || o.closed {
 		return nil
 	}
+	o.closed = true
 	if err := o.Tracer.Close(); err != nil {
 		return fmt.Errorf("closing trace: %w", err)
 	}
 	return nil
 }
 
-// Report prints the post-run observability summary: injected fault
-// counts, the trace-file line, metrics tables and the metrics export.
-// Call after Close so the trace file is complete before it is announced.
-func (o *Obs) Report(w io.Writer) error {
+// Report closes the trace, then prints the post-run observability block
+// to w - injected fault counts, the trace summary and trace-file line,
+// metrics tables, profile tables, the monitor's alert timeline - and
+// writes every export the flags ask for. The trace closes first so its
+// file is complete, and its loss count folded into the metrics, before
+// anything is printed or exported; a close error does not stop the
+// report and is returned with any export error.
+func (o *Obs) Report(w io.Writer) (err error) {
 	if o == nil {
 		return nil
 	}
+	closeErr := o.Close()
+	defer func() { err = errors.Join(closeErr, err) }()
 	if o.Faults.Armed() {
-		fmt.Fprintf(w, "\nfaults injected: %d (%s)\n", o.Faults.Total(), RenderCounts(o.Faults.Counts()))
+		fmt.Fprintf(w, "\nfaults injected: %d (%s)\n", o.Faults.Total(), faults.RenderCounts(o.Faults.Counts()))
 	}
 	if o.Tracer != nil {
 		// The trace plane's own health matters: a lossy sink means every
-		// count above undercounts.
-		if o.Metrics != nil {
-			o.Metrics.Counter("trace", "records_dropped", "").Add(int64(o.Tracer.Dropped()))
+		// count undercounts.
+		o.Metrics.Counter("trace", "records_dropped", "").Add(int64(o.Tracer.Dropped()))
+		if o.memory != nil {
+			fmt.Fprintf(w, "\n%s", trace.SummaryTableFor(o.Tracer, o.memory.Records()).Render())
 		}
-		fmt.Fprintf(w, "\ntrace: %d records written to %s\n", o.Tracer.Emitted(), o.traceFile)
+		if o.of.TraceFile != "" {
+			fmt.Fprintf(w, "\ntrace: %d records written to %s\n", o.Tracer.Emitted(), o.of.TraceFile)
+		}
 	}
 	if o.sortBy != "" {
 		for _, tab := range metrics.StatTables(o.Metrics, o.sortBy) {
@@ -155,10 +205,23 @@ func (o *Obs) Report(w io.Writer) error {
 		}
 	}
 	if o.exportFmt != "" {
-		if err := WriteMetricsExport(o.Metrics, o.exportTo, o.exportFmt); err != nil {
+		if err := WriteMetricsExport(o.Metrics, o.of.MetExport, o.exportFmt); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\nmetrics: snapshot written to %s\n", o.exportTo)
+		fmt.Fprintf(w, "\nmetrics: snapshot written to %s\n", o.of.MetExport)
+	}
+	if o.of.Prof {
+		fmt.Fprintf(w, "\n%s", o.Profiler.TopTable(20).Render())
+		if tab := o.Profiler.CriticalPathTable(); tab != nil {
+			fmt.Fprintf(w, "\n%s", tab.Render())
+		}
+	}
+	written, err := WriteProfExports(o.Profiler, o.of.Flame, o.of.Profile)
+	if err != nil {
+		return err
+	}
+	if len(written) > 0 {
+		fmt.Fprintf(w, "\nprofile: written to %s\n", strings.Join(written, ", "))
 	}
 	if o.Monitor != nil {
 		alerts := o.Monitor.Alerts()
@@ -169,11 +232,11 @@ func (o *Obs) Report(w io.Writer) error {
 				a.TS, a.State, a.Rule, a.Value, a.Threshold)
 		}
 	}
-	if o.explainTo != "" {
-		if err := WriteExplain(o.explainTo, o.ExplainTitle, o.Monitor, o.Metrics, o.Profiler); err != nil {
+	if o.of.Explain != "" {
+		if err := WriteExplain(o.of.Explain, o.ExplainTitle, o.Monitor, o.Metrics, o.Profiler); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\nexplain: report written to %s\n", o.explainTo)
+		fmt.Fprintf(w, "\nexplain: report written to %s\n", o.of.Explain)
 	}
 	return nil
 }

@@ -79,7 +79,7 @@ func TestSpanEventFeedsEveryPlane(t *testing.T) {
 	if a := p.reg.Counter(sub, metrics.NameEventArgSum, label).Value(); a != 7 {
 		t.Errorf("arg counter = %d, want 7", a)
 	}
-	paths := p.prof.Paths()
+	paths := p.prof.Tree().Paths()
 	if len(paths) != 1 || len(paths[0].Path) != 1 ||
 		paths[0].Path[0] != (prof.Frame{Sub: prof.SubCore, Op: "ring_copy"}) ||
 		paths[0].Count != 1 || paths[0].Incl != 40 {
@@ -97,7 +97,7 @@ func TestSpanEndTimesWithoutReporting(t *testing.T) {
 	if recs := p.records(t); len(recs) != 0 || len(p.obs.got) != 0 {
 		t.Fatalf("End reported an event: trace %v, metrics %v", recs, p.obs.got)
 	}
-	if paths := p.prof.Paths(); len(paths) != 1 || paths[0].Incl != 25 {
+	if paths := p.prof.Tree().Paths(); len(paths) != 1 || paths[0].Incl != 25 {
 		t.Fatalf("profile paths = %+v, want one 25ns path", paths)
 	}
 }

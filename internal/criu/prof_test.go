@@ -57,7 +57,7 @@ func TestCheckpointRoundSpansMatchStats(t *testing.T) {
 			p, stats := profiledCheckpoint(t, kind)
 			var roundsIncl, initIncl int64
 			rounds := 0
-			for _, ps := range p.Paths() {
+			for _, ps := range p.Tree().Paths() {
 				if len(ps.Path) != 2 || ps.Path[0] != (prof.Frame{Sub: prof.SubCRIU, Op: "checkpoint"}) {
 					continue
 				}

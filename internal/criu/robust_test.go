@@ -249,7 +249,7 @@ func TestCheckpointErrorPathsEndSpans(t *testing.T) {
 	if _, stats, err := New(proc, tech, Options{}).Run(nil); !errors.Is(err, faults.ErrTransient) {
 		t.Fatalf("err = %v (stats %+v), want wrapped faults.ErrTransient", err, stats)
 	}
-	for _, ps := range p.Paths() {
+	for _, ps := range p.Tree().Paths() {
 		inRound := false
 		for _, f := range ps.Path {
 			if f.Sub == prof.SubCRIU && len(f.Op) > 5 && f.Op[:5] == "round" {

@@ -64,7 +64,7 @@ func (c Capture) WriteDir(dir string) error {
 	if err := os.WriteFile(filepath.Join(dir, CaptureBenchFile), bench.Bytes(), 0o644); err != nil {
 		return err
 	}
-	if c.Profile != nil && !c.Profile.Empty() {
+	if !c.Profile.Tree().Empty() {
 		var folded bytes.Buffer
 		if err := c.Profile.WriteFolded(&folded); err != nil {
 			return err

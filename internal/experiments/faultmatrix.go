@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/costmodel"
 	"repro/internal/faults"
@@ -148,24 +146,8 @@ func runFaultCell(c CannedFaultSpec, seed uint64, p machine.Config) (faultCell, 
 	}
 	cell.rec = tech.Recovery()
 	cell.faults = inj.Total()
-	cell.fired = renderCounts(inj.Counts())
+	cell.fired = faults.RenderCounts(inj.Counts())
 	return cell, nil
-}
-
-func renderCounts(counts map[string]uint64) string {
-	if len(counts) == 0 {
-		return "-"
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s:%d", k, counts[k])
-	}
-	return strings.Join(parts, " ")
 }
 
 // FaultMatrix regenerates the robustness matrix: the Resilient tracker run

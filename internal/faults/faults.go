@@ -27,6 +27,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -341,4 +342,22 @@ func (in *Injector) Counts() map[string]uint64 {
 		}
 	}
 	return out
+}
+
+// RenderCounts formats per-point firing counts (Injector.Counts) as
+// "point:count" pairs in name order, or "-" when nothing fired.
+func RenderCounts(counts map[string]uint64) string {
+	if len(counts) == 0 {
+		return "-"
+	}
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%s:%d", k, counts[k])
+	}
+	return strings.Join(parts, " ")
 }

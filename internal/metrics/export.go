@@ -46,7 +46,7 @@ type SeriesSnap struct {
 
 // MarshalJSON emits a Point as a compact [ts, v] pair.
 func (p Point) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("[%d,%d]", p.TS, p.V)), nil
+	return fmt.Appendf(nil, "[%d,%d]", p.TS, p.V), nil
 }
 
 // UnmarshalJSON parses the [ts, v] pair form.

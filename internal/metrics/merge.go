@@ -51,11 +51,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// merge folds another sampler's series into s. Same-named series have their
-// points merge-sorted by timestamp (s's point first on ties) and then
-// re-thinned to at most one point per interval, anchored at the merged
-// series' first point - the same rule tick applies while recording. Series
-// s does not have yet are created (without a valuer; Watch can rebind one).
+// merge folds another sampler's series into s. Same-named series merge
+// through MergePoints at s's interval. Series s does not have yet are
+// created (without a valuer; Watch can rebind one).
 func (s *Sampler) merge(other *Sampler) {
 	for _, ose := range other.series {
 		var dst *Series
@@ -69,18 +67,20 @@ func (s *Sampler) merge(other *Sampler) {
 			dst = &Series{Name: ose.Name}
 			s.series = append(s.series, dst)
 		}
-		dst.Points = thinPoints(mergePoints(dst.Points, ose.Points), s.interval)
+		dst.Points = MergePoints(dst.Points, ose.Points, s.sched.interval)
 	}
 }
 
-// mergePoints merge-sorts two timestamp-ordered point slices, preferring a
-// on ties.
-func mergePoints(a, b []Point) []Point {
-	if len(a) == 0 {
-		return append([]Point(nil), b...)
-	}
-	if len(b) == 0 {
-		return a
+// MergePoints merge-sorts two timestamp-ordered point series into a new
+// slice (a's point first on ties), then thins it to at most one point per
+// interval of virtual ns: the first point anchors the schedule, and each
+// kept point advances it past every interval boundary it covers, never in
+// a catch-up burst. An interval of 0 keeps every point. Sampler and
+// monitor series merge through it, so a sharded grid's merged series are
+// byte-identical at any worker count. Neither input is modified.
+func MergePoints(a, b []Point, interval int64) []Point {
+	if len(a)+len(b) == 0 {
+		return nil
 	}
 	out := make([]Point, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -95,24 +95,17 @@ func mergePoints(a, b []Point) []Point {
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
-	return out
-}
-
-// thinPoints keeps at most one point per interval: the first point anchors
-// the schedule, and each kept point advances the threshold past every
-// interval boundary it covers (mirroring tick's no-catch-up-burst rule).
-func thinPoints(pts []Point, interval int64) []Point {
-	if len(pts) == 0 || interval <= 0 {
-		return pts
+	if interval <= 0 {
+		return out
 	}
-	out := pts[:1]
-	next := pts[0].TS + interval
-	for _, p := range pts[1:] {
+	kept := out[:1]
+	next := out[0].TS + interval
+	for _, p := range out[1:] {
 		if p.TS < next {
 			continue
 		}
-		out = append(out, p)
-		next = next + ((p.TS-next)/interval+1)*interval
+		kept = append(kept, p)
+		next += ((p.TS-next)/interval + 1) * interval
 	}
-	return out
+	return kept
 }

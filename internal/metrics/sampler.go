@@ -28,26 +28,60 @@ type Series struct {
 	Points []Point
 }
 
-// Sampler snapshots a set of watched series every `interval` of virtual
-// time. It is driven entirely by Registry.Tick calls from instrumentation
-// sites, so its resolution is bounded by event density: a quiet stretch
-// with no events produces no samples, which is the honest reading of a
-// simulator whose time only moves when events do. At most one point per
-// series is recorded per elapsed interval (no catch-up bursts), keeping
-// point counts bounded and runs deterministic.
-type Sampler struct {
+// Schedule is the virtual-time tick schedule of a clock-driven sampler,
+// shared by Sampler and the online monitor (internal/monitor). The first
+// tick anchors it and is due; after that a tick is due at most once per
+// elapsed interval, never in a catch-up burst; and a clock that moves
+// backwards (the owner was re-attached to a fresh machine whose clock
+// restarts at zero) re-anchors it.
+type Schedule struct {
 	interval int64
 	next     int64
 	started  bool
-	series   []*Series
 }
 
-func newSampler(interval time.Duration) *Sampler {
+// NewSchedule returns a schedule that ticks every interval of virtual
+// time (1ms when interval <= 0).
+func NewSchedule(interval time.Duration) Schedule {
 	iv := interval.Nanoseconds()
 	if iv <= 0 {
 		iv = int64(time.Millisecond)
 	}
-	return &Sampler{interval: iv}
+	return Schedule{interval: iv}
+}
+
+// Interval returns the tick interval.
+func (s *Schedule) Interval() time.Duration { return time.Duration(s.interval) }
+
+// Due reports whether a tick is due at virtual time now and, if it is,
+// advances the schedule to the next interval boundary after now.
+func (s *Schedule) Due(now int64) bool {
+	switch {
+	case !s.started || now < s.next-s.interval:
+		s.started = true
+		s.next = now + s.interval
+	case now < s.next:
+		return false
+	default:
+		s.next += ((now-s.next)/s.interval + 1) * s.interval
+	}
+	return true
+}
+
+// Sampler snapshots a set of watched series every `interval` of virtual
+// time. It is driven entirely by Registry.Tick calls from instrumentation
+// sites, so its resolution is bounded by event density: a quiet stretch
+// with no events produces no samples, which is the honest reading of a
+// simulator whose time only moves when events do. Its Schedule records at
+// most one point per series per elapsed interval, keeping point counts
+// bounded and runs deterministic.
+type Sampler struct {
+	sched  Schedule
+	series []*Series
+}
+
+func newSampler(interval time.Duration) *Sampler {
+	return &Sampler{sched: NewSchedule(interval)}
 }
 
 // Watch registers a named series read from v on every sampling tick.
@@ -73,7 +107,7 @@ func (s *Sampler) Interval() time.Duration {
 	if s == nil {
 		return 0
 	}
-	return time.Duration(s.interval)
+	return s.sched.Interval()
 }
 
 // SeriesList returns the watched series in registration order.
@@ -84,29 +118,13 @@ func (s *Sampler) SeriesList() []*Series {
 	return s.series
 }
 
-// tick samples every watched series if at least one interval has elapsed
-// since the previous sample. The first tick anchors the schedule (and
-// takes a sample) at the run's first observed virtual time.
+// tick samples every watched series when the schedule says a sample is
+// due. The first tick anchors the schedule (and takes a sample) at the
+// run's first observed virtual time.
 func (s *Sampler) tick(now int64) {
-	if !s.started {
-		s.started = true
+	if s.sched.Due(now) {
 		s.sample(now)
-		s.next = now + s.interval
-		return
 	}
-	if now < s.next-s.interval {
-		// Virtual time moved backwards: the registry was re-attached to a
-		// fresh machine whose clock starts at zero. Re-anchor the schedule.
-		s.sample(now)
-		s.next = now + s.interval
-		return
-	}
-	if now < s.next {
-		return
-	}
-	s.sample(now)
-	// One sample per elapsed interval boundary, never a catch-up burst.
-	s.next = s.next + ((now-s.next)/s.interval+1)*s.interval
 }
 
 func (s *Sampler) sample(now int64) {

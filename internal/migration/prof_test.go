@@ -47,7 +47,7 @@ func TestMigrationStopAndCopySpanEqualsDowntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sac *prof.PathStat
-	for _, ps := range p.Paths() {
+	for _, ps := range p.Tree().Paths() {
 		ps := ps
 		if len(ps.Path) == 2 &&
 			ps.Path[0] == (prof.Frame{Sub: prof.SubMigration, Op: "migrate"}) &&

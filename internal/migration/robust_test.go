@@ -390,7 +390,7 @@ func TestMigrationErrorPathsEndSpans(t *testing.T) {
 	}
 	// A leaked round span would stack the second run's paths under the
 	// first run's dead round0: max depth migrate -> round -> send is 3.
-	for _, ps := range p.Paths() {
+	for _, ps := range p.Tree().Paths() {
 		if len(ps.Path) > 3 {
 			t.Errorf("leaked span: path depth %d: %v", len(ps.Path), ps.Path)
 		}

@@ -66,18 +66,12 @@ type estimator struct {
 
 	// Sampled series of (tick TS, windowed rate) and (tick TS, ewma),
 	// the monitor-snapshot analogue of metrics sampler series.
-	ratePts []point
-	ewmaPts []point
+	ratePts []metrics.Point
+	ewmaPts []metrics.Point
 
 	// Published gauges (nil when the monitor has no registry attached).
 	rateG *metrics.Gauge
 	ewmaG *metrics.Gauge
-}
-
-// point mirrors metrics.Point without importing it into the wire types.
-type point struct {
-	TS int64
-	V  int64
 }
 
 // bump records n observed dirty pages at virtual time now.
@@ -130,48 +124,6 @@ func (e *estimator) fold(now, windowNs, alphaPm int64) {
 	e.lastTS = now
 	e.lastCount = e.count
 
-	e.ratePts = append(e.ratePts, point{TS: now, V: e.rate})
-	e.ewmaPts = append(e.ewmaPts, point{TS: now, V: e.ewma})
-}
-
-// mergePts merge-sorts two timestamp-ordered point slices (a's point first
-// on ties), then re-thins to at most one point per interval - the same
-// rule metrics sampler merges follow, so a sharded grid's merged estimator
-// series is byte-identical at any worker count.
-func mergePts(a, b []point, interval int64) []point {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make([]point, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].TS <= b[j].TS {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return thinPts(out, interval)
-}
-
-// thinPts keeps at most one point per interval, anchored at the first
-// point, never emitting catch-up bursts.
-func thinPts(pts []point, interval int64) []point {
-	if len(pts) == 0 || interval <= 0 {
-		return pts
-	}
-	out := pts[:1]
-	next := pts[0].TS + interval
-	for _, p := range pts[1:] {
-		if p.TS < next {
-			continue
-		}
-		out = append(out, p)
-		next = next + ((p.TS-next)/interval+1)*interval
-	}
-	return out
+	e.ratePts = append(e.ratePts, metrics.Point{TS: now, V: e.rate})
+	e.ewmaPts = append(e.ewmaPts, metrics.Point{TS: now, V: e.ewma})
 }

@@ -31,7 +31,7 @@ func cannedInput() Input {
 			Rules:      []string{"monitor/dirty_rate_pps{vm0/pml} > 5000 for 2ms"},
 			Estimators: []monitor.EstimatorSnap{{
 				Name: "vm0/pml", Pages: 101, RatePPS: 10000, EWMAPPS: 9437,
-				Rate: []monitor.Point{{TS: 0, V: 0}, {TS: 1000000, V: 10000}},
+				Rate: []metrics.Point{{TS: 0, V: 0}, {TS: 1000000, V: 10000}},
 			}},
 			Rounds: []monitor.RoundSnap{{
 				Cell: 0, VM: 0, Sub: "migration",

@@ -11,10 +11,10 @@ import (
 // before the fan-out, each cell runs single-goroutine against its own
 // fork, and after the barrier the forks are folded back into the
 // destination monitor in grid order. Because every cell's state is
-// keyed and merged deterministically - estimator series merge-sorted and
-// re-thinned like sampler series, timelines ordered by (TS, cell, seq),
-// round series keyed by cell - the merged monitor is byte-identical at
-// any worker count.
+// keyed and merged deterministically - estimator and burn series through
+// metrics.MergePoints like sampler series, timelines ordered by (TS,
+// cell, seq), round series keyed by cell - the merged monitor is
+// byte-identical at any worker count.
 
 // Fork returns a fresh monitor for grid cell shard: same configuration
 // and rules, empty state. Nil-receiver safe (a disabled monitor forks to
@@ -38,6 +38,7 @@ func (m *Monitor) Merge(src *Monitor) {
 
 	// Estimators: same (vm, source) keys across cells merge - counts add,
 	// series merge-sort + re-thin - and new keys append in src order.
+	interval := m.sched.Interval().Nanoseconds()
 	for _, k := range src.estOrder {
 		se := src.est[k]
 		de := m.est[k]
@@ -49,8 +50,8 @@ func (m *Monitor) Merge(src *Monitor) {
 			m.estOrder = append(m.estOrder, k)
 		}
 		de.count += se.count
-		de.ratePts = mergePts(de.ratePts, se.ratePts, m.interval)
-		de.ewmaPts = mergePts(de.ewmaPts, se.ewmaPts, m.interval)
+		de.ratePts = metrics.MergePoints(de.ratePts, se.ratePts, interval)
+		de.ewmaPts = metrics.MergePoints(de.ewmaPts, se.ewmaPts, interval)
 		// The merged "current" rate is the last merged sample.
 		if n := len(de.ratePts); n > 0 {
 			de.rate = de.ratePts[n-1].V
@@ -81,21 +82,7 @@ func (m *Monitor) Merge(src *Monitor) {
 		m.rounds[k] = rs
 	}
 
-	// Burn observations: merge-sorted by time (dest first on ties).
-	if len(src.burn) > 0 {
-		merged := make([]burnPoint, 0, len(m.burn)+len(src.burn))
-		i, j := 0, 0
-		for i < len(m.burn) && j < len(src.burn) {
-			if m.burn[i].ts <= src.burn[j].ts {
-				merged = append(merged, m.burn[i])
-				i++
-			} else {
-				merged = append(merged, src.burn[j])
-				j++
-			}
-		}
-		merged = append(merged, m.burn[i:]...)
-		merged = append(merged, src.burn[j:]...)
-		m.burn = merged
-	}
+	// Burn observations: merge-sorted by time (dest first on ties), every
+	// point kept.
+	m.burn = metrics.MergePoints(m.burn, src.burn, 0)
 }

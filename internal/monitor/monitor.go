@@ -61,7 +61,7 @@ type Config struct {
 	// Rules are the alert rules evaluated on every tick (see ParseRules).
 	Rules []Rule
 	// Interval is the evaluation/sampling tick in virtual time
-	// (default 1ms), the monitor's analogue of the metrics sampler tick.
+	// (default 1ms), run on the metrics sampler's Schedule.
 	Interval time.Duration
 	// Window is the trailing span of the windowed rate estimators
 	// (default 8x Interval).
@@ -136,33 +136,26 @@ type roundSeries struct {
 	flagged bool
 }
 
-// burnPoint is one downtime-budget burn observation (per-mille of budget).
-type burnPoint struct {
-	ts int64
-	pm int64
-}
-
 // Monitor is the online monitoring plane of one simulation run (or, after
 // Merge, of a whole sharded grid). The zero value is not usable; use New.
 // A nil *Monitor is a valid disabled monitor.
 type Monitor struct {
-	cfg      Config
-	interval int64
-	window   int64
+	cfg    Config
+	sched  metrics.Schedule // the evaluation tick, the metrics sampler's schedule
+	window int64
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry
 	ev     *metrics.Events // self-observation bridge for mon_* kinds
 
-	started bool
-	next    int64
-
 	est      map[estKey]*estimator
 	estOrder []estKey
 	techByVM map[int32]costmodel.Technique
 
-	rules  []*ruleState
-	burn   []burnPoint
+	rules []*ruleState
+	// burn holds the downtime-budget burn observations: (virtual time,
+	// estimated downtime per-mille of budget).
+	burn   []metrics.Point
 	rounds map[roundKey]*roundSeries
 
 	timeline    []Alert
@@ -175,7 +168,7 @@ func New(cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:      cfg,
-		interval: cfg.Interval.Nanoseconds(),
+		sched:    metrics.NewSchedule(cfg.Interval),
 		window:   cfg.Window.Nanoseconds(),
 		est:      make(map[estKey]*estimator),
 		techByVM: make(map[int32]costmodel.Technique),
@@ -273,28 +266,14 @@ func estLabel(vm int32, src source) string {
 	return fmt.Sprintf("vm%d/%s", vm, srcNames[src])
 }
 
-// tick runs one evaluation pass if at least one interval elapsed since
-// the previous one, mirroring the metrics sampler's schedule exactly: the
-// first tick anchors the schedule, a backwards clock re-anchors it (the
-// monitor was re-attached to a fresh machine), and catch-up bursts are
-// never emitted.
+// tick runs one evaluation pass when the metrics sampler's schedule says
+// a tick is due: at the first observation, then at most once per elapsed
+// interval, re-anchored when the clock moves backwards (the monitor was
+// re-attached to a fresh machine).
 func (m *Monitor) tick(vm int32, now int64) {
-	if !m.started {
-		m.started = true
+	if m.sched.Due(now) {
 		m.evaluate(vm, now)
-		m.next = now + m.interval
-		return
 	}
-	if now < m.next-m.interval {
-		m.evaluate(vm, now)
-		m.next = now + m.interval
-		return
-	}
-	if now < m.next {
-		return
-	}
-	m.evaluate(vm, now)
-	m.next = m.next + ((now-m.next)/m.interval+1)*m.interval
 }
 
 // evaluate folds every estimator to now, publishes the gauges, and runs
@@ -338,13 +317,13 @@ func (m *Monitor) burnAverage(from, to int64) int64 {
 	var sum, n int64
 	for i := len(m.burn) - 1; i >= 0; i-- {
 		p := m.burn[i]
-		if p.ts > to {
+		if p.TS > to {
 			continue
 		}
-		if p.ts <= from {
+		if p.TS <= from {
 			break
 		}
-		sum += p.pm
+		sum += p.V
 		n++
 	}
 	if n == 0 {

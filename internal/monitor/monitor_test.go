@@ -232,7 +232,7 @@ func TestBurnAverageWindow(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := New(Config{})
 	m.Attach(nil, reg)
-	m.burn = []burnPoint{{ts: us(100), pm: 500}, {ts: us(600), pm: 1500}, {ts: us(900), pm: 2500}}
+	m.burn = []metrics.Point{{TS: us(100), V: 500}, {TS: us(600), V: 1500}, {TS: us(900), V: 2500}}
 	if avg := m.burnAverage(us(500), us(1000)); avg != 2000 {
 		t.Errorf("burnAverage(500us,1ms] = %d, want 2000", avg)
 	}
@@ -264,15 +264,15 @@ func TestAttachRebindsPlanes(t *testing.T) {
 // TestThinPtsNoCatchUp pins the series-thinning rule shared with sampler
 // merges: at most one point per interval, anchored at the first point.
 func TestThinPtsNoCatchUp(t *testing.T) {
-	pts := []point{{TS: 0}, {TS: 5}, {TS: 10}, {TS: 12}, {TS: 35}}
-	got := thinPts(pts, 10)
-	want := []point{{TS: 0}, {TS: 10}, {TS: 35}}
+	pts := []metrics.Point{{TS: 0}, {TS: 5}, {TS: 10}, {TS: 12}, {TS: 35}}
+	got := metrics.MergePoints(pts, nil, 10)
+	want := []metrics.Point{{TS: 0}, {TS: 10}, {TS: 35}}
 	if len(got) != len(want) {
-		t.Fatalf("thinPts = %+v, want %+v", got, want)
+		t.Fatalf("MergePoints = %+v, want %+v", got, want)
 	}
 	for i := range want {
 		if got[i].TS != want[i].TS {
-			t.Fatalf("thinPts = %+v, want %+v", got, want)
+			t.Fatalf("MergePoints = %+v, want %+v", got, want)
 		}
 	}
 }

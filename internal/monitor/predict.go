@@ -69,7 +69,7 @@ func (m *Monitor) Round(vm int32, sub string, round, dirty, target, maxRounds in
 	// rules and the explain report.
 	if budgetNs > 0 {
 		pm := estNs * 1000 / budgetNs
-		m.burn = append(m.burn, burnPoint{ts: now, pm: pm})
+		m.burn = append(m.burn, metrics.Point{TS: now, V: pm})
 		m.reg.Gauge(metrics.SubMonitor, "downtime_burn_permille", label).Set(pm)
 	}
 

@@ -2,45 +2,25 @@ package monitor
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"slices"
 	"sort"
+
+	"repro/internal/metrics"
 )
 
 // Snapshot is the monitor's full deterministic state dump: the input to
 // the explain report and the unit the byte-identity tests compare.
 
-// Point is one (virtual TS ns, value) sample; it marshals compactly as
-// [ts,v] like metrics.Point.
-type Point struct {
-	TS int64
-	V  int64
-}
-
-// MarshalJSON renders the point as a two-element array.
-func (p Point) MarshalJSON() ([]byte, error) {
-	return fmt.Appendf(nil, "[%d,%d]", p.TS, p.V), nil
-}
-
-// UnmarshalJSON parses the two-element array form.
-func (p *Point) UnmarshalJSON(b []byte) error {
-	var a [2]int64
-	if err := json.Unmarshal(b, &a); err != nil {
-		return err
-	}
-	p.TS, p.V = a[0], a[1]
-	return nil
-}
-
 // EstimatorSnap is one estimator's state: cumulative pages, final rates,
 // and the per-tick series of both estimators.
 type EstimatorSnap struct {
-	Name    string  `json:"name"`  // "vm0/pml", "vm0/tech/EPML", ...
-	Pages   int64   `json:"pages"` // cumulative dirty pages observed
-	RatePPS int64   `json:"rate_pps"`
-	EWMAPPS int64   `json:"ewma_pps"`
-	Rate    []Point `json:"rate,omitempty"`
-	EWMA    []Point `json:"ewma,omitempty"`
+	Name    string          `json:"name"`  // "vm0/pml", "vm0/tech/EPML", ...
+	Pages   int64           `json:"pages"` // cumulative dirty pages observed
+	RatePPS int64           `json:"rate_pps"`
+	EWMAPPS int64           `json:"ewma_pps"`
+	Rate    []metrics.Point `json:"rate,omitempty"`
+	EWMA    []metrics.Point `json:"ewma,omitempty"`
 }
 
 // RoundSnap is one pre-copy round series with the predictor's verdict.
@@ -74,7 +54,7 @@ func (m *Monitor) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		IntervalNs:  m.interval,
+		IntervalNs:  m.sched.Interval().Nanoseconds(),
 		WindowNs:    m.window,
 		Rules:       m.Rules(),
 		Alerts:      m.Alerts(),
@@ -87,8 +67,8 @@ func (m *Monitor) Snapshot() Snapshot {
 			Pages:   e.count,
 			RatePPS: e.rate,
 			EWMAPPS: e.ewma,
-			Rate:    toPoints(e.ratePts),
-			EWMA:    toPoints(e.ewmaPts),
+			Rate:    slices.Clone(e.ratePts),
+			EWMA:    slices.Clone(e.ewmaPts),
 		})
 	}
 	sort.Slice(s.Estimators, func(i, j int) bool {
@@ -116,17 +96,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		return a.Sub < b.Sub
 	})
 	return s
-}
-
-func toPoints(pts []point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = Point{TS: p.TS, V: p.V}
-	}
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.

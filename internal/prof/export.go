@@ -29,35 +29,6 @@ func sortedChildren(n *node) []*node {
 	return cs
 }
 
-// Paths flattens the call-path tree into a deterministic pre-order list
-// (children visited in (Sub, Op) order). Nodes with no completed spans
-// are skipped.
-func (p *Profiler) Paths() []PathStat {
-	if p == nil {
-		return nil
-	}
-	var out []PathStat
-	var stack []Frame
-	var walk func(n *node)
-	walk = func(n *node) {
-		for _, c := range sortedChildren(n) {
-			stack = append(stack, c.frame)
-			if c.count > 0 {
-				out = append(out, PathStat{
-					Path:  append([]Frame(nil), stack...),
-					Incl:  c.incl,
-					Excl:  c.excl,
-					Count: c.count,
-				})
-			}
-			walk(c)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	walk(&p.root)
-	return out
-}
-
 // joinPath renders a call path in folded-stack form:
 // "sub/op;sub/op;sub/op".
 func joinPath(path []Frame) string {
@@ -80,7 +51,7 @@ func joinPath(path []Frame) string {
 // deterministic: pre-order over the sorted tree.
 func (p *Profiler) WriteFolded(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, ps := range p.Paths() {
+	for _, ps := range p.Tree().Paths() {
 		if ps.Excl <= 0 {
 			continue
 		}
@@ -110,25 +81,27 @@ func (p *Profiler) TopFrames() []FrameStat {
 	}
 	agg := make(map[Frame]*FrameStat)
 	onPath := make(map[Frame]int)
-	var walk func(n *node)
-	walk = func(n *node) {
-		for _, c := range sortedChildren(n) {
-			s := agg[c.frame]
-			if s == nil {
-				s = &FrameStat{Frame: c.frame}
-				agg[c.frame] = s
-			}
-			s.Flat += c.excl
-			s.Count += c.count
-			if onPath[c.frame] == 0 {
-				s.Cum += c.incl
-			}
-			onPath[c.frame]++
-			walk(c)
-			onPath[c.frame]--
+	var walk func(n *TreeNode)
+	walk = func(n *TreeNode) {
+		s := agg[n.Frame]
+		if s == nil {
+			s = &FrameStat{Frame: n.Frame}
+			agg[n.Frame] = s
 		}
+		s.Flat += n.Excl
+		s.Count += n.Count
+		if onPath[n.Frame] == 0 {
+			s.Cum += n.Incl
+		}
+		onPath[n.Frame]++
+		for _, c := range n.Children {
+			walk(c)
+		}
+		onPath[n.Frame]--
 	}
-	walk(&p.root)
+	for _, r := range p.Tree().Roots {
+		walk(r)
+	}
 	out := make([]FrameStat, 0, len(agg))
 	for _, s := range agg {
 		out = append(out, *s)
@@ -148,7 +121,7 @@ func (p *Profiler) TopTable(n int) *report.Table {
 	t := report.NewTable("Profile: top frames by exclusive virtual time",
 		"frame", "flat", "flat%", "cum", "cum%", "count")
 	frames := p.TopFrames()
-	total := p.TotalNanos()
+	total := p.Tree().TotalNanos()
 	all := len(frames)
 	if n > 0 && len(frames) > n {
 		frames = frames[:n]

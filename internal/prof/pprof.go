@@ -17,11 +17,12 @@ import (
 // emitted in sorted tree order, and the gzip header carries no
 // timestamp.
 func (p *Profiler) WritePprof(w io.Writer) error {
+	tree := p.Tree()
 	samples := make([]pprofSample, 0)
-	for _, ps := range p.Paths() {
+	for _, ps := range tree.Paths() {
 		samples = append(samples, pprofSample{path: ps.Path, values: [2]int64{ps.Count, ps.Excl}})
 	}
-	return writePprofGz(w, samples, p.TotalNanos())
+	return writePprofGz(w, samples, tree.TotalNanos())
 }
 
 // pprofSample is one sample row of a pprof export: a call path plus the

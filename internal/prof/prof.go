@@ -188,21 +188,3 @@ func mergeNode(dst, src *node) {
 		mergeNode(dst.child(f), sc)
 	}
 }
-
-// Empty reports whether no spans have been recorded.
-func (p *Profiler) Empty() bool {
-	return p == nil || (len(p.root.children) == 0)
-}
-
-// TotalNanos returns the total profiled virtual time: the sum of the
-// inclusive times of all top-level spans.
-func (p *Profiler) TotalNanos() int64 {
-	if p == nil {
-		return 0
-	}
-	var total int64
-	for _, c := range p.root.children {
-		total += c.incl
-	}
-	return total
-}

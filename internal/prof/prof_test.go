@@ -33,7 +33,7 @@ func TestProfilerFoldsInclusiveExclusive(t *testing.T) {
 		span(tap, &clock, "x", "b", 3, nil)
 	})
 
-	paths := p.Paths()
+	paths := p.Tree().Paths()
 	want := []struct {
 		path  string
 		incl  int64
@@ -54,7 +54,7 @@ func TestProfilerFoldsInclusiveExclusive(t *testing.T) {
 				i, joinPath(got.Path), got.Incl, got.Excl, got.Count, w)
 		}
 	}
-	if total := p.TotalNanos(); total != 20 {
+	if total := p.Tree().TotalNanos(); total != 20 {
 		t.Errorf("TotalNanos = %d, want 20", total)
 	}
 }
@@ -70,7 +70,7 @@ func TestSpanEndClosesLeakedChildren(t *testing.T) {
 	clock.AdvanceNanos(6)
 	outer.End() // must close the leaked child at the same instant
 
-	paths := p.Paths()
+	paths := p.Tree().Paths()
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2: %+v", len(paths), paths)
 	}
@@ -83,7 +83,7 @@ func TestSpanEndClosesLeakedChildren(t *testing.T) {
 
 	// Double End is a no-op.
 	outer.End()
-	if got := p.Paths()[0]; got.Count != 1 {
+	if got := p.Tree().Paths()[0]; got.Count != 1 {
 		t.Errorf("double End changed count: %d", got.Count)
 	}
 }
@@ -116,10 +116,10 @@ func TestNilProfilerIsFreeAndSafe(t *testing.T) {
 	}
 	sp := tap.Begin("x", "y") // must not panic
 	sp.End()
-	if got := p.Paths(); got != nil {
+	if got := p.Tree().Paths(); got != nil {
 		t.Errorf("nil profiler Paths = %v, want nil", got)
 	}
-	if !p.Empty() || p.TotalNanos() != 0 {
+	if !p.Tree().Empty() || p.Tree().TotalNanos() != 0 {
 		t.Error("nil profiler must be empty")
 	}
 	p.Merge(New()) // no-op

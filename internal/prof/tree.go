@@ -59,8 +59,8 @@ func (p *Profiler) Tree() *Tree {
 	return t
 }
 
-// TotalNanos returns the sum of the roots' inclusive times - the same
-// total Profiler.TotalNanos reports for the tree's source profile.
+// TotalNanos returns the total profiled virtual time: the sum of the
+// roots' inclusive times.
 func (t *Tree) TotalNanos() int64 {
 	if t == nil {
 		return 0
@@ -75,9 +75,9 @@ func (t *Tree) TotalNanos() int64 {
 // Empty reports whether the tree has no spans.
 func (t *Tree) Empty() bool { return t == nil || len(t.Roots) == 0 }
 
-// Paths flattens the tree into the same deterministic pre-order list
-// Profiler.Paths produces. Nodes with zero count AND zero times are
-// skipped only if they also have no recorded data (parsed trees have zero
+// Paths flattens the tree into a deterministic pre-order list (children
+// in (Sub, Op) order). Nodes with no recorded data - zero count and zero
+// times, such as a span still open - are skipped (parsed trees have zero
 // counts everywhere, so the skip there is on zero times).
 func (t *Tree) Paths() []PathStat {
 	if t == nil {

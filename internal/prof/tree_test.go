@@ -97,11 +97,11 @@ func TestTreeMatchesProfiler(t *testing.T) {
 	if tr.Empty() {
 		t.Fatal("tree of a live profiler is empty")
 	}
-	if got, want := tr.TotalNanos(), p.TotalNanos(); got != want {
+	if got, want := tr.TotalNanos(), p.Tree().TotalNanos(); got != want {
 		t.Errorf("Tree TotalNanos = %d, profiler says %d", got, want)
 	}
-	if !reflect.DeepEqual(tr.Paths(), p.Paths()) {
-		t.Errorf("Tree.Paths != Profiler.Paths:\n%+v\nvs\n%+v", tr.Paths(), p.Paths())
+	if !reflect.DeepEqual(tr.Paths(), p.Tree().Paths()) {
+		t.Errorf("Tree.Paths != Profiler.Paths:\n%+v\nvs\n%+v", tr.Paths(), p.Tree().Paths())
 	}
 	if !reflect.DeepEqual(tr.CriticalPath(), p.CriticalPath()) {
 		t.Errorf("Tree.CriticalPath != Profiler.CriticalPath")
@@ -138,7 +138,7 @@ func TestParseFoldedRoundTrip(t *testing.T) {
 	}
 
 	// Inclusive times are reconstructed exactly; counts are lost (zero).
-	want := p.Paths()
+	want := p.Tree().Paths()
 	got := tr.Paths()
 	if len(got) != len(want) {
 		t.Fatalf("round-trip paths: got %d, want %d\n%+v", len(got), len(want), got)
@@ -154,7 +154,7 @@ func TestParseFoldedRoundTrip(t *testing.T) {
 			t.Errorf("path %d: parsed count = %d, folded format carries no counts", i, got[i].Count)
 		}
 	}
-	if got, want := tr.TotalNanos(), p.TotalNanos(); got != want {
+	if got, want := tr.TotalNanos(), p.Tree().TotalNanos(); got != want {
 		t.Errorf("round-trip TotalNanos = %d, want %d", got, want)
 	}
 
@@ -214,8 +214,8 @@ func TestParseFoldedErrors(t *testing.T) {
 func TestDiffTreesSelfIsZero(t *testing.T) {
 	p := buildCell(7)
 	deltas := DiffTrees(p.Tree(), p.Tree())
-	if len(deltas) != len(p.Paths()) {
-		t.Fatalf("self-diff rows = %d, want %d (one per live path)", len(deltas), len(p.Paths()))
+	if len(deltas) != len(p.Tree().Paths()) {
+		t.Fatalf("self-diff rows = %d, want %d (one per live path)", len(deltas), len(p.Tree().Paths()))
 	}
 	for _, d := range deltas {
 		if !d.Zero() {
@@ -256,7 +256,7 @@ func TestDiffTreesAttribution(t *testing.T) {
 	if exclSum != total {
 		t.Fatalf("sum(exclDelta)=%d != totalInclDelta=%d", exclSum, total)
 	}
-	if want := newP.TotalNanos() - old.TotalNanos(); total != want {
+	if want := newP.Tree().TotalNanos() - old.Tree().TotalNanos(); total != want {
 		t.Fatalf("totalInclDelta=%d, want %d", total, want)
 	}
 
