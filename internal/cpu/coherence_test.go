@@ -25,7 +25,7 @@ type coherenceRig struct {
 }
 
 // HandleExit demand-maps EPT violations and drains the PML buffer on full.
-func (r *coherenceRig) HandleExit(v *VCPU, e *Exit) (uint64, error) {
+func (r *coherenceRig) HandleExit(v *VCPU, e Exit) (uint64, error) {
 	switch e.Reason {
 	case ExitEPTViolation:
 		hpa, err := r.phys.AllocFrame()

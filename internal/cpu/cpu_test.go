@@ -70,7 +70,7 @@ func newHarness(t *testing.T) *testHarness {
 
 // HandleExit implements ExitHandler: maps frames on EPT violations, resets
 // the PML index on full, echoes hypercalls.
-func (h *testHarness) HandleExit(v *VCPU, e *Exit) (uint64, error) {
+func (h *testHarness) HandleExit(v *VCPU, e Exit) (uint64, error) {
 	h.exits = append(h.exits, e.Reason)
 	switch e.Reason {
 	case ExitEPTViolation:

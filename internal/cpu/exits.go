@@ -45,8 +45,9 @@ type Exit struct {
 
 // ExitHandler is implemented by the hypervisor. HandleExit runs in vmx root
 // mode; its return value is delivered to the guest as the hypercall result.
+// The exit is passed by value, so that a vmexit allocates nothing.
 type ExitHandler interface {
-	HandleExit(v *VCPU, e *Exit) (uint64, error)
+	HandleExit(v *VCPU, e Exit) (uint64, error)
 }
 
 // FaultHandler is implemented by the guest kernel: it receives guest page

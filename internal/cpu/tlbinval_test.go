@@ -16,7 +16,7 @@ type failEPTExits struct {
 	fail  bool
 }
 
-func (f *failEPTExits) HandleExit(v *VCPU, e *Exit) (uint64, error) {
+func (f *failEPTExits) HandleExit(v *VCPU, e Exit) (uint64, error) {
 	if f.fail && e.Reason == ExitEPTViolation {
 		return 0, errors.New("EPT mapping refused")
 	}

@@ -269,7 +269,7 @@ func (v *VCPU) fireWriteHooks(gva mem.GVA) {
 
 // exit performs a world switch to the hypervisor, runs the exit handler and
 // resumes the guest.
-func (v *VCPU) exit(e *Exit) (uint64, error) {
+func (v *VCPU) exit(e Exit) (uint64, error) {
 	if v.Exits == nil {
 		return 0, fmt.Errorf("cpu: unhandled vmexit %v", e.Reason)
 	}
@@ -293,7 +293,7 @@ func (v *VCPU) exit(e *Exit) (uint64, error) {
 // and the PML/EPT reasons get dedicated kinds so per-kind summaries
 // attribute the full service span (world switches plus handler) without
 // double counting; everything else is a generic vmexit.
-func exitTrace(e *Exit) (trace.Kind, int64) {
+func exitTrace(e Exit) (trace.Kind, int64) {
 	switch e.Reason {
 	case ExitHypercall:
 		return trace.KindHypercall, int64(e.Nr)
@@ -307,7 +307,7 @@ func exitTrace(e *Exit) (trace.Kind, int64) {
 
 // exitOp names the profiler span for a vmexit, mirroring exitTrace's
 // kind split so profiles and per-kind trace summaries line up.
-func exitOp(e *Exit) string {
+func exitOp(e Exit) string {
 	switch e.Reason {
 	case ExitHypercall:
 		return "hypercall"
@@ -322,7 +322,7 @@ func exitOp(e *Exit) string {
 // Hypercall issues a hypercall from the guest (a vmexit with ExitHypercall).
 func (v *VCPU) Hypercall(nr int, args ...uint64) (uint64, error) {
 	v.inc(&v.ctr.hypercalls, CtrHypercalls)
-	return v.exit(&Exit{Reason: ExitHypercall, Nr: nr, Args: args})
+	return v.exit(Exit{Reason: ExitHypercall, Nr: nr, Args: args})
 }
 
 // FaultRecord reports a KindFault event for an injected fault that fired
@@ -345,7 +345,7 @@ func (v *VCPU) GuestVMRead(f vmcs.Field) (uint64, error) {
 	v.Clock.Advance(v.Costs.VMRead)
 	val, err := v.VMCS.GuestRead(f)
 	if errors.Is(err, vmcs.ErrExitRequired) {
-		return v.exit(&Exit{Reason: ExitVMAccess})
+		return v.exit(Exit{Reason: ExitVMAccess})
 	}
 	return val, err
 }
@@ -371,7 +371,7 @@ func (v *VCPU) GuestVMWrite(f vmcs.Field, val uint64) error {
 	}
 	err := v.VMCS.GuestWrite(f, val)
 	if errors.Is(err, vmcs.ErrExitRequired) {
-		_, err = v.exit(&Exit{Reason: ExitVMAccess})
+		_, err = v.exit(Exit{Reason: ExitVMAccess})
 	}
 	return err
 }
@@ -385,7 +385,7 @@ func (v *VCPU) translateGPA(gpa mem.GPA, write bool) (mem.HPA, error) {
 			return hpa, nil
 		}
 		v.inc(&v.ctr.eptViolations, CtrEPTViolations)
-		if _, err := v.exit(&Exit{Reason: ExitEPTViolation, GPA: gpa, Write: write}); err != nil {
+		if _, err := v.exit(Exit{Reason: ExitEPTViolation, GPA: gpa, Write: write}); err != nil {
 			return 0, err
 		}
 	}
@@ -407,7 +407,7 @@ func (v *VCPU) pmlLog(gpa mem.GPA) error {
 		// early - but the exit and drain costs land mid-monitoring.
 		v.inc(&v.ctr.pmlFullExits, CtrPMLFullExits)
 		v.FaultRecord(faults.PMLFullExit, uint64(gpa))
-		if _, err := v.exit(&Exit{Reason: ExitPMLFull}); err != nil {
+		if _, err := v.exit(Exit{Reason: ExitPMLFull}); err != nil {
 			return err
 		}
 	}
@@ -418,7 +418,7 @@ func (v *VCPU) pmlLog(gpa mem.GPA) error {
 		}
 		if idx > vmcs.PMLResetIndex { // 0xFFFF after decrementing past 0
 			v.inc(&v.ctr.pmlFullExits, CtrPMLFullExits)
-			if _, err := v.exit(&Exit{Reason: ExitPMLFull}); err != nil {
+			if _, err := v.exit(Exit{Reason: ExitPMLFull}); err != nil {
 				return err
 			}
 			continue
@@ -582,7 +582,7 @@ func (v *VCPU) walkForWrite(gva mem.GVA) (mem.HPA, error) {
 		hpa, eptDirtied, err := v.EPT.WalkWrite(gpa)
 		if err != nil {
 			v.inc(&v.ctr.eptViolations, CtrEPTViolations)
-			if _, err := v.exit(&Exit{Reason: ExitEPTViolation, GPA: gpa, Write: true}); err != nil {
+			if _, err := v.exit(Exit{Reason: ExitEPTViolation, GPA: gpa, Write: true}); err != nil {
 				return 0, err
 			}
 			continue
@@ -661,7 +661,7 @@ func (v *VCPU) walkForRead(gva mem.GVA) (mem.HPA, error) {
 		hpa, accessed, err := v.EPT.WalkRead(gpa)
 		if err != nil {
 			v.inc(&v.ctr.eptViolations, CtrEPTViolations)
-			if _, err := v.exit(&Exit{Reason: ExitEPTViolation, GPA: gpa, Write: false}); err != nil {
+			if _, err := v.exit(Exit{Reason: ExitEPTViolation, GPA: gpa, Write: false}); err != nil {
 				return 0, err
 			}
 			continue

@@ -204,7 +204,7 @@ func (vm *VM) EnabledByHyp() bool { return vm.enabledByHyp }
 // --- vmexit handling ---------------------------------------------------------
 
 // HandleExit implements cpu.ExitHandler for the VM.
-func (vm *VM) HandleExit(v *cpu.VCPU, e *cpu.Exit) (uint64, error) {
+func (vm *VM) HandleExit(v *cpu.VCPU, e cpu.Exit) (uint64, error) {
 	switch e.Reason {
 	case cpu.ExitEPTViolation:
 		return 0, vm.handleEPTViolation(e.GPA)

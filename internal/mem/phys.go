@@ -15,14 +15,19 @@ var (
 	ErrCrossesFrame = errors.New("mem: access crosses a frame boundary")
 )
 
-// slabFrames is how many frames one backing allocation holds at most.
+// slabFrames is how many pages one backing allocation holds at most.
 // Handing backing arrays out of slabs keeps a workload touching gigabytes
-// at hundreds of allocator calls instead of millions; 2 MiB slabs also let
-// the Go allocator hand back freshly mapped (pre-zeroed) spans for most of
-// the volume. Page slabs start at one page and double up to this size, so
-// a PhysMem that materializes a handful of pages (a forked cell writing
-// only its log buffers) does not zero 2 MiB for them.
-const slabFrames = 512
+// at thousands of allocator calls instead of millions. Page slabs start at
+// one page and double up to this size, so a PhysMem that materializes a
+// handful of pages (a forked cell writing only its log buffers) does not
+// zero a whole slab for them; the 256 KiB cap bounds what a machine
+// strands in the unused tail of its last slab.
+const slabFrames = 64
+
+// frameSlabLen is how many Frame structs one allocation holds. A frame
+// struct is handed out for every allocated page and for every page a fork
+// first touches, and 512 of them take 20 KiB.
+const frameSlabLen = 512
 
 // Sparse-frame tuning: a frame buffers up to sparseWritesMax small writes
 // (each at most sparseWriteBytes long) before its 4 KiB backing array is
@@ -36,9 +41,10 @@ const (
 )
 
 // swSlabEntries is how many sparseWrite entries one write-buffer slab holds:
-// room for slabFrames snapshot-shared frames to diverge with the common one
-// buffered write plus a spare slot each.
-const swSlabEntries = 2 * slabFrames
+// room for 1024 frames to take their first buffered write, or for 512
+// snapshot-shared frames to diverge with the common one buffered write
+// plus a spare slot each.
+const swSlabEntries = 1024
 
 // sparseWrite is one buffered small write. Buffered writes never overlap
 // (an overlapping write materializes the frame), so replay order within the
@@ -206,7 +212,7 @@ func (p *PhysMem) AllocFrame() (HPA, error) {
 		p.next += PageSize
 	}
 	if len(p.fslab) == 0 {
-		p.fslab = make([]Frame, slabFrames)
+		p.fslab = make([]Frame, frameSlabLen)
 	}
 	f := &p.fslab[0]
 	p.fslab = p.fslab[1:]
@@ -282,8 +288,8 @@ func (p *PhysMem) WriteFrame(f *Frame, off uint64, b []byte) {
 		copy(p.Materialize(f)[off:], b)
 		return
 	}
-	if f.ro {
-		p.unshareSparse(f)
+	if f.ro || f.sw == nil {
+		p.carveSparse(f)
 	}
 	if i == len(f.sw) {
 		f.sw = append(f.sw, sparseWrite{off: uint16(off), n: uint16(len(b))})
@@ -291,10 +297,11 @@ func (p *PhysMem) WriteFrame(f *Frame, off uint64, b []byte) {
 	copy(f.sw[i].val[:], b)
 }
 
-// unshareSparse replaces a snapshot-shared sparse buffer with a private
-// copy carved from the buffer slab, with room for one more entry so the
-// write that triggered the copy can append without reallocating.
-func (p *PhysMem) unshareSparse(f *Frame) {
+// carveSparse gives f a private sparse buffer carved from the buffer slab,
+// holding a copy of its current entries (none on a first write, or the
+// snapshot-shared ones) and room for one more, so that the write that
+// needed it appends without allocating.
+func (p *PhysMem) carveSparse(f *Frame) {
 	n := len(f.sw)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -373,7 +380,7 @@ func (p *PhysMem) frameLocked(idx int) *Frame {
 			return nil
 		}
 		if len(p.fslab) == 0 {
-			p.fslab = make([]Frame, slabFrames)
+			p.fslab = make([]Frame, frameSlabLen)
 		}
 		f = &p.fslab[0]
 		p.fslab = p.fslab[1:]

@@ -3,6 +3,8 @@ package pgtable
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/simcache"
@@ -57,16 +59,17 @@ type Table struct {
 	pscRegion uint64
 
 	// rev is the incrementally maintained GPA-page -> GVA-page inverse
-	// index behind ReverseLookup's O(1) host-work path. The virtual-time
-	// cost of a reverse lookup (the paper's M17) is charged by the caller
+	// index behind ReverseLookup's O(1) host-work path: one entry per
+	// guest frame number (see revSole), so mapping a page and resolving a
+	// logged GPA are array stores and loads. The virtual-time cost of a
+	// reverse lookup (the paper's M17) is charged by the caller
 	// regardless; this index only removes the simulator's own
-	// O(present-pages) scan. Frames mapped by more than one GVA drop out
-	// of the index into revAliased and fall back to the scan, which is the
-	// source of truth for lookup order.
-	rev        map[uint64]mem.GVA
-	revAliased map[uint64]struct{}
-	// revShared marks rev/revAliased as borrowed from a CowClone source;
-	// the first mapping change materializes private copies.
+	// O(present-pages) scan. Frames at or above revDenseFrames live in
+	// the revFar side map, so the array never grows past a fixed bound.
+	rev    []uint64
+	revFar map[uint64]uint64
+	// revShared marks rev/revFar as borrowed from a CowClone source; the
+	// first mapping change materializes private copies.
 	revShared bool
 
 	tag *tableTag
@@ -287,64 +290,96 @@ func (t *Table) Present() int { return t.present }
 // tests use it to assert that Unmap prunes the interior back down.
 func (t *Table) Nodes() int { return t.nodes }
 
-// revMaterialize turns rev maps borrowed from a CowClone source into
-// private copies, paid once by the first mapping change after the clone.
+// Reverse-index entries. A frame's entry is revNone while nothing maps
+// it, its sole mapper's page-aligned GVA tagged with revSole, or
+// revAliased once a second GVA maps it: the index can no longer answer
+// which GVA the scan would find first, so ReverseLookup scans for it. A
+// frame stays aliased when mappers go away, because the index has lost
+// track of the survivors and falling back is always correct.
+const (
+	revNone    uint64 = 0
+	revSole    uint64 = 1 // set in the clear low bits of a page-aligned GVA
+	revAliased uint64 = 2 // never a tagged GVA, whose bit 0 is set
+)
+
+// revDenseFrames bounds the dense reverse index: 4 GiB of guest-physical
+// space, an 8 MiB array at most. The guest hands out frames upward from
+// GPA 0x1000 without a limit, so a large working set crosses it: every
+// ooh* command's -scale multiplies the workload, and micro's large size
+// maps 25,600 pages per unit of scale, so from -scale 41 its highest
+// frames lie above 2^20 (other workloads cross at larger scales). Those
+// frames, and the arbitrary frames up to 2^32 that tests map, go to
+// revFar, which keeps their lookups O(1) without sizing the array by a
+// GPA's value. A table that reaches this range carries the full array,
+// and a fork's first mapping change copies it and revFar.
+const revDenseFrames = 1 << 20
+
+// revMaterialize turns the index borrowed from a CowClone source into a
+// private copy, paid once by the first mapping change after the clone.
 // Flag-only updates (A/D commits, soft-dirty clears) never get here, so a
-// fork that only runs the measured phase shares the maps for its lifetime.
+// fork that only runs the measured phase shares the index for its
+// lifetime.
 func (t *Table) revMaterialize() {
 	if !t.revShared {
 		return
 	}
 	t.revShared = false
-	if t.rev != nil {
-		m := make(map[uint64]mem.GVA, len(t.rev))
-		for k, v := range t.rev {
-			m[k] = v
-		}
-		t.rev = m
+	t.rev = slices.Clone(t.rev)
+	t.revFar = maps.Clone(t.revFar)
+}
+
+// revGet returns the index entry for a guest frame number.
+func (t *Table) revGet(frame uint64) uint64 {
+	if frame < uint64(len(t.rev)) {
+		return t.rev[frame]
 	}
-	if t.revAliased != nil {
-		m := make(map[uint64]struct{}, len(t.revAliased))
-		for k := range t.revAliased {
-			m[k] = struct{}{}
+	if frame < revDenseFrames {
+		return revNone
+	}
+	return t.revFar[frame]
+}
+
+// revPut stores a guest frame number's index entry, growing the dense
+// array (amortized, as append does) up to revDenseFrames.
+func (t *Table) revPut(frame, e uint64) {
+	t.revMaterialize()
+	switch {
+	case frame < uint64(len(t.rev)):
+		t.rev[frame] = e
+	case frame < revDenseFrames:
+		if e != revNone {
+			for uint64(len(t.rev)) < frame {
+				t.rev = append(t.rev, revNone)
+			}
+			t.rev = append(t.rev, e)
 		}
-		t.revAliased = m
+	case e == revNone:
+		delete(t.revFar, frame)
+	default:
+		if t.revFar == nil {
+			t.revFar = make(map[uint64]uint64)
+		}
+		t.revFar[frame] = e
 	}
 }
 
-// revAdd records gva as the (sole) mapper of gpa's frame. A second mapper
-// moves the frame to revAliased: the index can no longer answer which GVA
-// the scan would find first, so ReverseLookup falls back to the scan for it.
+// revAdd records gva as a mapper of gpa's frame.
 func (t *Table) revAdd(gva mem.GVA, gpa mem.GPA) {
-	t.revMaterialize()
-	key := uint64(gpa.PageFloor())
-	if _, aliased := t.revAliased[key]; aliased {
-		return
+	frame, sole := gpa.Page(), uint64(gva)|revSole
+	switch t.revGet(frame) {
+	case revNone:
+		t.revPut(frame, sole)
+	case sole, revAliased:
+	default:
+		t.revPut(frame, revAliased)
 	}
-	if old, ok := t.rev[key]; ok {
-		if old == gva {
-			return
-		}
-		if t.revAliased == nil {
-			t.revAliased = make(map[uint64]struct{})
-		}
-		t.revAliased[key] = struct{}{}
-		delete(t.rev, key)
-		return
-	}
-	if t.rev == nil {
-		t.rev = make(map[uint64]mem.GVA)
-	}
-	t.rev[key] = gva
 }
 
 // revDel drops gva's claim on gpa's frame. Aliased frames stay on the scan
-// path: the index has lost track of the surviving mappers, and falling back
-// is always correct.
+// path.
 func (t *Table) revDel(gva mem.GVA, gpa mem.GPA) {
-	t.revMaterialize()
-	if cur, ok := t.rev[uint64(gpa.PageFloor())]; ok && cur == gva {
-		delete(t.rev, uint64(gpa.PageFloor()))
+	if frame := gpa.Page(); t.revGet(frame) == uint64(gva)|revSole {
+		t.revPut(frame, revNone)
 	}
 }
 
@@ -355,25 +390,14 @@ func (t *Table) revDel(gva mem.GVA, gpa mem.GPA) {
 // captured, immutable table out into forks, use CowClone instead.
 func (t *Table) Clone() *Table {
 	tg := &tableTag{}
-	nt := &Table{
+	return &Table{
 		root:    cloneNode(t.root, tg),
 		present: t.present,
 		nodes:   t.nodes,
+		rev:     slices.Clone(t.rev),
+		revFar:  maps.Clone(t.revFar),
 		tag:     tg,
 	}
-	if t.rev != nil {
-		nt.rev = make(map[uint64]mem.GVA, len(t.rev))
-		for k, v := range t.rev {
-			nt.rev[k] = v
-		}
-	}
-	if t.revAliased != nil {
-		nt.revAliased = make(map[uint64]struct{}, len(t.revAliased))
-		for k := range t.revAliased {
-			nt.revAliased[k] = struct{}{}
-		}
-	}
-	return nt
 }
 
 func cloneNode(n *node, tg *tableTag) *node {
@@ -396,13 +420,13 @@ func cloneNode(n *node, tg *tableTag) *node {
 // one source; each diverges privately.
 func (t *Table) CowClone() *Table {
 	return &Table{
-		root:       t.root,
-		present:    t.present,
-		nodes:      t.nodes,
-		rev:        t.rev,
-		revAliased: t.revAliased,
-		revShared:  true,
-		tag:        &tableTag{},
+		root:      t.root,
+		present:   t.present,
+		nodes:     t.nodes,
+		rev:       t.rev,
+		revFar:    t.revFar,
+		revShared: true,
+		tag:       &tableTag{},
 	}
 }
 
@@ -451,17 +475,17 @@ func (t *Table) RangeSpan(start, end mem.GVA, fn func(gva mem.GVA, pte PTE) bool
 // the operation SPML performs for every logged GPA (the paper's M17); its
 // virtual-time cost is charged by the caller from the cost model regardless
 // of how the answer is computed here. With the incremental index enabled
-// (the default) the host work is an O(1) map probe; otherwise - or for
-// frames that ever had two mappers - it is the full table scan.
+// (the default) the host work is an array load; otherwise - or for frames
+// that ever had two mappers - it is the full table scan.
 func (t *Table) ReverseLookup(gpa mem.GPA) (mem.GVA, bool) {
 	target := gpa.PageFloor()
 	if simcache.ReverseIndexEnabled() {
-		if _, aliased := t.revAliased[uint64(target)]; !aliased {
-			gva, ok := t.rev[uint64(target)]
-			if !ok {
-				return 0, false
-			}
-			return gva + mem.GVA(gpa.PageOffset()), true
+		switch e := t.revGet(gpa.Page()); e {
+		case revNone:
+			return 0, false
+		case revAliased:
+		default:
+			return mem.GVA(e&^revSole) + mem.GVA(gpa.PageOffset()), true
 		}
 	}
 	var found mem.GVA
