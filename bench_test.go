@@ -24,8 +24,8 @@ func benchOpt() experiments.Options {
 
 // runExperiment executes one experiment per benchmark iteration. Besides
 // ns/op it reports pages-tracked/s: simulated dirty page addresses the
-// tracking techniques delivered per host second - the throughput number
-// the MMU/PML hot-path optimizations are gated on (see BENCH_*.json).
+// tracking techniques delivered per host second, the counter perfbench's
+// pages_per_s divides by host time too.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	tracking.ResetPagesReported()

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,97 +9,41 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/obsdiff"
+	"repro/internal/prof"
+	"repro/internal/sim"
 )
 
-// TestParseTrajectoryTolerance pins the -trajectory-tolerance validation:
-// -1 disables, fractions in [0, 1) need -trajectory, everything else is
-// rejected up front.
-func TestParseTrajectoryTolerance(t *testing.T) {
-	cases := []struct {
-		name       string
-		tol        float64
-		trajectory string
-		wantErr    bool
-	}{
-		{name: "disabled", tol: -1},
-		{name: "disabled ignores missing trajectory", tol: -1, trajectory: ""},
-		{name: "zero tolerance", tol: 0, trajectory: "t.jsonl"},
-		{name: "half", tol: 0.5, trajectory: "t.jsonl"},
-		{name: "needs trajectory", tol: 0.5, wantErr: true},
-		{name: "one is too much", tol: 1, trajectory: "t.jsonl", wantErr: true},
-		{name: "negative", tol: -0.5, trajectory: "t.jsonl", wantErr: true},
-		{name: "NaN", tol: math.NaN(), trajectory: "t.jsonl", wantErr: true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if err := parseTrajectoryTolerance(c.tol, c.trajectory); (err != nil) != c.wantErr {
-				t.Errorf("parseTrajectoryTolerance(%v, %q) err = %v, wantErr %v",
-					c.tol, c.trajectory, err, c.wantErr)
-			}
-		})
-	}
-}
-
-// TestAppendTrajectoryGate exercises the regression gate end to end on a
-// real history file: a pages/sec drop past the tolerance fails before
-// anything is appended, a within-tolerance result appends, and -1 turns
-// the gate off entirely.
-func TestAppendTrajectoryGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "traj.jsonl")
-	committed := []experiments.BenchPerf{{
-		ID: "fig3", PagesTracked: 100, PagesPerSec: 1000, SpeedupVsUncached: 2,
-	}}
-	f, err := os.Create(path)
+// TestRunExperimentCountsPages pins the pages_tracked count every report
+// carries: one run's tracking.PagesReported delta, the same on a rerun
+// (it counts simulated events), and zero for Table II, which simulates
+// nothing.
+func TestRunExperimentCountsPages(t *testing.T) {
+	opt := benchOptions(1, false, 0, experiments.DefaultSeed, "")
+	res, p, err := runExperiment("table1", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.AppendTrajectory(f, "base", committed); err != nil {
-		t.Fatal(err)
+	if res == nil || len(res.Tables) == 0 {
+		t.Fatal("no result tables")
 	}
-	f.Close()
-
-	lines := func() int {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Count(string(data), "\n")
+	if p.ID != "table1" || p.PagesTracked <= 0 {
+		t.Errorf("bad perf entry: %+v", p)
 	}
-
-	regressed := []experiments.BenchPerf{{
-		ID: "fig3", PagesTracked: 100, PagesPerSec: 400, SpeedupVsUncached: 2,
-	}}
-	err = appendTrajectory(path, "new", regressed, 0.5)
-	if err == nil || !strings.Contains(err.Error(), "fig3") {
-		t.Fatalf("regressed append err = %v, want error naming fig3", err)
+	if _, again, err := runExperiment("table1", opt); err != nil || again != p {
+		t.Errorf("rerun counted %+v (err %v), first run %+v", again, err, p)
 	}
-	if got := lines(); got != 1 {
-		t.Errorf("failed gate appended anyway: %d lines, want 1", got)
+	if _, p2, err := runExperiment("table2", opt); err != nil || p2 != (experiments.BenchPerf{ID: "table2"}) {
+		t.Errorf("table2 counted %+v (err %v), want no pages", p2, err)
 	}
-
-	ok := []experiments.BenchPerf{{
-		ID: "fig3", PagesTracked: 100, PagesPerSec: 600, SpeedupVsUncached: 2,
-	}}
-	if err := appendTrajectory(path, "new", ok, 0.5); err != nil {
-		t.Fatalf("within-tolerance append: %v", err)
-	}
-	if got := lines(); got != 2 {
-		t.Errorf("after passing gate: %d lines, want 2", got)
-	}
-
-	// Gate off: even a hard regression appends (the pre-gate behavior).
-	if err := appendTrajectory(path, "new", regressed, -1); err != nil {
-		t.Fatalf("gate-off append: %v", err)
-	}
-	if got := lines(); got != 3 {
-		t.Errorf("after gate-off append: %d lines, want 3", got)
+	if _, _, err := runExperiment("fig99", opt); err == nil || !strings.Contains(err.Error(), "fig99") {
+		t.Errorf("unknown experiment err = %v, want one naming fig99", err)
 	}
 }
 
 // TestWriteCaptureBundle runs one cheap experiment with every plane on,
 // writes the -capture bundle, and proves the bundle is exactly what the
-// diff engine reads: all four files exist, the capture loads, and the
-// self-diff is empty.
+// diff engine reads: all three files exist, the capture loads with its
+// pages-tracked count, and the self-diff is empty.
 func TestWriteCaptureBundle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cap")
 	opt := benchOptions(1, false, 0, experiments.DefaultSeed, "")
@@ -108,23 +51,21 @@ func TestWriteCaptureBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, profiler := obs.Metrics, obs.Profiler
-	opt.Metrics = reg
-	opt.Profiler = profiler
+	opt.Metrics = obs.Metrics
+	opt.Profiler = obs.Profiler
 
-	res, perf, err := experiments.MeasurePerf("fig5", opt)
+	res, perf, err := runExperiment("fig5", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf := benchFlags{exp: "fig5", captureDir: dir, commit: "cafe1234"}
-	if err := writeCapture(bf, opt, []*experiments.Result{res},
-		[]experiments.BenchPerf{perf}, reg, nil, profiler); err != nil {
+	rep := experiments.NewBenchReport(opt, []*experiments.Result{res}, obs.Metrics)
+	rep.Perf = []experiments.BenchPerf{perf}
+	if err := writeCapture(dir, explainTitle("fig5"), rep, obs); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, name := range []string{
-		experiments.CaptureBenchFile, experiments.CaptureProfileFile,
-		experiments.CaptureExplainFile, experiments.CaptureTrajectoryFile,
+		experiments.CaptureBenchFile, experiments.CaptureProfileFile, experiments.CaptureExplainFile,
 	} {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
 			t.Errorf("capture bundle missing %s: %v", name, err)
@@ -135,11 +76,61 @@ func TestWriteCaptureBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Bench == nil || c.Profile == nil || c.Explain == nil || len(c.Trajectory) == 0 {
+	if c.Bench == nil || c.Profile == nil || c.Explain == nil {
 		t.Fatalf("loaded capture missing planes: %+v", c)
+	}
+	if len(c.Bench.Perf) != 1 || c.Bench.Perf[0] != perf || perf.PagesTracked <= 0 {
+		t.Errorf("capture carries perf %+v, want [%+v] with pages tracked", c.Bench.Perf, perf)
 	}
 	if rep := obsdiff.Diff(c, c); !rep.Empty {
 		t.Errorf("self-diff of the capture bundle is not empty: %s", rep.Verdict)
+	}
+}
+
+// TestCaptureDirReuse: writing a capture into a directory that holds an
+// earlier one must not leave the earlier run's optional planes behind for
+// oohdiff to read as this run's, and must not touch files the bundle
+// does not own.
+func TestCaptureDirReuse(t *testing.T) {
+	dir := t.TempDir()
+	p := prof.New()
+	var clock sim.Clock
+	sp := p.Tap(&clock).Begin("criu", "dump")
+	clock.AdvanceNanos(7)
+	sp.End()
+	report := func(id string) *experiments.BenchReport {
+		return &experiments.BenchReport{
+			Schema: experiments.BenchSchema, Scale: 1,
+			Experiments: []experiments.BenchExperiment{{ID: id, Title: id,
+				Tables: []experiments.BenchTable{{Caption: "c", Headers: []string{"h"}}}}},
+		}
+	}
+	first := experiments.Capture{Report: report("fig5"), Profile: p,
+		Explain: []byte(`{"schema":"ooh-explain/v1","title":"fig5"}`)}
+	if err := first.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	notes := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(notes, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := (experiments.Capture{Report: report("table2")}).WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := obsdiff.LoadCapture(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Profile != nil || c.Explain != nil {
+		t.Errorf("reused capture directory still carries the earlier run's planes: profile %v, explain %v",
+			c.Profile != nil, c.Explain != nil)
+	}
+	if c.Bench == nil || c.Bench.Experiments[0].ID != "table2" {
+		t.Errorf("reused capture directory lost the new report: %+v", c.Bench)
+	}
+	if b, err := os.ReadFile(notes); err != nil || string(b) != "keep" {
+		t.Errorf("a file the bundle does not own was touched: %q, %v", b, err)
 	}
 }
 
@@ -149,7 +140,7 @@ func TestWriteCaptureBundle(t *testing.T) {
 // the JSON validates against ooh-diff/v1.
 func TestCheckBenchWritesDiffArtifacts(t *testing.T) {
 	opt := benchOptions(1, false, 0, experiments.DefaultSeed, "")
-	res, perf, err := experiments.MeasurePerf("fig5", opt)
+	res, perf, err := runExperiment("fig5", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +164,7 @@ func TestCheckBenchWritesDiffArtifacts(t *testing.T) {
 	}
 	f.Close()
 
-	gateErr := checkBenchOne(basePath, 0.99, 0)
+	gateErr := checkBenchOne(basePath, 0)
 	if gateErr == nil {
 		t.Fatal("perturbed baseline passed the bench gate")
 	}

@@ -11,36 +11,25 @@ import (
 	"repro/internal/obsdiff"
 )
 
-// parseBenchTolerance validates the -bench-tolerance knob: a fraction in
-// [0, 1) of the baseline speedup the candidate may lose before the gate
-// fails.
-func parseBenchTolerance(tol float64) error {
-	if !(tol >= 0 && tol < 1) { // NaN fails every comparison: reject it too
-		return fmt.Errorf("bench tolerance %v must be in [0, 1)", tol)
-	}
-	return nil
-}
-
 // checkBench is the CI regression gate: for every committed baseline file
-// it regenerates the same experiments at the baseline's recorded options
-// (with -perf measurement), writes the fresh report next to the baseline
-// as <name>.candidate.json, and compares the two. The deterministic
-// sections must match exactly; the cached-vs-uncached speedup may not
-// regress past the tolerance. Candidates are always written - on failure
-// CI uploads them as artifacts so the perf trajectory stays inspectable.
-func checkBench(spec string, tol float64, workers int) error {
+// it regenerates the same experiments at the baseline's recorded options,
+// writes the fresh report next to the baseline as <name>.candidate.json,
+// and compares the two: tables and pages-tracked counts must match
+// exactly. Candidates are always written - on failure CI uploads them as
+// artifacts.
+func checkBench(spec string, workers int) error {
 	var failures []string
 	for _, path := range strings.Split(spec, ",") {
 		path = strings.TrimSpace(path)
 		if path == "" {
 			continue
 		}
-		if err := checkBenchOne(path, tol, workers); err != nil {
+		if err := checkBenchOne(path, workers); err != nil {
 			fmt.Fprintf(os.Stderr, "oohbench: %s: %v\n", path, err)
 			failures = append(failures, path)
 			continue
 		}
-		fmt.Printf("%s: within tolerance (%.0f%%)\n", path, tol*100)
+		fmt.Printf("%s: tables and pages_tracked match\n", path)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("bench check failed for %s", strings.Join(failures, ", "))
@@ -48,7 +37,7 @@ func checkBench(spec string, tol float64, workers int) error {
 	return nil
 }
 
-func checkBenchOne(path string, tol float64, workers int) error {
+func checkBenchOne(path string, workers int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -65,17 +54,9 @@ func checkBenchOne(path string, tol float64, workers int) error {
 	var results []*experiments.Result
 	var perf []experiments.BenchPerf
 	for _, exp := range base.Experiments {
-		if exp.ID == "table2" {
-			res, rerr := experiments.Table2(countRepoLOC())
-			if rerr != nil {
-				return fmt.Errorf("%s: %w", exp.ID, rerr)
-			}
-			results = append(results, res)
-			continue
-		}
-		res, p, rerr := experiments.MeasurePerf(exp.ID, opt)
-		if rerr != nil {
-			return fmt.Errorf("%s: %w", exp.ID, rerr)
+		res, p, err := runExperiment(exp.ID, opt)
+		if err != nil {
+			return err
 		}
 		results = append(results, res)
 		perf = append(perf, p)
@@ -96,13 +77,13 @@ func checkBenchOne(path string, tol float64, workers int) error {
 		return fmt.Errorf("writing candidate %s: %w", candPath, werr)
 	}
 
-	cmpErr := experiments.CompareBenchReports(&base, cand, tol)
+	cmpErr := experiments.CompareBenchReports(&base, cand)
 	if cmpErr == nil {
 		return nil
 	}
-	// The gate failed: turn the bare tolerance error into an attribution
+	// The gate failed: turn the bare mismatch error into an attribution
 	// report. Both sides become in-memory captures (bench plane only - the
-	// committed baselines carry tables, metrics and perf) and the diff
+	// committed baselines carry tables and pages-tracked counts) and the diff
 	// engine names every diverging cell and metric. CI uploads these next
 	// to the candidate so the failure explains itself.
 	artifacts, aerr := writeDiffArtifacts(path, candPath, &base, cand)

@@ -36,15 +36,9 @@ type benchFlags struct {
 	seed       uint64
 	jsonPath   string
 	checkJSON  string
-	perf       bool
 	checkBench string
-	benchTol   float64
-	trajectory string
-	trajTol    float64
-	commit     string
 	backend    string
 	coldBoot   bool
-	forkBench  bool
 	captureDir string
 	obs        cliflags.ObsFlags
 }
@@ -59,16 +53,10 @@ func main() {
 	flag.Uint64Var(&bf.seed, "seed", experiments.DefaultSeed, "workload data seed")
 	flag.StringVar(&bf.jsonPath, "json", "", "write a machine-readable ooh-bench/v1 report to this .json file (\"-\" = stdout, suppresses tables)")
 	flag.StringVar(&bf.checkJSON, "check-json", "", "validate an ooh-bench/v1 report file against the schema and exit")
-	flag.BoolVar(&bf.perf, "perf", false, "measure host throughput per experiment (cached vs cache-disabled wall-clock, pages-tracked/sec) and add a perf section to the -json report")
-	flag.StringVar(&bf.checkBench, "check-bench", "", "comma-separated baseline BENCH_*.json files: regenerate each and fail if the output diverges or the speedup regresses past -bench-tolerance")
-	flag.Float64Var(&bf.benchTol, "bench-tolerance", 0.5, "fraction of the baseline speedup_vs_uncached a -check-bench candidate may lose before the gate fails")
-	flag.StringVar(&bf.trajectory, "trajectory", "", "append one ooh-trajectory/v1 JSONL line per -perf result to this file")
-	flag.Float64Var(&bf.trajTol, "trajectory-tolerance", -1, "fail (before appending) if a -perf result's pages/sec drops more than this fraction below the file's last line for the same experiment; -1 disables the gate")
-	flag.StringVar(&bf.commit, "commit", "", "commit id recorded in -trajectory lines")
+	flag.StringVar(&bf.checkBench, "check-bench", "", "comma-separated baseline BENCH_*.json files: regenerate each and fail if its tables or pages_tracked counts diverge")
 	flag.StringVar(&bf.backend, "backend", "", cliflags.BackendUsage())
 	flag.BoolVar(&bf.coldBoot, "coldboot", false, "disable the snapshot-fork fast path and re-run every boot+warm-up prefix (output is byte-identical either way; CI compares the two)")
-	flag.BoolVar(&bf.forkBench, "fork-bench", false, "measure the snapshot-fork fast path against the boot+warm prefix it replaces and exit (combine with -trajectory to record the result)")
-	flag.StringVar(&bf.captureDir, "capture", "", "write the run's full observability bundle (bench.json, profile.folded, explain.json, trajectory.jsonl) into this directory for oohdiff")
+	flag.StringVar(&bf.captureDir, "capture", "", "write the run's full observability bundle (bench.json, profile.folded, explain.json) into this directory for oohdiff")
 	bf.obs.FaultRow = true
 	bf.obs.Register()
 	bf.obs.RegisterProf()
@@ -97,15 +85,6 @@ func run(bf benchFlags) (err error) {
 	if err := parseJSONPath(bf.jsonPath); err != nil {
 		return err
 	}
-	if err := parseBenchTolerance(bf.benchTol); err != nil {
-		return err
-	}
-	if err := parseTrajectoryFlags(bf.trajectory, bf.perf || bf.forkBench); err != nil {
-		return err
-	}
-	if err := parseTrajectoryTolerance(bf.trajTol, bf.trajectory); err != nil {
-		return err
-	}
 	// -capture bundles every observability plane, so it implies the
 	// metrics registry and the profiler even when no other flag asked.
 	bf.obs.Capture = bf.captureDir != ""
@@ -116,12 +95,8 @@ func run(bf benchFlags) (err error) {
 	// Report closes the trace; this covers the paths that never reach it.
 	defer func() { err = errors.Join(err, obs.Close()) }()
 
-	if bf.forkBench {
-		return runForkBench(bf)
-	}
-
 	if bf.checkBench != "" {
-		return checkBench(bf.checkBench, bf.benchTol, bf.workers)
+		return checkBench(bf.checkBench, bf.workers)
 	}
 
 	if bf.checkJSON != "" {
@@ -156,37 +131,15 @@ func run(bf benchFlags) (err error) {
 	var perf []experiments.BenchPerf
 	for _, id := range ids {
 		start := time.Now()
-		var (
-			res  *experiments.Result
-			rerr error
-		)
-		switch {
-		case id == "table2":
-			res, rerr = experiments.Table2(countRepoLOC())
-		case bf.perf:
-			var p experiments.BenchPerf
-			res, p, rerr = experiments.MeasurePerf(id, opt)
-			if rerr == nil {
-				perf = append(perf, p)
-			}
-		default:
-			res, rerr = experiments.Run(id, opt)
-		}
-		if rerr != nil {
-			return fmt.Errorf("%s: %w", id, rerr)
+		res, p, err := runExperiment(id, opt)
+		if err != nil {
+			return err
 		}
 		results = append(results, res)
+		perf = append(perf, p)
 		if !quiet {
 			fmt.Printf("=== %s (%s, took %v) ===\n\n", res.ID, res.Title, time.Since(start).Round(time.Millisecond))
 			fmt.Print(res.Render())
-		}
-	}
-	if bf.perf && !quiet {
-		for _, p := range perf {
-			fmt.Printf("perf: %s cached %v, uncached %v, %.2fx, %.0f pages-tracked/s\n",
-				p.ID, time.Duration(p.WallNS).Round(time.Millisecond),
-				time.Duration(p.UncachedWallNS).Round(time.Millisecond),
-				p.SpeedupVsUncached, p.PagesPerSec)
 		}
 	}
 
@@ -200,16 +153,10 @@ func run(bf benchFlags) (err error) {
 	if err := obs.Report(w); err != nil {
 		return err
 	}
-	if bf.trajectory != "" {
-		if err := appendTrajectory(bf.trajectory, bf.commit, perf, bf.trajTol); err != nil {
-			return err
-		}
-		if !quiet {
-			fmt.Printf("\ntrajectory: %d line(s) appended to %s\n", len(perf), bf.trajectory)
-		}
-	}
+	rep := experiments.NewBenchReport(opt, results, obs.Metrics)
+	rep.Perf = perf
 	if bf.captureDir != "" {
-		if err := writeCapture(bf, opt, results, perf, obs.Metrics, obs.Monitor, obs.Profiler); err != nil {
+		if err := writeCapture(bf.captureDir, obs.ExplainTitle, rep, obs); err != nil {
 			return err
 		}
 		if !quiet {
@@ -217,8 +164,6 @@ func run(bf benchFlags) (err error) {
 		}
 	}
 	if bf.jsonPath != "" {
-		rep := experiments.NewBenchReport(opt, results, obs.Metrics)
-		rep.Perf = perf
 		out := os.Stdout
 		if !quiet {
 			f, ferr := os.Create(bf.jsonPath)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -92,20 +91,6 @@ func TestParseMetricsFlags(t *testing.T) {
 					c.mode, c.interval, c.export, sortBy, ival, format, c.wantSort, c.wantIval, c.wantFmt)
 			}
 		})
-	}
-}
-
-// TestParseBenchTolerance pins the -bench-tolerance range check.
-func TestParseBenchTolerance(t *testing.T) {
-	for _, tol := range []float64{0, 0.35, 0.5, 0.99} {
-		if err := parseBenchTolerance(tol); err != nil {
-			t.Errorf("parseBenchTolerance(%v) = %v, want nil", tol, err)
-		}
-	}
-	for _, tol := range []float64{-0.1, 1, 1.5, math.NaN()} {
-		if err := parseBenchTolerance(tol); err == nil {
-			t.Errorf("parseBenchTolerance(%v) accepted", tol)
-		}
 	}
 }
 

@@ -3,9 +3,8 @@
 // improvement), not just that numbers changed.
 //
 // A capture is either the directory `oohbench -capture DIR` writes
-// (bench.json, profile.folded, explain.json, trajectory.jsonl - each
-// optional) or a single one of those files; single files are sniffed by
-// schema. The diff compares the planes both captures have.
+// (bench.json, profile.folded, explain.json - each optional) or a single
+// one of those files; single files are sniffed by schema. The diff compares the planes both captures have.
 //
 // Usage:
 //
@@ -42,7 +41,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: oohdiff [flags] OLD-CAPTURE NEW-CAPTURE\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Each capture is an `oohbench -capture` directory or a single plane file\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "(ooh-bench/v1 report, folded profile, ooh-explain/v1 report, ooh-trajectory/v1 lines).\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "(ooh-bench/v1 report, folded profile or ooh-explain/v1 report).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

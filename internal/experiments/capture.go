@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -21,8 +23,6 @@ const (
 	CaptureProfileFile = "profile.folded"
 	// CaptureExplainFile is the ooh-explain/v1 monitor report (optional).
 	CaptureExplainFile = "explain.json"
-	// CaptureTrajectoryFile holds ooh-trajectory/v1 lines (optional).
-	CaptureTrajectoryFile = "trajectory.jsonl"
 )
 
 // Capture is one run's observability bundle, ready to be written as a
@@ -34,24 +34,18 @@ type Capture struct {
 	Profile *prof.Profiler
 	// Explain is a serialized ooh-explain/v1 report.
 	Explain []byte
-	// Trajectory is one or more ooh-trajectory/v1 lines (validated before
-	// writing).
-	Trajectory []byte
 }
 
 // WriteDir writes the capture bundle into dir, creating it if needed.
 // Partially-populated captures are fine - the diff engine treats a
-// missing optional file as "this plane was not observed" - but a nil
-// Report or invalid Trajectory is an error, and nothing is written for
-// an invalid bundle.
+// missing optional file as "this plane was not observed" - so an optional
+// file this capture does not carry is removed, lest a reused directory
+// pair this run's report with an earlier run's plane. Files WriteDir does
+// not own are left alone. A nil Report is an error, and nothing is
+// written for it.
 func (c Capture) WriteDir(dir string) error {
 	if c.Report == nil {
 		return fmt.Errorf("capture: no bench report")
-	}
-	if len(c.Trajectory) > 0 {
-		if err := ValidateTrajectory(bytes.NewReader(c.Trajectory)); err != nil {
-			return fmt.Errorf("capture: %w", err)
-		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -61,25 +55,28 @@ func (c Capture) WriteDir(dir string) error {
 	if err := c.Report.WriteJSON(&bench); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, CaptureBenchFile), bench.Bytes(), 0o644); err != nil {
-		return err
-	}
+	var folded bytes.Buffer
 	if !c.Profile.Tree().Empty() {
-		var folded bytes.Buffer
 		if err := c.Profile.WriteFolded(&folded); err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(dir, CaptureProfileFile), folded.Bytes(), 0o644); err != nil {
-			return err
-		}
 	}
-	if len(c.Explain) > 0 {
-		if err := os.WriteFile(filepath.Join(dir, CaptureExplainFile), c.Explain, 0o644); err != nil {
-			return err
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{
+		{CaptureBenchFile, bench.Bytes()},
+		{CaptureProfileFile, folded.Bytes()},
+		{CaptureExplainFile, c.Explain},
+	} {
+		path := filepath.Join(dir, f.name)
+		if len(f.data) == 0 {
+			if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
+			continue
 		}
-	}
-	if len(c.Trajectory) > 0 {
-		if err := os.WriteFile(filepath.Join(dir, CaptureTrajectoryFile), c.Trajectory, 0o644); err != nil {
+		if err := os.WriteFile(path, f.data, 0o644); err != nil {
 			return err
 		}
 	}

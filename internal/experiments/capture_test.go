@@ -20,21 +20,16 @@ func TestCaptureWriteDir(t *testing.T) {
 	clock.AdvanceNanos(7)
 	sp.End()
 
-	var traj bytes.Buffer
-	if err := AppendTrajectory(&traj, "abc123", perfReport().Perf); err != nil {
-		t.Fatal(err)
-	}
 	c := Capture{
-		Report:     perfReport(),
-		Profile:    p,
-		Explain:    []byte(`{"schema":"ooh-explain/v1","title":"t"}`),
-		Trajectory: traj.Bytes(),
+		Report:  perfReport(),
+		Profile: p,
+		Explain: []byte(`{"schema":"ooh-explain/v1","title":"t"}`),
 	}
 	if err := c.WriteDir(filepath.Join(dir, "cap")); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		CaptureBenchFile, CaptureProfileFile, CaptureExplainFile, CaptureTrajectoryFile,
+		CaptureBenchFile, CaptureProfileFile, CaptureExplainFile,
 	} {
 		b, err := os.ReadFile(filepath.Join(dir, "cap", name))
 		if err != nil || len(b) == 0 {
@@ -73,16 +68,12 @@ func TestCaptureWriteDir(t *testing.T) {
 		t.Errorf("minimal capture wrote %v, want just %s", entries, CaptureBenchFile)
 	}
 
-	// Invalid bundles are rejected before anything lands on disk.
-	if err := (Capture{}).WriteDir(filepath.Join(dir, "none")); err == nil {
+	// A capture without a report is rejected before anything lands on disk.
+	noneDir := filepath.Join(dir, "none")
+	if err := (Capture{}).WriteDir(noneDir); err == nil {
 		t.Error("capture without a report accepted")
 	}
-	bad := Capture{Report: perfReport(), Trajectory: []byte("not json\n")}
-	badDir := filepath.Join(dir, "bad")
-	if err := bad.WriteDir(badDir); err == nil {
-		t.Error("capture with corrupt trajectory accepted")
-	}
-	if _, err := os.Stat(badDir); !os.IsNotExist(err) {
+	if _, err := os.Stat(noneDir); !os.IsNotExist(err) {
 		t.Error("rejected capture left files behind")
 	}
 }

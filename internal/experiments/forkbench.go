@@ -12,8 +12,7 @@ import (
 // ForkBench is the measured host cost of entering a warmed micro machine
 // two ways: re-running the boot+warm-up prefix from scratch versus forking
 // a copy-on-write snapshot of it. The speedup is the forked-sweep fast
-// path's whole value proposition, so it is benched and recorded on the
-// perf trajectory (id "fork-vs-boot") alongside the simcache speedups.
+// path's whole value proposition, so TestForkCheaperThanBoot gates it.
 type ForkBench struct {
 	Pages      int
 	BootWarmNS int64 // best-of-iters cold boot + spawn + map + touch
@@ -70,7 +69,7 @@ func forkBenchOps(pages int, seed uint64) (bootWarm, fork func() error, err erro
 	}
 	snap, err := m.CaptureSnapshot()
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: capturing fork-bench snapshot: %w", err)
+		return nil, nil, fmt.Errorf("experiments: capturing the fork benchmark's snapshot: %w", err)
 	}
 	region := w.Region()
 	bootWarm = func() error {
@@ -90,17 +89,4 @@ func forkBenchOps(pages int, seed uint64) (bootWarm, fork func() error, err erro
 		return nil
 	}
 	return bootWarm, fork, nil
-}
-
-// Perf converts the measurement into the bench-perf/trajectory shape: the
-// fork is the "cached" path, the boot+warm prefix the uncached reference.
-// A fork tracks no pages, so pages_tracked and pages_per_sec stay 0 and
-// CheckTrajectory gates the point on its speedup instead.
-func (fb ForkBench) Perf() BenchPerf {
-	return BenchPerf{
-		ID:                "fork-vs-boot",
-		WallNS:            fb.ForkNS,
-		UncachedWallNS:    fb.BootWarmNS,
-		SpeedupVsUncached: fb.Speedup,
-	}
 }

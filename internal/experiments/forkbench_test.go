@@ -26,10 +26,6 @@ func TestForkCheaperThanBoot(t *testing.T) {
 	if fb.Speedup < 10 {
 		t.Errorf("fork is only %.1fx cheaper than boot+warm, want >=10x", fb.Speedup)
 	}
-	p := fb.Perf()
-	if p.ID != "fork-vs-boot" || p.WallNS != fb.ForkNS || p.UncachedWallNS != fb.BootWarmNS {
-		t.Errorf("Perf() mismatch: %+v vs %+v", p, fb)
-	}
 
 	bootWarm, fork, err := forkBenchOps(pages, 17)
 	if err != nil {

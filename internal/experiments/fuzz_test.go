@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -49,49 +48,6 @@ func FuzzValidateBenchReport(f *testing.F) {
 		}
 		if err := ValidateBenchReport(out.Bytes()); err != nil {
 			t.Fatalf("re-encoded report rejected: %v\n%s", err, out.Bytes())
-		}
-	})
-}
-
-// FuzzReadTrajectory: the ooh-trajectory/v1 reader must reject bad input
-// with an error, never panic, agree with ValidateTrajectory, and read
-// back the points it accepted once they are re-encoded one per line. The
-// gate over the same history must not panic either.
-func FuzzReadTrajectory(f *testing.F) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_trajectory.jsonl"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pts, err := ReadTrajectory(bytes.NewReader(data))
-		if verr := ValidateTrajectory(bytes.NewReader(data)); (err == nil) != (verr == nil) {
-			t.Fatalf("ReadTrajectory error %v, ValidateTrajectory error %v", err, verr)
-		}
-		fresh := make([]BenchPerf, len(pts))
-		for i, pt := range pts {
-			fresh[i] = BenchPerf{ID: pt.ID, PagesTracked: pt.PagesTracked,
-				PagesPerSec: pt.PagesPerSec / 2, SpeedupVsUncached: pt.SpeedupVsUncached / 2}
-		}
-		CheckTrajectory(bytes.NewReader(data), fresh, 0.2)
-		if err != nil {
-			return
-		}
-
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, pt := range pts {
-			if err := enc.Encode(pt); err != nil {
-				t.Fatalf("accepted point does not encode: %v", err)
-			}
-		}
-		back, err := ReadTrajectory(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded points rejected: %v\n%s", err, buf.Bytes())
-		}
-		if !reflect.DeepEqual(back, pts) {
-			t.Fatalf("round trip changed the points:\nread:  %+v\nagain: %+v", pts, back)
 		}
 	})
 }

@@ -5,14 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"reflect"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/simcache"
-	"repro/internal/tracking"
 )
 
 // BenchSchema identifies the machine-readable bench report format. Bump it
@@ -37,34 +33,26 @@ type BenchExperiment struct {
 	Tables []BenchTable `json:"tables"`
 }
 
-// BenchPerf is one experiment's host-side throughput measurement: the
-// wall-clock cost of regenerating it with every simcache acceleration
-// enabled versus with simcache.DisableAll, and the simulated
-// pages-tracked/sec the cached run sustained. PagesTracked is
-// deterministic (it counts simulated events); the wall-clock fields and
-// the ratios derived from them are the one machine-dependent part of a
-// bench report, which is why the section is opt-in (-perf).
+// BenchPerf is one experiment's simulated tracking volume: the dirty
+// page addresses its tracking techniques reported (the
+// tracking.PagesReported delta over its one run). It counts simulated
+// events, so it is as deterministic as the tables; host time is
+// perfbench's to measure.
 type BenchPerf struct {
-	ID                string  `json:"id"`
-	WallNS            int64   `json:"wall_ns"`
-	UncachedWallNS    int64   `json:"uncached_wall_ns"`
-	PagesTracked      int64   `json:"pages_tracked"`
-	PagesPerSec       float64 `json:"pages_per_sec"`
-	SpeedupVsUncached float64 `json:"speedup_vs_uncached"`
+	ID           string `json:"id"`
+	PagesTracked int64  `json:"pages_tracked"`
 }
 
 // BenchReport is the stable machine-readable output of `oohbench -json`.
 // Two runs with identical options produce byte-identical reports (the
-// determinism tests pin this) except for the opt-in Perf section, whose
-// wall-clock fields necessarily vary; downstream tooling may diff the
-// deterministic sections directly.
+// determinism tests pin this); downstream tooling may diff them directly.
 type BenchReport struct {
 	Schema      string            `json:"schema"`
 	Seed        uint64            `json:"seed"`
 	Scale       int               `json:"scale"`
 	Full        bool              `json:"full"`
 	Experiments []BenchExperiment `json:"experiments"`
-	// Perf holds the -perf throughput measurements, one per experiment.
+	// Perf holds each experiment's pages-tracked count.
 	Perf []BenchPerf `json:"perf,omitempty"`
 	// Metrics is the end-of-run registry snapshot, present only when the
 	// run had -metrics attached.
@@ -109,54 +97,14 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// MeasurePerf runs experiment id twice - once with the acceleration caches
-// enabled (the default) and once under simcache.DisableAll - and returns
-// the first run's result plus the wall-clock/throughput comparison. The
-// cached-vs-uncached outputs are byte-identical (the cross-check suite
-// pins this), so the second run is purely a timing reference.
-func MeasurePerf(id string, opt Options) (*Result, BenchPerf, error) {
-	tracking.ResetPagesReported()
-	t0 := time.Now()
-	res, err := Run(id, opt)
-	wall := time.Since(t0)
-	if err != nil {
-		return nil, BenchPerf{}, err
-	}
-	pages := tracking.PagesReported()
-
-	restore := simcache.DisableAll()
-	t1 := time.Now()
-	_, uerr := Run(id, opt)
-	uncached := time.Since(t1)
-	restore()
-	if uerr != nil {
-		return nil, BenchPerf{}, fmt.Errorf("uncached rerun: %w", uerr)
-	}
-
-	p := BenchPerf{
-		ID:             id,
-		WallNS:         wall.Nanoseconds(),
-		UncachedWallNS: uncached.Nanoseconds(),
-		PagesTracked:   pages,
-	}
-	if wall > 0 {
-		p.PagesPerSec = math.Round(float64(pages) / wall.Seconds())
-		p.SpeedupVsUncached = math.Round(float64(uncached)/float64(wall)*100) / 100
-	}
-	return res, p, nil
-}
-
 // CompareBenchReports checks a freshly regenerated candidate report
-// against a committed baseline. The deterministic sections must match
-// exactly: same options, same experiments, byte-equal tables, equal
-// pages-tracked counts. The machine-dependent throughput is gated only on
-// the cached-vs-uncached speedup ratio, which must not regress below
-// baseline*(1-tol); absolute wall-clock numbers are recorded for the
-// trajectory but never compared across machines.
+// against a committed baseline. Every section must match exactly: same
+// options, same experiments, byte-equal tables, equal pages-tracked
+// counts.
 //
 // All mismatches are accumulated (errors.Join), not just the first, so
 // one CI run shows the full regression surface.
-func CompareBenchReports(baseline, candidate *BenchReport, tol float64) error {
+func CompareBenchReports(baseline, candidate *BenchReport) error {
 	var errs []error
 	if baseline.Schema != candidate.Schema {
 		errs = append(errs, fmt.Errorf("schema %q vs %q", candidate.Schema, baseline.Schema))
@@ -197,17 +145,14 @@ func CompareBenchReports(baseline, candidate *BenchReport, tol float64) error {
 			errs = append(errs, fmt.Errorf("%s: pages_tracked %d, baseline %d - the simulated workload changed",
 				bp.ID, cp.PagesTracked, bp.PagesTracked))
 		}
-		if floor := bp.SpeedupVsUncached * (1 - tol); cp.SpeedupVsUncached < floor {
-			errs = append(errs, fmt.Errorf("%s: speedup_vs_uncached %.2f regressed below %.2f (baseline %.2f, tolerance %.0f%%)",
-				bp.ID, cp.SpeedupVsUncached, floor, bp.SpeedupVsUncached, tol*100))
-		}
 	}
 	return errors.Join(errs...)
 }
 
 // ValidateBenchReport checks a serialized report against the ooh-bench/v1
 // schema: correct schema tag, at least one experiment, every table
-// rectangular with non-empty headers. CI runs this over the emitted
+// rectangular with non-empty headers, no experiment or perf id twice (the
+// diff engine pairs entries by id). CI runs this over the emitted
 // BENCH_*.json artifacts.
 func ValidateBenchReport(data []byte) error {
 	var r BenchReport
@@ -220,10 +165,15 @@ func ValidateBenchReport(data []byte) error {
 	if len(r.Experiments) == 0 {
 		return fmt.Errorf("bench report: no experiments")
 	}
+	seen := make(map[string]bool, len(r.Experiments))
 	for _, exp := range r.Experiments {
 		if exp.ID == "" {
 			return fmt.Errorf("bench report: experiment with empty id")
 		}
+		if seen[exp.ID] {
+			return fmt.Errorf("bench report: experiment %q appears twice", exp.ID)
+		}
+		seen[exp.ID] = true
 		if len(exp.Tables) == 0 {
 			return fmt.Errorf("bench report: experiment %q has no tables", exp.ID)
 		}
@@ -239,16 +189,17 @@ func ValidateBenchReport(data []byte) error {
 			}
 		}
 	}
+	clear(seen)
 	for _, p := range r.Perf {
 		if p.ID == "" {
 			return fmt.Errorf("bench report: perf entry with empty id")
 		}
-		if p.WallNS <= 0 || p.UncachedWallNS <= 0 {
-			return fmt.Errorf("bench report: perf %s has non-positive wall times (%d, %d)",
-				p.ID, p.WallNS, p.UncachedWallNS)
+		if seen[p.ID] {
+			return fmt.Errorf("bench report: perf %s appears twice", p.ID)
 		}
-		if p.PagesTracked < 0 || p.PagesPerSec < 0 || p.SpeedupVsUncached <= 0 {
-			return fmt.Errorf("bench report: perf %s has invalid throughput fields", p.ID)
+		seen[p.ID] = true
+		if p.PagesTracked < 0 {
+			return fmt.Errorf("bench report: perf %s has negative pages_tracked %d", p.ID, p.PagesTracked)
 		}
 	}
 	return nil

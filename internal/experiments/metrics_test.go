@@ -194,6 +194,7 @@ func TestBenchReportSchema(t *testing.T) {
 		"bad schema":    `{"schema":"nope/v0","seed":1,"scale":1,"experiments":[{"id":"x","title":"t","tables":[{"caption":"c","headers":["h"],"rows":[["v"]]}]}]}`,
 		"no experiment": `{"schema":"ooh-bench/v1","seed":1,"scale":1,"experiments":[]}`,
 		"ragged row":    `{"schema":"ooh-bench/v1","seed":1,"scale":1,"experiments":[{"id":"x","title":"t","tables":[{"caption":"c","headers":["h"],"rows":[["v","extra"]]}]}]}`,
+		"repeated id":   `{"schema":"ooh-bench/v1","seed":1,"scale":1,"experiments":[{"id":"x","title":"t","tables":[{"caption":"c","headers":["h"]}]},{"id":"x","title":"t","tables":[{"caption":"c","headers":["h"]}]}]}`,
 		"not json":      `{`,
 	} {
 		if err := ValidateBenchReport([]byte(data)); err == nil {

@@ -14,7 +14,7 @@ const maxMarkdownRows = 25
 
 // WriteMarkdown renders the delta report as a human-readable markdown
 // document: verdict first, then attribution, metrics, rounds, tables and
-// throughput context. Sections with no data are omitted; output is
+// pages-tracked counts. Sections with no data are omitted; output is
 // deterministic.
 func (r *Report) WriteMarkdown(w io.Writer) error {
 	var b strings.Builder
@@ -113,25 +113,10 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	}
 
 	if len(r.Perf) > 0 {
-		b.WriteString("## Throughput (machine-dependent context)\n\n")
-		b.WriteString("| experiment | pages tracked | pages/sec | speedup vs uncached |\n")
-		b.WriteString("|---|---|---|---|\n")
+		b.WriteString("## Pages tracked\n\n")
+		b.WriteString("| experiment | pages tracked |\n|---|---|\n")
 		for _, p := range r.Perf {
-			fmt.Fprintf(&b, "| %s | %d→%d | %.0f→%.0f | %.2f→%.2f |\n",
-				p.ID, p.OldPagesTracked, p.NewPagesTracked,
-				p.OldPagesPerSec, p.NewPagesPerSec,
-				p.OldSpeedupVsUncached, p.NewSpeedupVsUncached)
-		}
-		b.WriteString("\nOnly pages-tracked is deterministic; the rest varies with the host.\n\n")
-	}
-
-	if len(r.Trajectory) > 0 {
-		b.WriteString("## Trajectory (last committed line per experiment)\n\n")
-		b.WriteString("| experiment | commit | pages/sec |\n|---|---|---|\n")
-		for _, tp := range r.Trajectory {
-			fmt.Fprintf(&b, "| %s | %s→%s | %.0f→%.0f |\n",
-				tp.ID, short(tp.OldCommit), short(tp.NewCommit),
-				tp.OldPagesPerSec, tp.NewPagesPerSec)
+			fmt.Fprintf(&b, "| %s | %d→%d |\n", p.ID, p.OldPagesTracked, p.NewPagesTracked)
 		}
 		b.WriteString("\n")
 	}
@@ -157,14 +142,4 @@ func dirtyPair(old, new int) string {
 		return fmt.Sprintf("%d", v)
 	}
 	return f(old) + "→" + f(new)
-}
-
-func short(commit string) string {
-	if commit == "" {
-		return "?"
-	}
-	if len(commit) > 8 {
-		return commit[:8]
-	}
-	return commit
 }

@@ -1,7 +1,7 @@
 // Package obsdiff is the cross-run comparison engine: it ingests two run
 // captures - the observability bundle one `oohbench` invocation emits
 // (ooh-bench/v1 report, folded call-path profile, ooh-explain/v1 monitor
-// report, ooh-trajectory/v1 lines) - and produces an explainable delta
+// report) - and produces an explainable delta
 // report that names WHICH call paths, counters and rounds account for a
 // regression, not just that numbers moved.
 //
@@ -42,8 +42,6 @@ type Capture struct {
 	Profile *prof.Tree
 	// Explain is the ooh-explain/v1 monitor report, nil when absent.
 	Explain *explain.Report
-	// Trajectory holds the capture's ooh-trajectory/v1 lines, in order.
-	Trajectory []experiments.TrajectoryPoint
 }
 
 // Title names the capture in reports: the bench report's experiment ids
@@ -52,9 +50,8 @@ func (c *Capture) Title() string { return c.Path }
 
 // LoadCapture loads a capture from path. A directory is read as a capture
 // bundle (experiments.Capture layout: bench.json, profile.folded,
-// explain.json, trajectory.jsonl - each optional, but at least one must
-// exist). A single file is sniffed: JSON documents dispatch on their
-// "schema" field, .jsonl trajectory files on their first line's schema,
+// explain.json - each optional, but at least one must exist). A single
+// file is sniffed: JSON documents dispatch on their "schema" field,
 // anything else must parse as a folded profile. Malformed or
 // schema-unknown inputs are errors.
 func LoadCapture(path string) (*Capture, error) {
@@ -73,7 +70,7 @@ func LoadCapture(path string) (*Capture, error) {
 	loaded := 0
 	for _, name := range []string{
 		experiments.CaptureBenchFile, experiments.CaptureProfileFile,
-		experiments.CaptureExplainFile, experiments.CaptureTrajectoryFile,
+		experiments.CaptureExplainFile,
 	} {
 		p := filepath.Join(path, name)
 		if _, err := os.Stat(p); os.IsNotExist(err) {
@@ -85,9 +82,9 @@ func LoadCapture(path string) (*Capture, error) {
 		loaded++
 	}
 	if loaded == 0 {
-		return nil, fmt.Errorf("%s: not a capture directory (no %s, %s, %s or %s)",
+		return nil, fmt.Errorf("%s: not a capture directory (no %s, %s or %s)",
 			path, experiments.CaptureBenchFile, experiments.CaptureProfileFile,
-			experiments.CaptureExplainFile, experiments.CaptureTrajectoryFile)
+			experiments.CaptureExplainFile)
 	}
 	return c, nil
 }
@@ -112,15 +109,11 @@ func (c *Capture) loadFile(path string) error {
 		return nil
 	}
 
-	// JSON (or JSONL): dispatch on the first document's schema tag.
+	// JSON: dispatch on the document's schema tag.
 	var tag struct {
 		Schema string `json:"schema"`
 	}
-	firstDoc := trimmed
-	if nl := bytes.IndexByte(trimmed, '\n'); nl > 0 && trimmed[nl-1] == '}' {
-		firstDoc = trimmed[:nl] // JSONL: sniff the first line only
-	}
-	if err := json.Unmarshal(firstDoc, &tag); err != nil {
+	if err := json.Unmarshal(data, &tag); err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
 	switch tag.Schema {
@@ -139,12 +132,6 @@ func (c *Capture) loadFile(path string) error {
 			return fmt.Errorf("%s: %v", path, err)
 		}
 		c.Explain = &rep
-	case experiments.TrajectorySchema:
-		pts, err := experiments.ReadTrajectory(bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		c.Trajectory = pts
 	case "":
 		return fmt.Errorf("%s: JSON document has no schema field", path)
 	default:

@@ -174,7 +174,7 @@ func TestTwoRunAttribution(t *testing.T) {
 
 // synthCapture builds an in-memory capture with every plane populated,
 // for tests that need full control over the inputs.
-func synthCapture(path string, drainNs int64, dirty int, pps float64) *Capture {
+func synthCapture(path string, drainNs int64, dirty int, pages int64) *Capture {
 	tree := func() *prof.Tree {
 		var buf bytes.Buffer
 		buf.WriteString("migration/round1 1000\n")
@@ -197,10 +197,7 @@ func synthCapture(path string, drainNs int64, dirty int, pps float64) *Capture {
 					Rows: [][]string{{jsonNum(drainNs)}},
 				}},
 			}},
-			Perf: []experiments.BenchPerf{{
-				ID: "fig5", WallNS: 10, UncachedWallNS: 100,
-				PagesTracked: 50, PagesPerSec: pps, SpeedupVsUncached: 10,
-			}},
+			Perf: []experiments.BenchPerf{{ID: "fig5", PagesTracked: pages}},
 		},
 		Profile: tree,
 		Explain: &explain.Report{
@@ -210,10 +207,6 @@ func synthCapture(path string, drainNs int64, dirty int, pps float64) *Capture {
 				Dominant: "hypervisor/pml_drain", Dirty: dirty,
 			}},
 		},
-		Trajectory: []experiments.TrajectoryPoint{{
-			Schema: experiments.TrajectorySchema, Commit: "c-" + path, ID: "fig5",
-			PagesTracked: 50, PagesPerSec: pps, SpeedupVsUncached: 10,
-		}},
 	}
 }
 
@@ -223,8 +216,7 @@ func jsonNum(v int64) string {
 }
 
 // TestDiffFusesAllPlanes drives the synthetic pair through every report
-// section: rounds (explain-sourced dirty sizes), tables, perf,
-// trajectory.
+// section: rounds (explain-sourced dirty sizes), tables, pages tracked.
 func TestDiffFusesAllPlanes(t *testing.T) {
 	old := synthCapture("old", 500, 64, 1000)
 	new := synthCapture("new", 900, 96, 800)
@@ -246,21 +238,19 @@ func TestDiffFusesAllPlanes(t *testing.T) {
 	if len(r.Tables) != 1 || r.Tables[0].Old != "500" || r.Tables[0].New != "900" {
 		t.Errorf("table deltas: %+v", r.Tables)
 	}
-	if len(r.Perf) != 1 || r.Perf[0].OldPagesPerSec != 1000 || r.Perf[0].NewPagesPerSec != 800 {
+	if len(r.Perf) != 1 || r.Perf[0].OldPagesTracked != 1000 || r.Perf[0].NewPagesTracked != 800 {
 		t.Errorf("perf deltas: %+v", r.Perf)
-	}
-	if len(r.Trajectory) != 1 || r.Trajectory[0].OldCommit != "c-old" {
-		t.Errorf("trajectory deltas: %+v", r.Trajectory)
 	}
 	if len(r.TopPaths) == 0 || r.TopPaths[0].Path != "migration/round1;hypervisor/pml_drain" {
 		t.Errorf("top path: %+v", r.TopPaths)
 	}
-	// The markdown names the dirty sizes and the diverging cell.
+	// The markdown names the dirty sizes, the diverging cell and the
+	// pages-tracked drift.
 	var md bytes.Buffer
 	if err := r.WriteMarkdown(&md); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"64→96", "| 500 | 900 |", "hypervisor/pml_drain"} {
+	for _, want := range []string{"64→96", "| 500 | 900 |", "hypervisor/pml_drain", "| fig5 | 1000→800 |"} {
 		if !strings.Contains(md.String(), want) {
 			t.Errorf("markdown missing %q:\n%s", want, md.String())
 		}
@@ -295,12 +285,6 @@ func TestLoadCaptureSniffsSingleFiles(t *testing.T) {
 	c, err = LoadCapture(write("explain.json", `{"schema":"ooh-explain/v1","title":"t"}`))
 	if err != nil || c.Explain == nil {
 		t.Errorf("explain sniff: %v %+v", err, c)
-	}
-
-	traj := `{"schema":"ooh-trajectory/v1","commit":"c","id":"fig5","pages_tracked":1,"pages_per_sec":1,"speedup_vs_uncached":1}` + "\n"
-	c, err = LoadCapture(write("t.jsonl", traj+traj))
-	if err != nil || len(c.Trajectory) != 2 {
-		t.Errorf("trajectory sniff: %v %+v", err, c)
 	}
 
 	for name, content := range map[string]string{

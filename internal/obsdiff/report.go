@@ -57,26 +57,12 @@ type CellDelta struct {
 	New        string `json:"new"`
 }
 
-// PerfDelta compares one experiment's -perf measurement. The wall-clock
-// derived fields are machine-dependent; PagesTracked is deterministic.
+// PerfDelta compares one experiment's pages-tracked count, a
+// deterministic count of simulated events.
 type PerfDelta struct {
-	ID                   string  `json:"id"`
-	OldPagesTracked      int64   `json:"old_pages_tracked"`
-	NewPagesTracked      int64   `json:"new_pages_tracked"`
-	OldPagesPerSec       float64 `json:"old_pages_per_sec"`
-	NewPagesPerSec       float64 `json:"new_pages_per_sec"`
-	OldSpeedupVsUncached float64 `json:"old_speedup_vs_uncached"`
-	NewSpeedupVsUncached float64 `json:"new_speedup_vs_uncached"`
-}
-
-// TrajectoryDelta compares the LAST trajectory line per experiment id
-// across the captures.
-type TrajectoryDelta struct {
-	ID             string  `json:"id"`
-	OldCommit      string  `json:"old_commit"`
-	NewCommit      string  `json:"new_commit"`
-	OldPagesPerSec float64 `json:"old_pages_per_sec"`
-	NewPagesPerSec float64 `json:"new_pages_per_sec"`
+	ID              string `json:"id"`
+	OldPagesTracked int64  `json:"old_pages_tracked"`
+	NewPagesTracked int64  `json:"new_pages_tracked"`
 }
 
 // Report is the full ooh-diff/v1 delta report.
@@ -111,10 +97,9 @@ type Report struct {
 	Gauges     []metrics.MetricDelta `json:"gauges,omitempty"`
 	Histograms []metrics.HistDelta   `json:"histograms,omitempty"`
 
-	Rounds     []RoundDelta      `json:"rounds,omitempty"`
-	Tables     []CellDelta       `json:"tables,omitempty"`
-	Perf       []PerfDelta       `json:"perf,omitempty"`
-	Trajectory []TrajectoryDelta `json:"trajectory,omitempty"`
+	Rounds []RoundDelta `json:"rounds,omitempty"`
+	Tables []CellDelta  `json:"tables,omitempty"`
+	Perf   []PerfDelta  `json:"perf,omitempty"`
 
 	// rawPaths keeps the frame-typed deltas for the folded/pprof exports.
 	rawPaths []prof.PathDelta
@@ -156,7 +141,6 @@ func Diff(old, new *Capture) *Report {
 		r.Tables = diffTables(old.Bench, new.Bench)
 		r.Perf = diffPerf(old.Bench.Perf, new.Bench.Perf)
 	}
-	r.Trajectory = diffTrajectory(old.Trajectory, new.Trajectory)
 
 	r.Empty = r.computeEmpty()
 	r.Verdict = r.verdict()
@@ -347,50 +331,14 @@ func diffPerf(old, new []experiments.BenchPerf) []PerfDelta {
 	for _, op := range old {
 		np, ok := newByID[op.ID]
 		if !ok {
-			continue // perf is opt-in; only compare what both measured
+			continue // only compare what both counted
 		}
-		out = append(out, PerfDelta{
-			ID:              op.ID,
-			OldPagesTracked: op.PagesTracked, NewPagesTracked: np.PagesTracked,
-			OldPagesPerSec: op.PagesPerSec, NewPagesPerSec: np.PagesPerSec,
-			OldSpeedupVsUncached: op.SpeedupVsUncached, NewSpeedupVsUncached: np.SpeedupVsUncached,
-		})
+		out = append(out, PerfDelta{ID: op.ID, OldPagesTracked: op.PagesTracked, NewPagesTracked: np.PagesTracked})
 	}
 	return out
 }
 
-func diffTrajectory(old, new []experiments.TrajectoryPoint) []TrajectoryDelta {
-	last := func(pts []experiments.TrajectoryPoint) (map[string]experiments.TrajectoryPoint, []string) {
-		m := map[string]experiments.TrajectoryPoint{}
-		var order []string
-		for _, pt := range pts {
-			if _, ok := m[pt.ID]; !ok {
-				order = append(order, pt.ID)
-			}
-			m[pt.ID] = pt
-		}
-		return m, order
-	}
-	oldLast, order := last(old)
-	newLast, _ := last(new)
-	var out []TrajectoryDelta
-	for _, id := range order {
-		op := oldLast[id]
-		np, ok := newLast[id]
-		if !ok {
-			continue
-		}
-		out = append(out, TrajectoryDelta{
-			ID: id, OldCommit: op.Commit, NewCommit: np.Commit,
-			OldPagesPerSec: op.PagesPerSec, NewPagesPerSec: np.PagesPerSec,
-		})
-	}
-	return out
-}
-
-// computeEmpty: nothing moved on any deterministic plane. Perf and
-// trajectory wall-clock numbers are machine-dependent context, not
-// deltas, so they do not count - except the deterministic PagesTracked.
+// computeEmpty: nothing moved on any plane.
 func (r *Report) computeEmpty() bool {
 	if r.TotalInclDeltaNs != 0 || len(r.Counters) > 0 || len(r.Gauges) > 0 ||
 		len(r.Histograms) > 0 || len(r.Tables) > 0 {
