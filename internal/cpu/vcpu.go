@@ -221,6 +221,9 @@ type writeHook struct {
 
 // AddWriteHook registers fn to observe every successful guest write and
 // returns an id for RemoveWriteHook. Hooks fire in registration order.
+// A hook must be zero-cost: it may not advance the clock or open a
+// profiler span, because a TLB-hit write counts its page walk as a
+// zero-length span after the hooks have run.
 func (v *VCPU) AddWriteHook(fn func(gva mem.GVA)) int {
 	v.nextHookID++
 	v.writeHooks = append(v.writeHooks, writeHook{id: v.nextHookID, fn: fn})
@@ -695,12 +698,12 @@ func (v *VCPU) Write(gva mem.GVA, b []byte) error {
 			// A TLB hit proves no A/D, PML, EPML or SPP transition is
 			// possible (see tlb.go), so the walk reduces to the zero-cost
 			// write observers plus a write into the cached host frame,
-			// bypassing PhysMem's lock and lookup. The walk span is still
-			// emitted - its virtual time is zero either way - and the hooks
-			// fire inside it, keeping profiles identical to the slow path.
-			sp := v.Prof.Begin(prof.SubCPU, "page_walk")
+			// bypassing PhysMem's lock and lookup. The walk is still
+			// profiled, as the zero-length span it is: the hooks advance
+			// no clock and open no span, so counting it after them folds
+			// into the tree what a span around them would.
 			v.fireWriteHooks(gva.PageFloor())
-			sp.End()
+			v.Prof.Count(prof.SubCPU, "page_walk")
 			v.Phys.WriteFrame(fr, gva.PageOffset(), b[:n])
 		} else {
 			hpa, err := v.walkForWrite(gva)
@@ -729,8 +732,7 @@ func (v *VCPU) Read(gva mem.GVA, b []byte) error {
 		v.inc(&v.ctr.readOps, CtrReadOps)
 		v.Clock.Advance(v.Costs.ReadOp)
 		if fr, ok := v.tlbReadFrame(gva); ok {
-			sp := v.Prof.Begin(prof.SubCPU, "page_walk")
-			sp.End()
+			v.Prof.Count(prof.SubCPU, "page_walk")
 			fr.ReadAt(b[:n], gva.PageOffset())
 		} else {
 			hpa, err := v.walkForRead(gva)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -46,7 +47,13 @@ type SeriesSnap struct {
 
 // MarshalJSON emits a Point as a compact [ts, v] pair.
 func (p Point) MarshalJSON() ([]byte, error) {
-	return fmt.Appendf(nil, "[%d,%d]", p.TS, p.V), nil
+	var buf [len("[-9223372036854775808,-9223372036854775808]")]byte
+	b := append(buf[:0], '[')
+	b = strconv.AppendInt(b, p.TS, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, p.V, 10)
+	b = append(b, ']')
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // UnmarshalJSON parses the [ts, v] pair form.

@@ -17,7 +17,7 @@
 //     merged tree - and every export derived from it - is byte-identical
 //     at any worker count.
 //   - The disabled path is free: a nil *Profiler hands out a nil *Tap,
-//     and Begin/End on a nil Tap are zero-allocation no-ops.
+//     and Begin/End/Count on a nil Tap are zero-allocation no-ops.
 package prof
 
 import "repro/internal/sim"
@@ -143,6 +143,21 @@ func (t *Tap) Begin(sub, op string) Span {
 		start: t.clock.Nanos(),
 	})
 	return Span{t: t, depth: len(t.stack)}
+}
+
+// Count records one zero-length span of (sub, op) under the tap's
+// innermost live span: it bumps that path's count, exactly what Begin
+// and an End at the same clock reading fold into the tree, without
+// pushing a frame. Safe on a nil Tap.
+func (t *Tap) Count(sub, op string) {
+	if t == nil {
+		return
+	}
+	parent := &t.p.root
+	if n := len(t.stack); n > 0 {
+		parent = t.stack[n-1].n
+	}
+	parent.child(Frame{Sub: sub, Op: op}).count++
 }
 
 // End closes the span at the clock's current time, folding its elapsed

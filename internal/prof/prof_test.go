@@ -2,6 +2,8 @@ package prof
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,13 +132,14 @@ func TestNilProfilerIsFreeAndSafe(t *testing.T) {
 }
 
 // TestTapZeroAllocDisabled guards the disabled-profiler hot path: a nil
-// Tap's Begin/End must not allocate (instrumented layers call them on
-// every simulated operation).
+// Tap's Begin/End/Count must not allocate (instrumented layers call them
+// on every simulated operation).
 func TestTapZeroAllocDisabled(t *testing.T) {
 	var tap *Tap
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tap.Begin("cpu", "page_walk")
 		sp.End()
+		tap.Count("cpu", "page_walk")
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tap Begin/End allocates %v per op, want 0", allocs)
@@ -154,10 +157,49 @@ func TestTapSteadyStateNoAlloc(t *testing.T) {
 		b := tap.Begin("hypervisor", "pml_drain")
 		clock.AdvanceNanos(3)
 		b.End()
+		tap.Count("cpu", "tlb_hit")
 		a.End()
+		tap.Count("cpu", "page_walk")
 	})
 	if allocs != 0 {
 		t.Errorf("warm tap allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestCountFoldsAsZeroLengthSpan: a Count folds into the tree exactly what
+// a Begin and an End at the same clock reading do, at the root and under
+// a live span, through every export.
+func TestCountFoldsAsZeroLengthSpan(t *testing.T) {
+	build := func(zero func(tap *Tap, sub, op string)) *Profiler {
+		p := New()
+		var clock sim.Clock
+		tap := p.Tap(&clock)
+		zero(tap, SubCPU, "page_walk")
+		span(tap, &clock, SubGC, "mark", 5, func() {
+			zero(tap, SubCPU, "page_walk")
+			span(tap, &clock, SubCPU, "page_walk", 2, nil)
+			zero(tap, SubCPU, "page_walk")
+			zero(tap, SubHypervisor, "pml_drain")
+		})
+		zero(tap, SubCPU, "page_walk")
+		return p
+	}
+	spans := build(func(tap *Tap, sub, op string) { tap.Begin(sub, op).End() })
+	counts := build(func(tap *Tap, sub, op string) { tap.Count(sub, op) })
+	if !reflect.DeepEqual(counts.Tree(), spans.Tree()) {
+		t.Errorf("Count tree = %+v, want %+v", counts.Tree(), spans.Tree())
+	}
+	for _, export := range []func(*Profiler, io.Writer) error{(*Profiler).WriteFolded, (*Profiler).WritePprof} {
+		var got, want bytes.Buffer
+		if err := export(counts, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := export(spans, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("Count export differs from Begin/End's:\n%q\n%q", got.Bytes(), want.Bytes())
+		}
 	}
 }
 

@@ -28,11 +28,14 @@ var (
 	// epmlArmed), refreshed via VMCS generation counters instead of being
 	// re-read from the field storage on every guest write.
 	armCache = true
-	// workloadMemo enables workload-level host-compute memoization: kernels
-	// whose input region is immutable after Setup (string-match, histogram)
-	// cache the pure function of that input across passes. Guest memory
-	// reads still execute every pass (virtual clock, accessed bits and read
-	// logging are unchanged); only redundant host arithmetic is skipped.
+	// workloadMemo enables workload-level host-compute memoization: one
+	// process-wide memo of workload inputs, shared by every instance and
+	// sweep cell on the same input, keeps string-match's generated text
+	// and the pure function of an input that is immutable after Setup
+	// (string-match's matches, histogram's bins, PCA's means and banded
+	// covariance). Guest memory reads and writes still execute every pass
+	// (virtual clock, accessed bits and read logging are unchanged); only
+	// redundant host arithmetic is skipped.
 	workloadMemo = true
 )
 

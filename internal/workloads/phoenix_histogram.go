@@ -4,7 +4,6 @@ import (
 	"repro/internal/guestos"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 )
 
 // Histogram is Phoenix's histogram kernel: scan a bitmap file of RGB
@@ -23,12 +22,12 @@ type Histogram struct {
 	// Totals carries the final counts for result verification.
 	Totals [3][256]uint64
 
-	// binMemo caches one pass's bin counts. The file region is immutable
-	// after Setup, so every pass bins the same bytes; later passes reuse
-	// the counts while still issuing the same guest reads. The cumulative
-	// Totals reduce (and its guest writes) stays per-pass.
-	memoValid bool
-	binMemo   [3][256]uint64
+	// memo holds the input's bin counts: the file region is immutable
+	// after Setup, so every pass bins the same bytes. Later passes (and
+	// other instances on the same input) reuse the counts while still
+	// issuing the same guest reads; the cumulative Totals reduce (and its
+	// guest writes) stays per-pass.
+	memo *memoEntry[struct{}, [3][256]uint64]
 }
 
 // NewHistogram returns the kernel over a synthetic file of n bytes.
@@ -40,6 +39,7 @@ func (w *Histogram) Name() string { return "phoenix/histogram" }
 // Setup implements Workload: generate the input file in guest memory.
 func (w *Histogram) Setup(alloc Allocator, rng *sim.RNG) error {
 	w.proc = alloc.Proc()
+	w.memo = memoFor[struct{}, [3][256]uint64](inputKey{name: w.Name(), dims: [2]int{int(w.FileBytes)}, rng: *rng})
 	var err error
 	if w.file, err = alloc.Alloc(w.FileBytes); err != nil {
 		return err
@@ -50,7 +50,6 @@ func (w *Histogram) Setup(alloc Allocator, rng *sim.RNG) error {
 	if w.bins, err = alloc.Alloc(3 * 256 * 8); err != nil {
 		return err
 	}
-	w.memoValid = false
 	w.ready = true
 	return nil
 }
@@ -61,15 +60,14 @@ func (w *Histogram) Run() error {
 	if err := checkSetup(w.Name(), w.ready); err != nil {
 		return err
 	}
-	var local [3][256]uint64
-	useMemo := simcache.WorkloadMemoEnabled()
-	bin := !(useMemo && w.memoValid)
+	local := w.memo.analysis()
+	bin := local == nil
+	if bin {
+		local = new([3][256]uint64)
+	}
 	buf := make([]byte, mem.PageSize)
 	for off := uint64(0); off < w.FileBytes; off += mem.PageSize {
-		n := w.FileBytes - off
-		if n > mem.PageSize {
-			n = mem.PageSize
-		}
+		n := min(w.FileBytes-off, mem.PageSize)
 		if err := readChunk(w.proc, w.file.Add(off), buf[:n]); err != nil {
 			return err
 		}
@@ -83,12 +81,7 @@ func (w *Histogram) Run() error {
 		}
 	}
 	if bin {
-		if useMemo {
-			w.binMemo = local
-			w.memoValid = true
-		}
-	} else {
-		local = w.binMemo
+		w.memo.publish(local)
 	}
 	// Reduce phase: store counters to guest memory (the dirty writes).
 	out := make([]byte, 256*8)
