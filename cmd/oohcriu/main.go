@@ -1,10 +1,11 @@
 // Command oohcriu checkpoints a running workload with the chosen tracking
 // technique, optionally writes the image to disk, restores it into a fresh
 // process and verifies the restored memory byte for byte. With -faults
-// the tracker runs under injected failures through the resilient wrapper,
-// transient collection failures are retried with charged backoff, and a
-// -budget downtime SLO aborts the checkpoint cleanly (process still
-// running) rather than blow the stop-and-copy window.
+// the tracker runs under injected failures through the resilient wrapper
+// (the oracle, the ground truth, stays bare), transient collection
+// failures are retried with charged backoff, and a -budget downtime SLO
+// aborts the checkpoint cleanly (process still running) rather than blow
+// the stop-and-copy window.
 //
 // Usage:
 //
@@ -17,107 +18,64 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
 	"repro/internal/criu"
-	"repro/internal/machine"
 	"repro/internal/report"
-	"repro/internal/sim"
-	"repro/internal/tracking"
-	"repro/internal/workloads"
 )
 
 // criuFlags carries every parsed CLI flag into run.
 type criuFlags struct {
-	name    string
-	tech    string
-	size    string
-	scale   int
-	rounds  int
-	budget  time.Duration
-	out     string
-	seed    uint64
-	backend string
-	obs     cliflags.ObsFlags
+	target cliflags.Target
+	tech   string
+	rounds int
+	budget time.Duration
+	out    string
+	obs    cliflags.ObsFlags
 }
 
 func main() {
 	var cf criuFlags
-	flag.StringVar(&cf.name, "workload", "baby", "workload: "+strings.Join(workloads.Names(), ", "))
+	cf.target.Register(flag.CommandLine, "baby", "medium")
 	flag.StringVar(&cf.tech, "tech", "epml", "technique: proc, ufd, spml, epml, oracle")
-	flag.StringVar(&cf.size, "size", "medium", "config size: small, medium, large")
-	flag.IntVar(&cf.scale, "scale", 1, "workload scale factor")
 	flag.IntVar(&cf.rounds, "rounds", 2, "pre-copy rounds before stop-and-copy")
 	flag.DurationVar(&cf.budget, "budget", 0, "downtime SLO: abort rather than stop-and-copy beyond this (0 = no budget)")
 	flag.StringVar(&cf.out, "out", "", "write the checkpoint image to this file")
-	flag.Uint64Var(&cf.seed, "seed", 42, "workload data seed")
-	flag.StringVar(&cf.backend, "backend", "", cliflags.BackendUsage())
 	cf.obs.Register()
 	flag.Parse()
 
 	// main never exits from inside the work: run returns, so deferred
 	// cleanup (the trace close in particular) fires even on error paths.
-	if err := run(cf); err != nil {
+	if err := run(cf, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "oohcriu: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(cf criuFlags) (err error) {
+// run checkpoints, restores and verifies the target, printing to w.
+func run(cf criuFlags, w io.Writer) (err error) {
 	kind, err := cliflags.ParseTech(cf.tech)
 	if err != nil {
 		return err
 	}
-	sz, err := cliflags.ParseSize(cf.size)
+	b, err := cf.target.Boot(cf.obs)
 	if err != nil {
 		return err
 	}
-	backend, err := cliflags.ParseBackend(cf.backend)
-	if err != nil {
-		return err
-	}
-	// Build (and thereby validate) the observability flags before any
-	// work: a typo exits non-zero even if the flag would go unused.
-	obs, err := cf.obs.Build(cf.seed)
-	if err != nil {
-		return err
-	}
+	obs, proc := b.Obs, b.Proc
 	// Report closes the trace; this covers the paths that never reach it.
 	defer func() { err = errors.Join(err, obs.Close()) }()
 
-	obs.ExplainTitle = fmt.Sprintf("oohcriu %s/%s (%s)", cf.name, sz, kind)
-	m, err := machine.New(machine.Config{Backend: backend, Tracer: obs.Tracer, Faults: obs.Faults,
-		Metrics: obs.Metrics, Profiler: obs.Profiler, Monitor: obs.Monitor})
+	obs.ExplainTitle = fmt.Sprintf("oohcriu %s/%s (%s)", cf.target.Workload, b.Size, kind)
+	if err := b.Workload.Run(); err != nil {
+		return err
+	}
+	t, err := b.Tracker(kind)
 	if err != nil {
 		return err
-	}
-	g := m.Guest(0)
-	proc := g.Kernel.Spawn(cf.name)
-	w, err := workloads.New(cf.name, sz, cf.scale)
-	if err != nil {
-		return err
-	}
-	if err := w.Setup(workloads.NewRegionAlloc(proc, false), sim.NewRNG(cf.seed)); err != nil {
-		return err
-	}
-	if err := w.Run(); err != nil {
-		return err
-	}
-
-	// Under injected faults, checkpoint through the resilient wrapper so
-	// transient tracker failures are retried and missing capabilities
-	// degrade down the ladder instead of killing the checkpoint.
-	var t tracking.Technique
-	if obs.Faults.Armed() {
-		t = g.NewResilient(kind, proc)
-	} else {
-		t, err = g.NewTechnique(kind, proc)
-		if err != nil {
-			return err
-		}
 	}
 	ck := criu.New(proc, t, criu.Options{
 		MaxRounds:      cf.rounds,
@@ -125,28 +83,28 @@ func run(cf criuFlags) (err error) {
 		DowntimeBudget: cf.budget,
 	})
 	img, stats, err := ck.Run(func(round int) error {
-		fmt.Printf("pre-copy round %d: workload keeps running...\n", round)
-		return w.Run()
+		fmt.Fprintf(w, "pre-copy round %d: workload keeps running...\n", round)
+		return b.Workload.Run()
 	})
 	if err != nil {
 		// Aborts are clean by construction (process resumed, tracker
 		// closed); surface the observability summary, then the reason.
-		rerr := obs.Report(os.Stdout)
+		rerr := obs.Report(w)
 		if errors.Is(err, criu.ErrSLOAbort) {
 			err = fmt.Errorf("checkpoint aborted, process still running: %w", err)
 		}
 		return errors.Join(err, rerr)
 	}
 
-	fmt.Printf("\ncheckpoint of %s (%s) with %s:\n", cf.name, sz, t.Name())
-	fmt.Printf("  init %-10s MD %-10s MW %-10s total %s\n",
+	fmt.Fprintf(w, "\ncheckpoint of %s (%s) with %s:\n", cf.target.Workload, b.Size, t.Name())
+	fmt.Fprintf(w, "  init %-10s MD %-10s MW %-10s total %s\n",
 		report.FormatDuration(stats.Init), report.FormatDuration(stats.MD),
 		report.FormatDuration(stats.MW), report.FormatDuration(stats.Total))
-	fmt.Printf("  rounds %d, pages dumped %d (%d in final image, %.2fx amplification)\n",
+	fmt.Fprintf(w, "  rounds %d, pages dumped %d (%d in final image, %.2fx amplification)\n",
 		stats.Rounds, stats.Dumped, stats.Final,
 		float64(stats.Dumped)/float64(max(stats.Final, 1)))
 	if stats.CollectRetries > 0 {
-		fmt.Printf("  transient collection failures retried: %d\n", stats.CollectRetries)
+		fmt.Fprintf(w, "  transient collection failures retried: %d\n", stats.CollectRetries)
 	}
 
 	if cf.out != "" {
@@ -161,16 +119,16 @@ func run(cf criuFlags) (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  image written to %s (%d bytes)\n", cf.out, n)
+		fmt.Fprintf(w, "  image written to %s (%d bytes)\n", cf.out, n)
 	}
 
-	restored, err := criu.Restore(g.Kernel, img)
+	restored, err := criu.Restore(b.Guest.Kernel, img)
 	if err != nil {
 		return err
 	}
 	if err := criu.Verify(proc, restored); err != nil {
 		return fmt.Errorf("restore verification FAILED: %w", err)
 	}
-	fmt.Println("  restore verified: restored memory is byte-identical")
-	return obs.Report(os.Stdout)
+	fmt.Fprintln(w, "  restore verified: restored memory is byte-identical")
+	return obs.Report(w)
 }

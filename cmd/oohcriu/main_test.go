@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/criu"
 )
 
 func goodFlags() criuFlags {
-	return criuFlags{name: "baby", tech: "epml", size: "small", scale: 1, rounds: 2, seed: 7}
+	return criuFlags{target: cliflags.Target{Workload: "baby", Size: "small", Scale: 1, Seed: 7},
+		tech: "epml", rounds: 2}
 }
 
 // TestRunRejectsBadFlags pins the CLI contract: every malformed flag
@@ -23,8 +28,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		mutate func(*criuFlags)
 	}{
 		{"bad tech", func(cf *criuFlags) { cf.tech = "pml" }},
-		{"bad size", func(cf *criuFlags) { cf.size = "xl" }},
-		{"bad workload", func(cf *criuFlags) { cf.name = "doom" }},
+		{"bad size", func(cf *criuFlags) { cf.target.Size = "xl" }},
+		{"bad workload", func(cf *criuFlags) { cf.target.Workload = "doom" }},
 		{"bad trace kind", func(cf *criuFlags) { cf.obs.TraceKinds = "page_party" }},
 		{"bad fault point", func(cf *criuFlags) { cf.obs.FaultSpec = "cosmic-ray" }},
 		{"bad fault rate", func(cf *criuFlags) { cf.obs.FaultSpec = "hc-drain-fail:9" }},
@@ -36,7 +41,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cf := goodFlags()
 			c.mutate(&cf)
-			if err := run(cf); err == nil {
+			if err := run(cf, io.Discard); err == nil {
 				t.Fatalf("run(%+v) = nil error, want validation failure", cf)
 			}
 		})
@@ -48,7 +53,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 func TestRunCleanCheckpoint(t *testing.T) {
 	cf := goodFlags()
 	cf.out = filepath.Join(t.TempDir(), "baby.img")
-	if err := run(cf); err != nil {
+	if err := run(cf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(cf.out); err != nil {
@@ -68,12 +73,45 @@ func TestRunFaultedCheckpoint(t *testing.T) {
 	cf.obs.TraceFile = filepath.Join(dir, "ck.jsonl")
 	cf.obs.MetMode = "cost"
 	cf.obs.MetExport = filepath.Join(dir, "ck.jsonl.prom")
-	if err := run(cf); err != nil {
+	if err := run(cf, io.Discard); err != nil {
 		t.Fatalf("faulted checkpoint failed: %v", err)
 	}
 	for _, f := range []string{"ck.jsonl", "ck.jsonl.prom"} {
 		if _, serr := os.Stat(filepath.Join(dir, f)); serr != nil {
 			t.Errorf("observability file missing after run: %v", serr)
+		}
+	}
+}
+
+// TestRunTrackerUnderFaults pins the tracker rule under armed faults: a
+// technique checkpoints through the resilient ladder, but the oracle - the
+// ground truth the ladder verifies against - is built bare, so its
+// checkpoint charges no init or MD time.
+func TestRunTrackerUnderFaults(t *testing.T) {
+	summary := regexp.MustCompile(`with (\S+):\n  init (\S+) +MD (\S+) `)
+	for _, c := range []struct {
+		tech, tracker string
+		bare          bool
+	}{
+		{"oracle", "oracle", true},
+		{"spml", "resilient(SPML)", false},
+	} {
+		cf := goodFlags()
+		cf.tech = c.tech
+		cf.obs.FaultSpec = "hc-drain-fail:0.3"
+		var out bytes.Buffer
+		if err := run(cf, &out); err != nil {
+			t.Fatalf("-tech %s: %v", c.tech, err)
+		}
+		m := summary.FindStringSubmatch(out.String())
+		if m == nil {
+			t.Fatalf("-tech %s: no checkpoint summary in:\n%s", c.tech, out.String())
+		}
+		if m[1] != c.tracker {
+			t.Errorf("-tech %s under faults checkpointed with %s, want %s", c.tech, m[1], c.tracker)
+		}
+		if free := m[2] == "0" && m[3] == "0"; free != c.bare {
+			t.Errorf("-tech %s under faults: init %s, MD %s; want both 0 = %v", c.tech, m[2], m[3], c.bare)
 		}
 	}
 }
@@ -84,7 +122,7 @@ func TestRunFaultedCheckpoint(t *testing.T) {
 func TestRunSLOAbort(t *testing.T) {
 	cf := goodFlags()
 	cf.budget = time.Nanosecond
-	err := run(cf)
+	err := run(cf, io.Discard)
 	if !errors.Is(err, criu.ErrSLOAbort) {
 		t.Fatalf("run with 1ns budget = %v, want ErrSLOAbort", err)
 	}

@@ -19,48 +19,36 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
 	"repro/internal/costmodel"
-	"repro/internal/machine"
 	"repro/internal/migration"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/tracking"
-	"repro/internal/workloads"
 )
 
 // migrateFlags carries every parsed CLI flag into run.
 type migrateFlags struct {
-	name    string
-	size    string
-	scale   int
+	target  cliflags.Target
 	rounds  int
 	bw      int
 	budget  time.Duration
 	retries int
 	resumes int
 	spml    bool
-	seed    uint64
-	backend string
 	obs     cliflags.ObsFlags
 }
 
 func main() {
 	var mf migrateFlags
-	flag.StringVar(&mf.name, "workload", "stdhash", "workload: "+strings.Join(workloads.Names(), ", "))
-	flag.StringVar(&mf.size, "size", "medium", "config size: small, medium, large")
-	flag.IntVar(&mf.scale, "scale", 1, "workload scale factor")
+	mf.target.Register(flag.CommandLine, "stdhash", "medium")
 	flag.IntVar(&mf.rounds, "rounds", 4, "max pre-copy rounds")
 	flag.IntVar(&mf.bw, "bw", 256, "bandwidth in pages per virtual ms")
 	flag.DurationVar(&mf.budget, "budget", 0, "downtime SLO: abort rather than stop-and-copy beyond this (0 = no budget)")
 	flag.IntVar(&mf.retries, "send-retries", 0, "per-page transient-send retry budget (0 = default)")
 	flag.IntVar(&mf.resumes, "resumes", 3, "max journal resumes after injected round crashes")
 	flag.BoolVar(&mf.spml, "spml", false, "run a guest SPML session during the migration")
-	flag.Uint64Var(&mf.seed, "seed", 42, "workload data seed")
-	flag.StringVar(&mf.backend, "backend", "", cliflags.BackendUsage())
 	mf.obs.Register()
 	flag.Parse()
 
@@ -73,38 +61,15 @@ func main() {
 }
 
 func run(mf migrateFlags) (err error) {
-	sz, err := cliflags.ParseSize(mf.size)
+	b, err := mf.target.Boot(mf.obs)
 	if err != nil {
 		return err
 	}
-	backend, err := cliflags.ParseBackend(mf.backend)
-	if err != nil {
-		return err
-	}
-	// Build (and thereby validate) the observability flags before any
-	// work: a typo exits non-zero even if the flag would go unused.
-	obs, err := mf.obs.Build(mf.seed)
-	if err != nil {
-		return err
-	}
+	obs, g, w := b.Obs, b.Guest, b.Workload
 	// Report closes the trace; this covers the paths that never reach it.
 	defer func() { err = errors.Join(err, obs.Close()) }()
 
-	obs.ExplainTitle = fmt.Sprintf("oohmigrate %s/%s", mf.name, sz)
-	m, err := machine.New(machine.Config{Backend: backend, Tracer: obs.Tracer, Faults: obs.Faults,
-		Metrics: obs.Metrics, Profiler: obs.Profiler, Monitor: obs.Monitor})
-	if err != nil {
-		return err
-	}
-	g := m.Guest(0)
-	proc := g.Kernel.Spawn(mf.name)
-	w, err := workloads.New(mf.name, sz, mf.scale)
-	if err != nil {
-		return err
-	}
-	if err := w.Setup(workloads.NewRegionAlloc(proc, false), sim.NewRNG(mf.seed)); err != nil {
-		return err
-	}
+	obs.ExplainTitle = fmt.Sprintf("oohmigrate %s/%s", mf.target.Workload, b.Size)
 	if err := w.Run(); err != nil {
 		return err
 	}
@@ -112,15 +77,11 @@ func run(mf migrateFlags) (err error) {
 	var tech tracking.Technique
 	if mf.spml {
 		// Under injected faults the guest session tracks through the
-		// resilient wrapper, like oohtrack, so transient hypercall faults
-		// are retried rather than killing the migration's runBetween.
-		if obs.Faults.Armed() {
-			tech = g.NewResilient(costmodel.SPML, proc)
-		} else {
-			tech, err = g.NewTechnique(costmodel.SPML, proc)
-			if err != nil {
-				return err
-			}
+		// resilient wrapper, so transient hypercall faults are retried
+		// rather than killing the migration's runBetween.
+		tech, err = b.Tracker(costmodel.SPML)
+		if err != nil {
+			return err
 		}
 		if err := tech.Init(); err != nil {
 			return err
@@ -134,7 +95,7 @@ func run(mf migrateFlags) (err error) {
 		DowntimeBudget:      mf.budget,
 		MaxSendRetries:      mf.retries,
 	}
-	image, stats, err := migration.Migrate(g.VM, opts, func(round int) error {
+	_, stats, err := migration.Migrate(g.VM, opts, func(round int) error {
 		fmt.Printf("pre-copy round %d: guest keeps running\n", round)
 		return w.Run()
 	})
@@ -147,7 +108,7 @@ func run(mf migrateFlags) (err error) {
 		}
 		fmt.Printf("round crash after round %d: resuming from journal (%d frames banked)\n",
 			ce.Round, ce.Journal.ImagePages())
-		image, stats, err = migration.Resume(g.VM, ce.Journal, func(round int) error {
+		_, stats, err = migration.Resume(g.VM, ce.Journal, func(round int) error {
 			fmt.Printf("pre-copy round %d (resumed): guest keeps running\n", round)
 			return w.Run()
 		})
@@ -165,7 +126,7 @@ func run(mf migrateFlags) (err error) {
 	}
 
 	fmt.Printf("\nmigration of %s (%s): %d frames, %d sent (%.2fx amplification)\n",
-		mf.name, sz, stats.UniquePages, stats.PagesSent,
+		mf.target.Workload, b.Size, stats.UniquePages, stats.PagesSent,
 		float64(stats.PagesSent)/float64(max(stats.UniquePages, 1)))
 	fmt.Printf("rounds %d (pages per round: %v), converged=%v\n",
 		stats.Rounds, stats.PerRoundPages, stats.Converged)
@@ -175,7 +136,6 @@ func run(mf migrateFlags) (err error) {
 	}
 	fmt.Printf("total %s, downtime %s\n",
 		report.FormatDuration(stats.TotalTime), report.FormatDuration(stats.Downtime))
-	_ = image
 
 	if tech != nil {
 		dirty, err := tech.Collect()

@@ -7,11 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/migration"
 )
 
 func goodFlags() migrateFlags {
-	return migrateFlags{name: "micro", size: "small", scale: 1, rounds: 4, bw: 256, resumes: 3, seed: 7}
+	return migrateFlags{target: cliflags.Target{Workload: "micro", Size: "small", Scale: 1, Seed: 7},
+		rounds: 4, bw: 256, resumes: 3}
 }
 
 // TestRunRejectsBadFlags pins the CLI contract: every malformed flag
@@ -22,8 +24,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		name   string
 		mutate func(*migrateFlags)
 	}{
-		{"bad size", func(mf *migrateFlags) { mf.size = "xl" }},
-		{"bad workload", func(mf *migrateFlags) { mf.name = "doom" }},
+		{"bad size", func(mf *migrateFlags) { mf.target.Size = "xl" }},
+		{"bad workload", func(mf *migrateFlags) { mf.target.Workload = "doom" }},
 		{"bad trace kind", func(mf *migrateFlags) { mf.obs.TraceKinds = "page_party" }},
 		{"bad fault point", func(mf *migrateFlags) { mf.obs.FaultSpec = "cosmic-ray" }},
 		{"bad fault rate", func(mf *migrateFlags) { mf.obs.FaultSpec = "send-fail:2" }},

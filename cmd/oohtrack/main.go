@@ -13,39 +13,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
-	"repro/internal/costmodel"
-	"repro/internal/machine"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/tracking"
-	"repro/internal/workloads"
 )
 
 // trackFlags carries every parsed CLI flag into run.
 type trackFlags struct {
-	name    string
-	tech    string
-	size    string
-	scale   int
-	passes  int
-	seed    uint64
-	backend string
-	obs     cliflags.ObsFlags
+	target cliflags.Target
+	tech   string
+	passes int
+	obs    cliflags.ObsFlags
 }
 
 func main() {
 	var tf trackFlags
-	flag.StringVar(&tf.name, "workload", "micro", "workload: "+strings.Join(workloads.Names(), ", "))
+	tf.target.Register(flag.CommandLine, "micro", "small")
 	flag.StringVar(&tf.tech, "tech", "epml", "technique: proc, ufd, spml, epml, oracle")
-	flag.StringVar(&tf.size, "size", "small", "config size: small, medium, large")
-	flag.IntVar(&tf.scale, "scale", 1, "workload scale factor")
 	flag.IntVar(&tf.passes, "passes", 3, "workload passes (collection after each)")
-	flag.Uint64Var(&tf.seed, "seed", 42, "workload data seed")
-	flag.StringVar(&tf.backend, "backend", "", cliflags.BackendUsage())
 	flag.BoolVar(&tf.obs.Summary, "summary", false, "print a per-kind cost breakdown of the trace")
 	tf.obs.Register()
 	tf.obs.RegisterProf()
@@ -65,61 +52,25 @@ func run(tf trackFlags) (err error) {
 	if err != nil {
 		return err
 	}
-	sz, err := cliflags.ParseSize(tf.size)
+	b, err := tf.target.Boot(tf.obs)
 	if err != nil {
 		return err
 	}
-	backend, err := cliflags.ParseBackend(tf.backend)
-	if err != nil {
-		return err
-	}
-	// Build (and thereby validate) the observability flags before any
-	// work: a typo exits non-zero even if the flag would go unused.
-	obs, err := tf.obs.Build(tf.seed)
-	if err != nil {
-		return err
-	}
+	obs, g, w := b.Obs, b.Guest, b.Workload
 	// Report closes the trace; this covers the paths that never reach it.
 	defer func() { err = errors.Join(err, obs.Close()) }()
 
-	obs.ExplainTitle = fmt.Sprintf("oohtrack %s/%s (%s)", tf.name, sz, kind)
-	m, err := machine.New(machine.Config{Backend: backend, Tracer: obs.Tracer, Faults: obs.Faults,
-		Metrics: obs.Metrics, Profiler: obs.Profiler, Monitor: obs.Monitor})
+	obs.ExplainTitle = fmt.Sprintf("oohtrack %s/%s (%s)", tf.target.Workload, b.Size, kind)
+	t, err := b.Tracker(kind)
 	if err != nil {
 		return err
-	}
-	g := m.Guest(0)
-	proc := g.Kernel.Spawn(tf.name)
-	w, err := workloads.New(tf.name, sz, tf.scale)
-	if err != nil {
-		return err
-	}
-	if err := w.Setup(workloads.NewRegionAlloc(proc, false), sim.NewRNG(tf.seed)); err != nil {
-		return err
-	}
-	// Under injected faults, track through the resilient wrapper so transient
-	// failures are retried and missing capabilities degrade down the ladder.
-	// The oracle sits outside the ladder (it is the ground truth the wrapper
-	// itself verifies against), so it always runs bare.
-	var (
-		t   tracking.Technique
-		res *tracking.Resilient
-	)
-	if obs.Faults.Armed() && kind != costmodel.Oracle {
-		res = g.NewResilient(kind, proc)
-		t = res
-	} else {
-		t, err = g.NewTechnique(kind, proc)
-		if err != nil {
-			return err
-		}
 	}
 	if err := t.Init(); err != nil {
 		return err
 	}
 
 	fmt.Printf("tracking %s (%s, scale %d) with %s; working set %s\n\n",
-		tf.name, sz, tf.scale, t.Name(), report.FormatBytes(w.WorkingSet()))
+		tf.target.Workload, b.Size, tf.target.Scale, t.Name(), report.FormatBytes(w.WorkingSet()))
 	for pass := 1; pass <= tf.passes; pass++ {
 		before := g.Kernel.Clock.Nanos()
 		if err := w.Run(); err != nil {
@@ -141,7 +92,7 @@ func run(tf trackFlags) (err error) {
 		report.FormatDuration(s.InitTime), report.FormatDuration(s.CollectTime),
 		s.Collections, s.Reported)
 	fmt.Printf("guest events: %s\n", g.Kernel.VCPU.Counters.String())
-	if res != nil {
+	if res, ok := t.(*tracking.Resilient); ok {
 		rec := res.Recovery()
 		fmt.Printf("recovery: %d retries (%s backoff), %d degradations, %d rescans (%d pages rescued), %d stalls; active rung %s\n",
 			rec.Retries, report.FormatDuration(rec.BackoffTime), rec.Degradations,

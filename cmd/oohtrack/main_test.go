@@ -2,6 +2,8 @@ package main
 
 import (
 	"testing"
+
+	"repro/internal/cliflags"
 )
 
 // TestRunRejectsBadFlags pins the CLI contract: every malformed flag
@@ -9,13 +11,14 @@ import (
 // spec-valued flags that would not be consumed this run. The parsing
 // helpers themselves are covered in internal/cliflags.
 func TestRunRejectsBadFlags(t *testing.T) {
-	good := trackFlags{name: "micro", tech: "epml", size: "small", scale: 1, passes: 1, seed: 1}
+	good := trackFlags{target: cliflags.Target{Workload: "micro", Size: "small", Scale: 1, Seed: 1},
+		tech: "epml", passes: 1}
 	cases := []struct {
 		name   string
 		mutate func(*trackFlags)
 	}{
 		{"bad tech", func(tf *trackFlags) { tf.tech = "pml" }},
-		{"bad size", func(tf *trackFlags) { tf.size = "xl" }},
+		{"bad size", func(tf *trackFlags) { tf.target.Size = "xl" }},
 		{"bad trace kind", func(tf *trackFlags) { tf.obs.TraceKinds = "page_party" }},
 		{"bad fault point", func(tf *trackFlags) { tf.obs.FaultSpec = "cosmic-ray" }},
 		{"bad fault rate", func(tf *trackFlags) { tf.obs.FaultSpec = "ipi-drop:2" }},
@@ -38,7 +41,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // TestRunCleanPass is the smoke path: a fault-free single-pass run of the
 // micro workload succeeds end to end.
 func TestRunCleanPass(t *testing.T) {
-	tf := trackFlags{name: "micro", tech: "epml", size: "small", scale: 1, passes: 1, seed: 1}
+	tf := trackFlags{target: cliflags.Target{Workload: "micro", Size: "small", Scale: 1, Seed: 1},
+		tech: "epml", passes: 1}
 	if err := run(tf); err != nil {
 		t.Fatal(err)
 	}

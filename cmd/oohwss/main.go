@@ -12,13 +12,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/cliflags"
-	"repro/internal/machine"
 	"repro/internal/report"
-	"repro/internal/sim"
-	"repro/internal/workloads"
 	"repro/internal/wss"
 )
 
@@ -33,43 +29,21 @@ func main() {
 // set sizes to out.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("oohwss", flag.ExitOnError)
-	var (
-		name      = fs.String("workload", "histogram", "workload: "+strings.Join(workloads.Names(), ", "))
-		size      = fs.String("size", "small", "config size: small, medium, large")
-		scale     = fs.Int("scale", 1, "workload scale factor")
-		intervals = fs.Int("intervals", 4, "sampling intervals (one workload pass each)")
-		seed      = fs.Uint64("seed", 42, "workload data seed")
-		backend   = fs.String("backend", "", cliflags.BackendUsage())
-	)
+	var target cliflags.Target
+	target.Register(fs, "histogram", "small")
+	intervals := fs.Int("intervals", 4, "sampling intervals (one workload pass each)")
 	fs.Parse(args)
 
-	sz, err := cliflags.ParseSize(*size)
+	b, err := target.Boot(cliflags.ObsFlags{})
 	if err != nil {
-		return err
-	}
-	be, err := cliflags.ParseBackend(*backend)
-	if err != nil {
-		return err
-	}
-	m, err := machine.New(machine.Config{Backend: be})
-	if err != nil {
-		return err
-	}
-	g := m.Guest(0)
-	proc := g.Kernel.Spawn(*name)
-	w, err := workloads.New(*name, sz, *scale)
-	if err != nil {
-		return err
-	}
-	if err := w.Setup(workloads.NewRegionAlloc(proc, false), sim.NewRNG(*seed)); err != nil {
 		return err
 	}
 
-	est := wss.New(g.VM)
-	fmt.Fprintf(out, "sampling WSS of %s (%s) over %d intervals via PML-R\n\n", *name, sz, *intervals)
+	est := wss.New(b.Guest.VM)
+	fmt.Fprintf(out, "sampling WSS of %s (%s) over %d intervals via PML-R\n\n", target.Workload, b.Size, *intervals)
 	for i := 1; i <= *intervals; i++ {
 		est.BeginInterval()
-		if err := w.Run(); err != nil {
+		if err := b.Workload.Run(); err != nil {
 			return err
 		}
 		s, err := est.EndInterval()
@@ -80,6 +54,6 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\npeak working set: %d pages (%s); reserved address space: %s\n",
 		est.Peak(), report.FormatBytes(uint64(est.Peak())*4096),
-		report.FormatBytes(proc.ReservedBytes()))
+		report.FormatBytes(b.Proc.ReservedBytes()))
 	return nil
 }

@@ -259,3 +259,32 @@ func TestObsReportClosesTraceFirst(t *testing.T) {
 		t.Errorf("metrics export lacks %q:\n%s", want, data)
 	}
 }
+
+// TestTargetBootValidatesFirst pins Boot's order: a bad -size or -backend
+// fails before -trace creates its file, while an unknown workload, only
+// found once the machine boots, fails after it.
+func TestTargetBootValidatesFirst(t *testing.T) {
+	good := Target{Workload: "micro", Size: "small", Scale: 1, Seed: 1}
+	cases := []struct {
+		name   string
+		mutate func(*Target)
+		traced bool
+	}{
+		{"bad size", func(tg *Target) { tg.Size = "xl" }, false},
+		{"bad backend", func(tg *Target) { tg.Backend = "qemu" }, false},
+		{"bad workload", func(tg *Target) { tg.Workload = "doom" }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tg := good
+			c.mutate(&tg)
+			path := filepath.Join(t.TempDir(), "t.jsonl")
+			if _, err := tg.Boot(ObsFlags{TraceFile: path}); err == nil {
+				t.Fatal("Boot succeeded")
+			}
+			if _, err := os.Stat(path); (err == nil) != c.traced {
+				t.Errorf("trace file created = %v, want %v", err == nil, c.traced)
+			}
+		})
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/faults"
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/prof"
@@ -72,10 +73,10 @@ func (of *ObsFlags) RegisterProf() {
 	flag.StringVar(&of.Profile, "profile", "", "write a gzipped pprof profile of virtual time to this .pb.gz file")
 }
 
-// Obs is the built observability plane: wire Tracer/Faults/Metrics/
-// Profiler/Monitor into machine.Config (or experiments.Options), then
-// Report when the run ends. Any plane may be nil when the corresponding
-// flags are unset; the machine config and the methods here tolerate that.
+// Obs is the built observability plane: carry it into a machine with
+// Config (or wire its planes into experiments.Options), then Report when
+// the run ends. Any plane may be nil when the corresponding flags are
+// unset; the machine config and the methods here tolerate that.
 type Obs struct {
 	Tracer   *trace.Tracer
 	Faults   *faults.Injector
@@ -155,6 +156,13 @@ func (of ObsFlags) Build(seed uint64) (*Obs, error) {
 		o.Profiler = prof.New()
 	}
 	return o, nil
+}
+
+// Config returns the planes as the machine.Config that carries them into
+// a booted machine.
+func (o *Obs) Config() machine.Config {
+	return machine.Config{Tracer: o.Tracer, Faults: o.Faults, Metrics: o.Metrics,
+		Profiler: o.Profiler, Monitor: o.Monitor}
 }
 
 // Close settles the trace file. Only the first call reports a close

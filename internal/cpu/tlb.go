@@ -82,7 +82,7 @@ func tlbIndex(gva mem.GVA) int {
 // caller (VCPU.Write) then bypasses PhysMem entirely and writes straight
 // into the frame.
 func (v *VCPU) tlbWriteFrame(gva mem.GVA) (*mem.Frame, bool) {
-	if !simcache.TLBEnabled() || v.SPPCheck != nil {
+	if !simcache.Enabled() || v.SPPCheck != nil {
 		return nil, false
 	}
 	e := &v.tlb.entries[tlbIndex(gva)]
@@ -105,7 +105,7 @@ func (v *VCPU) tlbWriteFrame(gva mem.GVA) (*mem.Frame, bool) {
 // accessed and the EPT entry accessed, so neither A commit nor (with
 // PMLLogReads) an accessed-transition log can fire.
 func (v *VCPU) tlbReadFrame(gva mem.GVA) (*mem.Frame, bool) {
-	if !simcache.TLBEnabled() {
+	if !simcache.Enabled() {
 		return nil, false
 	}
 	e := &v.tlb.entries[tlbIndex(gva)]
@@ -128,7 +128,7 @@ func (v *VCPU) tlbReadFrame(gva mem.GVA) (*mem.Frame, bool) {
 // cached eptDirty/eptAccessed bits reflect any clearing a handler did
 // mid-walk (e.g. a PML-full drain re-arming the very page being written).
 func (v *VCPU) tlbFill(gva mem.GVA, slot pgtable.Slot) {
-	if !simcache.TLBEnabled() {
+	if !simcache.Enabled() {
 		return
 	}
 	pte := slot.Load()
@@ -172,7 +172,7 @@ func (v *VCPU) tlbFill(gva mem.GVA, slot pgtable.Slot) {
 // resolved the frame, so the access can skip PhysMem's locked lookup. No
 // flag checks are needed - the walk itself just authorized the access.
 func (v *VCPU) tlbFilledFrame(gva mem.GVA, hpa mem.HPA) (*mem.Frame, bool) {
-	if !simcache.TLBEnabled() {
+	if !simcache.Enabled() {
 		return nil, false
 	}
 	e := &v.tlb.entries[tlbIndex(gva)]
@@ -200,7 +200,7 @@ type bufCache struct {
 // cache. Byte-for-byte equivalent to v.Phys.WriteU64 for page-interior
 // offsets (PML indices never cross the buffer page).
 func (v *VCPU) physWriteU64(c *bufCache, hpa mem.HPA, val uint64) error {
-	if !simcache.TLBEnabled() {
+	if !simcache.Enabled() {
 		return v.Phys.WriteU64(hpa, val)
 	}
 	page := hpa.PageFloor()
@@ -230,7 +230,7 @@ type armCache struct {
 // armState returns (PMLEnabled, epmlArmed), from the cache when no vmwrite
 // or shadow-link change happened since it was filled.
 func (v *VCPU) armState() (pml, epml bool, err error) {
-	if simcache.ArmCacheEnabled() && v.arm.valid &&
+	if simcache.Enabled() && v.arm.valid &&
 		v.arm.vmcsGen == v.VMCS.Gen() && v.arm.shadow == v.VMCS.Shadow() &&
 		(v.arm.shadow == nil || v.arm.shadowGen == v.arm.shadow.Gen()) {
 		return v.arm.pml, v.arm.epml, nil

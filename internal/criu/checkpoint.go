@@ -37,13 +37,13 @@ type Options struct {
 	DowntimeBudget time.Duration
 	// MaxCollectRetries bounds the retries of a transient
 	// (faults.ErrTransient) collection failure before the checkpoint
-	// aborts (default 2). Each retry charges CollectBackoff of virtual
+	// aborts (default 2). Each retry charges collectBackoff of virtual
 	// time, doubling per attempt.
 	MaxCollectRetries int
-	// CollectBackoff is the charged wait before the first collect retry
-	// (default 50us).
-	CollectBackoff time.Duration
 }
+
+// collectBackoff is the charged wait before the first collect retry.
+const collectBackoff = 50 * time.Microsecond
 
 func (o Options) withDefaults() Options {
 	if o.MaxRounds == 0 {
@@ -54,9 +54,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxCollectRetries == 0 {
 		o.MaxCollectRetries = 2
-	}
-	if o.CollectBackoff <= 0 {
-		o.CollectBackoff = 50 * time.Microsecond
 	}
 	return o
 }
@@ -265,7 +262,7 @@ func (c *Checkpointer) collect(stats *Stats) ([]mem.GVA, error) {
 	// with doubling charged backoff (the wait lands inside this round's
 	// MD/MW span); anything else, or exhaustion, aborts the round.
 	dirty, err := c.Tech.Collect()
-	backoff := c.Opts.CollectBackoff
+	backoff := collectBackoff
 	for retry := 0; err != nil && errors.Is(err, faults.ErrTransient) && retry < c.Opts.MaxCollectRetries; retry++ {
 		stats.CollectRetries++
 		v.Met.Count(metrics.SubCRIU, "collect_retries_total", "", 1)

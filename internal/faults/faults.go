@@ -94,9 +94,6 @@ var pointNames = [numPoints]string{
 	CollectFail:   "collect-fail",
 }
 
-// NumPoints returns how many fault points are defined.
-func NumPoints() int { return int(numPoints) }
-
 // String returns the point's stable spec-grammar name.
 func (p Point) String() string {
 	if p >= 0 && p < numPoints {

@@ -144,25 +144,6 @@ func (k *Kernel) Exit(p *Process) {
 // Current returns the process currently on the CPU.
 func (k *Kernel) Current() *Process { return k.current }
 
-// RunAs installs p as the current process (loading its page table into the
-// vCPU), runs fn, and restores the previous process. All memory operations
-// fn performs through p execute in p's address space and are subject to
-// preemption accounting.
-func (k *Kernel) RunAs(p *Process, fn func() error) error {
-	prev := k.current
-	k.current = p
-	k.VCPU.SetAddressSpace(p.PT)
-	defer func() {
-		k.current = prev
-		if prev != nil {
-			k.VCPU.SetAddressSpace(prev.PT)
-		} else {
-			k.VCPU.SetAddressSpace(nil)
-		}
-	}()
-	return fn()
-}
-
 // --- cpu.FaultHandler ---------------------------------------------------------
 
 // HandlePageFault services a guest #PF: userfaultfd regions first (miss and

@@ -265,7 +265,7 @@ func (vm *VM) drainPMLBuffer() error {
 	// PhysMem's lock and lookup per entry. The frame pointer stays valid for
 	// the whole drain (single goroutine, nothing frees frames mid-drain).
 	var frame *mem.Frame
-	if simcache.TLBEnabled() {
+	if simcache.Enabled() {
 		if f, err := vm.Hyp.Phys.FrameRef(vm.pmlBuf); err == nil {
 			frame = f
 		}

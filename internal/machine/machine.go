@@ -31,8 +31,6 @@ type Config struct {
 	// Backend names the backend to boot on ("" = DefaultBackend(), i.e.
 	// the OOH_BACKEND environment variable or "sim").
 	Backend string
-	// Model is the cost model; nil selects costmodel.Default().
-	Model *costmodel.Model
 	// HostMemBytes bounds simulated DRAM (0 = unlimited).
 	HostMemBytes uint64
 	// VMs is the number of virtual machines to boot (default 1).
@@ -114,9 +112,6 @@ func newMachine(backend string, phys *mem.PhysMem, model *costmodel.Model) (*Mac
 	if backend == "" {
 		backend = DefaultBackend()
 	}
-	if model == nil {
-		model = costmodel.Default()
-	}
 	var h *hypervisor.Hypervisor
 	switch backend {
 	case "sim":
@@ -129,13 +124,13 @@ func newMachine(backend string, phys *mem.PhysMem, model *costmodel.Model) (*Mac
 	return &Machine{Phys: phys, Model: model, Hyp: h, backend: backend}, nil
 }
 
-// New boots a machine.
+// New boots a machine on the default cost model (costmodel.Default).
 func New(cfg Config) (*Machine, error) {
 	n := cfg.VMs
 	if n <= 0 {
 		n = 1
 	}
-	m, err := newMachine(cfg.Backend, mem.NewPhysMem(cfg.HostMemBytes), cfg.Model)
+	m, err := newMachine(cfg.Backend, mem.NewPhysMem(cfg.HostMemBytes), costmodel.Default())
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 // Fork boots a new machine from the snapshot: forked copy-on-write
 // physical memory, replayed VMs and guest kernels, fresh observability
 // wiring from cfg (Tracer, Faults, Metrics, Profiler, Monitor). cfg.Backend
-// must be empty or equal to the capture source's; cfg.Model and
+// must be empty or equal to the capture source's; the cost model and
 // cfg.HostMemBytes/VMs are taken from the capture and may not be
 // overridden. The fork and its source share unwritten pages and diverge
 // page-by-page on write, so forking a warmed machine is much cheaper than

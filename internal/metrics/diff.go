@@ -1,12 +1,6 @@
 package metrics
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Cross-run snapshot diffing for the obsdiff engine. Snapshots are keyed
 // by (subsystem, name, label) - the same identity WriteJSONL and
@@ -209,58 +203,4 @@ func RankMetricDeltas(deltas []MetricDelta) []MetricDelta {
 		return di > dj
 	})
 	return ranked
-}
-
-// ParseSnapshotJSONL parses the WriteJSONL export format back into a
-// Snapshot. Lines are dispatched on their "type" field; unknown types and
-// malformed lines are errors, blank lines are tolerated. The parsed
-// snapshot preserves file order, which for an untouched export is the
-// registry's sorted-key order.
-func ParseSnapshotJSONL(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var typed struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &typed); err != nil {
-			return s, fmt.Errorf("metrics jsonl line %d: %v", lineNo, err)
-		}
-		var err error
-		switch typed.Type {
-		case "counter":
-			var c CounterSnap
-			if err = json.Unmarshal(line, &c); err == nil {
-				s.Counters = append(s.Counters, c)
-			}
-		case "gauge":
-			var g GaugeSnap
-			if err = json.Unmarshal(line, &g); err == nil {
-				s.Gauges = append(s.Gauges, g)
-			}
-		case "histogram":
-			var h HistSnap
-			if err = json.Unmarshal(line, &h); err == nil {
-				s.Histograms = append(s.Histograms, h)
-			}
-		case "series":
-			var se SeriesSnap
-			if err = json.Unmarshal(line, &se); err == nil {
-				s.Series = append(s.Series, se)
-			}
-		default:
-			return s, fmt.Errorf("metrics jsonl line %d: unknown type %q", lineNo, typed.Type)
-		}
-		if err != nil {
-			return s, fmt.Errorf("metrics jsonl line %d: %v", lineNo, err)
-		}
-	}
-	return s, sc.Err()
 }

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func diffFixture(scale int64) Snapshot {
 	r := NewRegistry()
@@ -102,45 +98,5 @@ func TestDiffSnapshotsUnionAndRanking(t *testing.T) {
 		if d.Counters[i] != d2.Counters[i] {
 			t.Fatalf("diff not deterministic at counter %d", i)
 		}
-	}
-}
-
-func TestParseSnapshotJSONLRoundTrip(t *testing.T) {
-	snap := diffFixture(4)
-	var buf bytes.Buffer
-	if err := snap.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	orig := buf.String()
-	got, err := ParseSnapshotJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !DiffSnapshots(snap, got).Empty() {
-		t.Errorf("round-trip changed the snapshot:\nwant %+v\ngot  %+v", snap, got)
-	}
-	// Re-serializing the parse reproduces the export byte-for-byte.
-	var again bytes.Buffer
-	if err := got.WriteJSONL(&again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != orig {
-		t.Errorf("re-serialized parse differs:\n%s\nvs\n%s", again.String(), orig)
-	}
-}
-
-func TestParseSnapshotJSONLErrors(t *testing.T) {
-	for _, bad := range []string{
-		`not json`,
-		`{"type":"widget","value":3}`,
-		`{"type":"counter","value":"ten"}`,
-	} {
-		if _, err := ParseSnapshotJSONL(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseSnapshotJSONL(%q) did not fail", bad)
-		}
-	}
-	s, err := ParseSnapshotJSONL(strings.NewReader("\n\n"))
-	if err != nil || len(s.Counters) != 0 {
-		t.Errorf("blank input: %+v, %v", s, err)
 	}
 }

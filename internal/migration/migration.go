@@ -56,13 +56,16 @@ type Options struct {
 	// and the checksum NACKs resent before the migration aborts
 	// (default 4).
 	MaxSendRetries int
-	// SendBackoff is the virtual-time wait before the first send retry; it
-	// doubles per attempt (default 30us).
-	SendBackoff time.Duration
-	// DestStallTime is the extra virtual time one injected destination
-	// stall charges (default 150us).
-	DestStallTime time.Duration
 }
+
+const (
+	// sendBackoff is the virtual-time wait before the first send retry;
+	// it doubles per attempt.
+	sendBackoff = 30 * time.Microsecond
+	// destStallTime is the extra virtual time one injected destination
+	// stall charges.
+	destStallTime = 150 * time.Microsecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.BandwidthPagesPerMS <= 0 {
@@ -76,12 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSendRetries <= 0 {
 		o.MaxSendRetries = 4
-	}
-	if o.SendBackoff <= 0 {
-		o.SendBackoff = 30 * time.Microsecond
-	}
-	if o.DestStallTime <= 0 {
-		o.DestStallTime = 150 * time.Microsecond
 	}
 	return o
 }
@@ -397,7 +394,7 @@ func (m *Migration) sendPage(gpa mem.GPA) error {
 	if err := v.KernelReadGPA(gpa, buf); err != nil {
 		return fmt.Errorf("migration: reading %v: %w", gpa, err)
 	}
-	backoff := opts.SendBackoff
+	backoff := sendBackoff
 	for attempt := 1; ; attempt++ {
 		// The send can fail before the page reaches the wire (transient
 		// transport failure): retry after a charged backoff.
@@ -421,7 +418,7 @@ func (m *Migration) sendPage(gpa mem.GPA) error {
 		if v.Inj.Fire(faults.DestStall) {
 			v.FaultRecord(faults.DestStall, uint64(gpa))
 			m.j.Stats.Stalls++
-			vm.Clock.Advance(opts.DestStallTime)
+			vm.Clock.Advance(destStallTime)
 		}
 		if !m.j.dest.receive(gpa, payload, sum) {
 			// Checksum mismatch at the destination: NACK, resend. Each

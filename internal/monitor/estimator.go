@@ -46,10 +46,12 @@ type ratePoint struct {
 
 // estimator tracks one event stream's dirty-page rate two ways:
 //
-//   - windowed: events observed over the trailing Window of virtual time,
-//     scaled to pages/second - responsive, exact, noisy at small windows;
+//   - windowed: events observed over the trailing rateWindow of virtual
+//     time, scaled to pages/second - responsive, exact, noisy at small
+//     windows;
 //   - EWMA: an exponentially weighted moving average of the per-tick
-//     instantaneous rate, alpha/1000 per tick - smooth, lagging.
+//     instantaneous rate, ewmaAlphaPermille/1000 per tick - smooth,
+//     lagging.
 //
 // Counts accumulate on the event hot path; rates are folded only on the
 // monitor's evaluation tick, so per-event cost is two integer adds.
@@ -81,9 +83,8 @@ func (e *estimator) bump(n int64) {
 
 // fold advances the estimator to tick time now: computes the windowed and
 // EWMA rates from the counts accumulated since the previous fold and
-// appends one point per series. windowNs and alphaPm come from the
-// monitor's config.
-func (e *estimator) fold(now, windowNs, alphaPm int64) {
+// appends one point per series.
+func (e *estimator) fold(now int64) {
 	if now < e.lastTS {
 		// Virtual time moved backwards: the monitor was re-attached to a
 		// fresh machine whose clock restarts at zero (a bench sweep reusing
@@ -97,7 +98,7 @@ func (e *estimator) fold(now, windowNs, alphaPm int64) {
 	e.window = append(e.window, ratePoint{ts: now, count: e.count})
 	// Drop observations older than the window, keeping one anchor point at
 	// or before the window edge so the rate covers the full span.
-	edge := now - windowNs
+	edge := now - int64(rateWindow)
 	cut := 0
 	for cut < len(e.window)-1 && e.window[cut+1].ts <= edge {
 		cut++
@@ -119,7 +120,7 @@ func (e *estimator) fold(now, windowNs, alphaPm int64) {
 	if e.lastTS == 0 && len(e.ratePts) == 0 {
 		e.ewma = inst // first fold seeds the average
 	} else {
-		e.ewma += alphaPm * (inst - e.ewma) / 1000
+		e.ewma += ewmaAlphaPermille * (inst - e.ewma) / 1000
 	}
 	e.lastTS = now
 	e.lastCount = e.count

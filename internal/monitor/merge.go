@@ -23,9 +23,9 @@ func (m *Monitor) Fork(shard int) *Monitor {
 	if m == nil {
 		return nil
 	}
-	cfg := m.cfg
-	cfg.Shard = shard
-	return New(cfg)
+	f := New(m.cfg)
+	f.shard = shard
+	return f
 }
 
 // Merge folds a cell's monitor into m. Call in grid order after the
@@ -38,7 +38,7 @@ func (m *Monitor) Merge(src *Monitor) {
 
 	// Estimators: same (vm, source) keys across cells merge - counts add,
 	// series merge-sort + re-thin - and new keys append in src order.
-	interval := m.sched.Interval().Nanoseconds()
+	interval := int64(tickInterval)
 	for _, k := range src.estOrder {
 		se := src.est[k]
 		de := m.est[k]

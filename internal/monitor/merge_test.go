@@ -136,8 +136,8 @@ func TestForkNilAndDisabled(t *testing.T) {
 func TestForkCarriesConfigAndShard(t *testing.T) {
 	m := New(Config{Rules: mustRules(t, "monitor/x > 1")})
 	f := m.Fork(7)
-	if f.cfg.Shard != 7 {
-		t.Errorf("fork shard = %d, want 7", f.cfg.Shard)
+	if f.shard != 7 {
+		t.Errorf("fork shard = %d, want 7", f.shard)
 	}
 	if len(f.Rules()) != 1 || f.Rules()[0] != m.Rules()[0] {
 		t.Errorf("fork rules = %v, want %v", f.Rules(), m.Rules())

@@ -60,33 +60,19 @@ const (
 type Config struct {
 	// Rules are the alert rules evaluated on every tick (see ParseRules).
 	Rules []Rule
-	// Interval is the evaluation/sampling tick in virtual time
-	// (default 1ms), run on the metrics sampler's Schedule.
-	Interval time.Duration
-	// Window is the trailing span of the windowed rate estimators
-	// (default 8x Interval).
-	Window time.Duration
-	// AlphaPermille is the EWMA smoothing factor in per-mille
-	// (default 250: each tick moves the average 25% toward the
-	// instantaneous rate).
-	AlphaPermille int64
-	// Shard tags this monitor's timeline entries with a grid cell index;
-	// leave 0 for single-cell runs. Fork sets it for grid cells.
-	Shard int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 8 * c.Interval
-	}
-	if c.AlphaPermille <= 0 || c.AlphaPermille > 1000 {
-		c.AlphaPermille = 250
-	}
-	return c
-}
+// The monitor's fixed tuning: the tick and window are virtual time.
+const (
+	// tickInterval is the evaluation tick, run on the metrics sampler's
+	// Schedule.
+	tickInterval = time.Millisecond
+	// rateWindow is the trailing span of the windowed rate estimators.
+	rateWindow = 8 * tickInterval
+	// ewmaAlphaPermille is the EWMA smoothing factor: each tick moves
+	// the average 25% toward the instantaneous rate.
+	ewmaAlphaPermille = 250
+)
 
 // Alert is one entry on the monitor's timeline: a rule transition
 // (firing/resolved) or a convergence prediction flag.
@@ -140,9 +126,11 @@ type roundSeries struct {
 // Merge, of a whole sharded grid). The zero value is not usable; use New.
 // A nil *Monitor is a valid disabled monitor.
 type Monitor struct {
-	cfg    Config
-	sched  metrics.Schedule // the evaluation tick, the metrics sampler's schedule
-	window int64
+	cfg   Config
+	sched metrics.Schedule // the evaluation tick, the metrics sampler's schedule
+	// shard tags this monitor's timeline entries and round series with a
+	// grid cell index: 0 for single-cell runs, set by Fork for grid cells.
+	shard int
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry
@@ -165,11 +153,9 @@ type Monitor struct {
 
 // New returns a monitor with the given configuration.
 func New(cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:      cfg,
-		sched:    metrics.NewSchedule(cfg.Interval),
-		window:   cfg.Window.Nanoseconds(),
+		sched:    metrics.NewSchedule(tickInterval),
 		est:      make(map[estKey]*estimator),
 		techByVM: make(map[int32]costmodel.Technique),
 		rounds:   make(map[roundKey]*roundSeries),
@@ -281,7 +267,7 @@ func (m *Monitor) tick(vm int32, now int64) {
 func (m *Monitor) evaluate(vm int32, now int64) {
 	for _, k := range m.estOrder {
 		e := m.est[k]
-		e.fold(now, m.window, m.cfg.AlphaPermille)
+		e.fold(now)
 		e.rateG.Set(e.rate)
 		e.ewmaG.Set(e.ewma)
 	}
@@ -335,7 +321,7 @@ func (m *Monitor) burnAverage(from, to int64) int64 {
 // alert appends one timeline entry and mirrors it into the trace and
 // metrics planes (kind mon_alert or mon_predict).
 func (m *Monitor) alert(a Alert, kind trace.Kind, vm int32) {
-	a.Cell = m.cfg.Shard
+	a.Cell = m.shard
 	a.Seq = m.seq
 	m.seq++
 	m.timeline = append(m.timeline, a)

@@ -48,7 +48,7 @@ func (m *Monitor) Round(vm int32, sub string, round, dirty, target, maxRounds in
 	if m == nil {
 		return
 	}
-	k := roundKey{cell: m.cfg.Shard, vm: vm, sub: sub}
+	k := roundKey{cell: m.shard, vm: vm, sub: sub}
 	rs := m.rounds[k]
 	if rs == nil || round <= len(rs.dirty) {
 		// First round of a run, or the driver restarted (journal resume,
@@ -88,7 +88,7 @@ func (m *Monitor) Round(vm int32, sub string, round, dirty, target, maxRounds in
 		rs.flagged = true
 		projected := project(dirty, rs.ratioPm, maxRounds-round)
 		p := Prediction{
-			TS: now, Cell: m.cfg.Shard, VM: vm, Sub: sub, Round: round,
+			TS: now, Cell: m.shard, VM: vm, Sub: sub, Round: round,
 			Dirty: dirty, RatioPermille: rs.ratioPm,
 			RoundsToConverge: NeverConverges,
 			EstDowntimeNs:    estNs, BudgetNs: budgetNs,

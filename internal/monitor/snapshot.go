@@ -54,8 +54,8 @@ func (m *Monitor) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		IntervalNs:  m.sched.Interval().Nanoseconds(),
-		WindowNs:    m.window,
+		IntervalNs:  int64(tickInterval),
+		WindowNs:    int64(rateWindow),
 		Rules:       m.Rules(),
 		Alerts:      m.Alerts(),
 		Predictions: m.Predictions(),

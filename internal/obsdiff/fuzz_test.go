@@ -45,3 +45,35 @@ func FuzzLoadCapture(f *testing.F) {
 		}
 	})
 }
+
+// FuzzValidateReport: the ooh-diff/v1 validator must reject bad input
+// with an error, never panic, and a report it accepts must still be
+// accepted after a decode and WriteJSON round trip.
+func FuzzValidateReport(f *testing.F) {
+	for _, drain := range []int64{500, 4000} {
+		var js bytes.Buffer
+		r := Diff(synthCapture("old", 500, 64, 1000), synthCapture("new", drain, 96, 1200))
+		if err := r.WriteJSON(&js); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js.Bytes())
+	}
+	f.Add([]byte(`{"schema":"ooh-diff/v1","old":"a","new":"b","verdict":"v","empty":true}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if ValidateReport(data) != nil {
+			return
+		}
+		var r Report
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatalf("accepted report does not decode: %v", err)
+		}
+		var out bytes.Buffer
+		if err := r.WriteJSON(&out); err != nil {
+			t.Fatalf("accepted report does not encode: %v", err)
+		}
+		if err := ValidateReport(out.Bytes()); err != nil {
+			t.Fatalf("re-encoded report rejected: %v\n%s", err, out.Bytes())
+		}
+	})
+}

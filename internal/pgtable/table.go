@@ -54,7 +54,7 @@ type Table struct {
 	// in that region skip the three upper levels. Unmap drops it, because
 	// its walk may prune the leaf, and walk hands it to a writer only when
 	// this table owns it. Like the vCPU software TLB it is host work only,
-	// switched by simcache.TLBEnabled.
+	// switched by simcache.Enabled.
 	psc       *node
 	pscRegion uint64
 
@@ -130,7 +130,7 @@ const regionShift = mem.PageShift + indexBits
 func (t *Table) walk(gva mem.GVA, alloc, write bool) (*node, int) {
 	region := uint64(gva) >> regionShift
 	if l := t.psc; l != nil && t.pscRegion == region && (!write || l.owner == t.tag) &&
-		simcache.TLBEnabled() {
+		simcache.Enabled() {
 		return l, indexAt(gva, Levels-1)
 	}
 	if write && t.root.owner != t.tag {
@@ -479,7 +479,7 @@ func (t *Table) RangeSpan(start, end mem.GVA, fn func(gva mem.GVA, pte PTE) bool
 // that ever had two mappers - it is the full table scan.
 func (t *Table) ReverseLookup(gpa mem.GPA) (mem.GVA, bool) {
 	target := gpa.PageFloor()
-	if simcache.ReverseIndexEnabled() {
+	if simcache.Enabled() {
 		switch e := t.revGet(gpa.Page()); e {
 		case revNone:
 			return 0, false

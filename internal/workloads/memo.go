@@ -24,8 +24,8 @@ import (
 // The memo holds at most one input per workload name, which bounds its
 // memory in long processes; a parallel sweep that mixes sizes of one
 // workload may replace an entry between cells, which costs a regeneration
-// and never a wrong result. simcache's workload memo switch turns it off:
-// every Setup then generates and every Run analyses afresh.
+// and never a wrong result. simcache.DisableAll turns it off with the
+// other caches: every Setup then generates and every Run analyses afresh.
 
 // inputKey identifies one workload input.
 type inputKey struct {
@@ -55,7 +55,7 @@ var inputs = struct {
 // key.name, or nil when the workload memo is off. Every method of a nil
 // entry computes afresh and keeps nothing.
 func memoFor[I, A any](key inputKey) *memoEntry[I, A] {
-	if !simcache.WorkloadMemoEnabled() {
+	if !simcache.Enabled() {
 		return nil
 	}
 	inputs.Lock()
