@@ -77,10 +77,10 @@ func run(bf benchFlags) (err error) {
 	// Experiment drivers boot machines with the default backend, so the
 	// -backend flag routes through the OOH_BACKEND environment variable
 	// the default resolution consults.
-	if backend, berr := cliflags.ParseBackend(bf.backend); berr != nil {
+	if _, berr := cliflags.ParseBackend(bf.backend); berr != nil {
 		return berr
-	} else if backend != "" {
-		os.Setenv("OOH_BACKEND", backend)
+	} else if bf.backend != "" {
+		os.Setenv("OOH_BACKEND", bf.backend)
 	}
 	if err := parseJSONPath(bf.jsonPath); err != nil {
 		return err

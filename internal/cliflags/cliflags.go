@@ -39,14 +39,19 @@ func ParseTech(s string) (costmodel.Technique, error) {
 	return 0, fmt.Errorf("unknown technique %q", s)
 }
 
-// ParseBackend validates a -backend flag value against machine.Backends.
-// Empty is allowed and selects machine.DefaultBackend() - the OOH_BACKEND
-// environment variable, or "sim".
+// ParseBackend validates a -backend flag value against machine.Backends
+// and returns the backend it selects. Empty selects
+// machine.DefaultBackend() - the OOH_BACKEND environment variable, or
+// "sim" - so a bad OOH_BACKEND fails here too, before any output exists.
 func ParseBackend(s string) (string, error) {
-	if s == "" || slices.Contains(machine.Backends(), s) {
-		return s, nil
+	name, from := s, ""
+	if s == "" {
+		name, from = machine.DefaultBackend(), " from OOH_BACKEND"
 	}
-	return "", fmt.Errorf("unknown backend %q (have %s)", s, strings.Join(machine.Backends(), ", "))
+	if slices.Contains(machine.Backends(), name) {
+		return name, nil
+	}
+	return "", fmt.Errorf("unknown backend %q%s (have %s)", name, from, strings.Join(machine.Backends(), ", "))
 }
 
 // BackendUsage is the shared -backend flag help text.

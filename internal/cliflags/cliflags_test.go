@@ -260,27 +260,36 @@ func TestObsReportClosesTraceFirst(t *testing.T) {
 	}
 }
 
-// TestTargetBootValidatesFirst pins Boot's order: a bad -size or -backend
-// fails before -trace creates its file, while an unknown workload, only
-// found once the machine boots, fails after it.
+// TestTargetBootValidatesFirst pins Boot's order: a bad -size, -backend
+// or (with -backend empty) OOH_BACKEND fails before -trace creates its
+// file, while an unknown workload, only found once the machine boots,
+// fails after it.
 func TestTargetBootValidatesFirst(t *testing.T) {
 	good := Target{Workload: "micro", Size: "small", Scale: 1, Seed: 1}
 	cases := []struct {
 		name   string
+		env    string // OOH_BACKEND
 		mutate func(*Target)
 		traced bool
+		errHas string
 	}{
-		{"bad size", func(tg *Target) { tg.Size = "xl" }, false},
-		{"bad backend", func(tg *Target) { tg.Backend = "qemu" }, false},
-		{"bad workload", func(tg *Target) { tg.Workload = "doom" }, true},
+		{"bad size", "", func(tg *Target) { tg.Size = "xl" }, false, `"xl"`},
+		{"bad backend", "", func(tg *Target) { tg.Backend = "qemu" }, false, `"qemu"`},
+		{"bad OOH_BACKEND", "qemu", func(*Target) {}, false, `"qemu"`},
+		{"bad workload", "", func(tg *Target) { tg.Workload = "doom" }, true, `"doom"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			t.Setenv("OOH_BACKEND", c.env)
 			tg := good
 			c.mutate(&tg)
 			path := filepath.Join(t.TempDir(), "t.jsonl")
-			if _, err := tg.Boot(ObsFlags{TraceFile: path}); err == nil {
+			_, err := tg.Boot(ObsFlags{TraceFile: path})
+			if err == nil {
 				t.Fatal("Boot succeeded")
+			}
+			if !strings.Contains(err.Error(), c.errHas) {
+				t.Errorf("error %q does not name %s", err, c.errHas)
 			}
 			if _, err := os.Stat(path); (err == nil) != c.traced {
 				t.Errorf("trace file created = %v, want %v", err == nil, c.traced)

@@ -45,8 +45,8 @@ type Booted struct {
 	Workload workloads.Workload
 }
 
-// Boot validates the target, then of, so a bad -size or -backend exits
-// before -trace creates its file. It then builds of's planes, boots the
+// Boot validates the target, then of, so a bad -size, -backend or
+// OOH_BACKEND exits before -trace creates its file. It then builds of's planes, boots the
 // machine on the target's backend, spawns the workload's process and
 // sets the workload up. A boot that fails after the planes are built
 // closes them.

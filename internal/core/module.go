@@ -17,6 +17,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -301,13 +302,16 @@ func (s *session) drainGuestBuffer() {
 	if first >= vmcs.PMLBufferEntries {
 		return // empty
 	}
-	for slot := first; slot < vmcs.PMLBufferEntries; slot++ {
-		raw, err := k.VCPU.KernelReadU64GPA(s.guestBufGPA + mem.GPA(slot*8))
-		if err != nil {
-			return
-		}
-		s.ring.Push(raw)
+	// One read of the filled slots, one batch into the ring.
+	var buf [vmcs.PMLBufferEntries * 8]byte
+	var batch [vmcs.PMLBufferEntries]uint64
+	if err := k.VCPU.KernelReadGPA(s.guestBufGPA+mem.GPA(first*8), buf[first*8:]); err != nil {
+		return
 	}
+	for i := first; i < vmcs.PMLBufferEntries; i++ {
+		batch[i] = binary.LittleEndian.Uint64(buf[i*8:])
+	}
+	s.ring.PushBatch(batch[first:])
 	_ = k.VCPU.GuestVMWrite(vmcs.FieldGuestPMLIndex, vmcs.PMLResetIndex)
 	k.VCPU.Event(trace.KindRingDrain, start, k.Clock.Nanos()-start, 0, int64(vmcs.PMLBufferEntries-first))
 }

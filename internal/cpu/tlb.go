@@ -169,7 +169,7 @@ func (v *VCPU) tlbFill(gva mem.GVA, slot pgtable.Slot) {
 // tlbFilledFrame returns the cached frame for gva if the entry was (re)filled
 // for exactly the hpa a just-completed walk returned. Used by the slow access
 // paths right after walkForWrite/walkForRead: the walk's tlbFill already
-// resolved the frame, so the access can skip PhysMem's locked lookup. No
+// resolved the frame, so the access can skip PhysMem's lookup. No
 // flag checks are needed - the walk itself just authorized the access.
 func (v *VCPU) tlbFilledFrame(gva mem.GVA, hpa mem.HPA) (*mem.Frame, bool) {
 	if !simcache.Enabled() {
@@ -187,9 +187,10 @@ func (v *VCPU) tlbFilledFrame(gva mem.GVA, hpa mem.HPA) (*mem.Frame, bool) {
 }
 
 // bufCache caches the backing frame of the PML/EPML log buffer so the
-// per-logged-page 8-byte buffer writes bypass PhysMem's lock and lookup.
+// per-logged-page 8-byte buffer writes bypass PhysMem's lookup.
 // The cache is keyed on the buffer's frame and the PhysMem epoch; a stale
-// pointer (FreeFrame/Reset) misses and re-resolves.
+// pointer (FreeFrame, Reset, a snapshot capture or restore) misses and
+// re-resolves.
 type bufCache struct {
 	hpaPage   mem.HPA
 	physEpoch uint64

@@ -305,3 +305,35 @@ func TestArmCacheInvalidationOnGuestVMWrite(t *testing.T) {
 		t.Errorf("EPML logs = %d after re-arm, want 2", n)
 	}
 }
+
+// TestTLBInvalidationOnCapture proves the capture epoch: CaptureSnapshot
+// freezes the chunk the TLB's cached frame pointer points into, so a write
+// that would otherwise hit the TLB must re-resolve its frame, and a fork
+// taken afterwards still reads the captured word.
+func TestTLBInvalidationOnCapture(t *testing.T) {
+	h := newHarness(t)
+	h.mapPage(t, 0x4000)
+	for _, v := range []uint64{1, 2} { // the second write is a TLB hit
+		if err := h.vcpu.WriteU64(0x4000, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := h.phys.CaptureSnapshot()
+	if err := h.vcpu.WriteU64(0x4000, 3); err != nil {
+		t.Fatal(err)
+	}
+	gpa, err := h.pt.Translate(0x4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hpa, err := h.vcpu.EPT.Translate(gpa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := snap.NewPhysMem().ReadU64(hpa); err != nil || v != 2 {
+		t.Errorf("fork reads %d, %v; want the captured 2 (a TLB hit wrote into the snapshot)", v, err)
+	}
+	if v, err := h.vcpu.ReadU64(0x4000); err != nil || v != 3 {
+		t.Errorf("source reads %d, %v; want its own 3", v, err)
+	}
+}

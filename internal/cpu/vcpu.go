@@ -169,7 +169,7 @@ type VCPU struct {
 	tlb tlbState
 	arm armCache
 	// pmlBuf/epmlBuf cache the backing frames of the two log buffers so
-	// per-logged-page buffer writes skip PhysMem's lock (see physWriteU64).
+	// per-logged-page buffer writes skip PhysMem's lookup (see physWriteU64).
 	pmlBuf  bufCache
 	epmlBuf bufCache
 	// epmlBufGPA is the guest-physical address of the armed EPML guest
@@ -698,7 +698,7 @@ func (v *VCPU) Write(gva mem.GVA, b []byte) error {
 			// A TLB hit proves no A/D, PML, EPML or SPP transition is
 			// possible (see tlb.go), so the walk reduces to the zero-cost
 			// write observers plus a write into the cached host frame,
-			// bypassing PhysMem's lock and lookup. The walk is still
+			// bypassing PhysMem's lookup. The walk is still
 			// profiled, as the zero-length span it is: the hooks advance
 			// no clock and open no span, so counting it after them folds
 			// into the tree what a span around them would.

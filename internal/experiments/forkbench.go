@@ -48,7 +48,7 @@ func MeasureForkSpeed(pages int, seed uint64, iters int) (ForkBench, error) {
 	if fb.BootWarmNS, err = best(bootWarm); err != nil {
 		return fb, err
 	}
-	if fb.ForkNS, err = best(fork); err != nil {
+	if fb.ForkNS, err = best(func() error { _, err := fork(); return err }); err != nil {
 		return fb, err
 	}
 	if fb.ForkNS > 0 {
@@ -61,8 +61,8 @@ func MeasureForkSpeed(pages int, seed uint64, iters int) (ForkBench, error) {
 // machine that MeasureForkSpeed compares: rerunning the boot+warm prefix,
 // and forking a snapshot of it captured once up front. Each fork is a
 // complete, runnable machine (the fork-determinism suite pins that it
-// behaves identically).
-func forkBenchOps(pages int, seed uint64) (bootWarm, fork func() error, err error) {
+// behaves identically), and fork returns its workload, ready to run.
+func forkBenchOps(pages int, seed uint64) (bootWarm func() error, fork func() (*workloads.ArrayParser, error), err error) {
 	m, _, w, err := buildMicroWarm(pages, seed)
 	if err != nil {
 		return nil, nil, err
@@ -76,17 +76,18 @@ func forkBenchOps(pages int, seed uint64) (bootWarm, fork func() error, err erro
 		_, _, _, err := buildMicroWarm(pages, seed)
 		return err
 	}
-	fork = func() error {
+	fork = func() (*workloads.ArrayParser, error) {
 		fm, err := snap.Fork(machine.Config{})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		proc, ok := fm.Guest(0).Kernel.Process(microPid)
 		if !ok {
-			return fmt.Errorf("experiments: fork lost pid %d", microPid)
+			return nil, fmt.Errorf("experiments: fork lost pid %d", microPid)
 		}
-		workloads.NewArrayParser(pages).Adopt(proc, region)
-		return nil
+		w := workloads.NewArrayParser(pages)
+		w.Adopt(proc, region)
+		return w, nil
 	}
 	return bootWarm, fork, nil
 }

@@ -262,8 +262,9 @@ func (vm *VM) drainPMLBuffer() error {
 	copied := int64(0)
 	perEntry := vm.Hyp.Model.RBCopy.PerPage(vm.wsOrDefault())
 	// Resolve the buffer's backing frame once per drain instead of paying
-	// PhysMem's lock and lookup per entry. The frame pointer stays valid for
-	// the whole drain (single goroutine, nothing frees frames mid-drain).
+	// PhysMem's lookup per entry. The frame pointer stays valid for the
+	// whole drain (single goroutine, nothing frees frames or captures
+	// mid-drain).
 	var frame *mem.Frame
 	if simcache.Enabled() {
 		if f, err := vm.Hyp.Phys.FrameRef(vm.pmlBuf); err == nil {
@@ -273,6 +274,14 @@ func (vm *VM) drainPMLBuffer() error {
 	// Counter handles resolved on first use per drain keep the map hash out
 	// of the per-entry loop and allocate nothing for a counter never bumped.
 	var migCtr, ringCtr *sim.Counter
+	// The guest's ring takes the drained entries as one batch, in slot
+	// order, after the loop: nothing in the loop reads the ring.
+	rs := vm.rings[vm.activeTag]
+	if !vm.enabledByGuest {
+		rs = nil
+	}
+	var batch [vmcs.PMLBufferEntries]uint64
+	pushed := batch[:0]
 	for slot := first; slot < vmcs.PMLBufferEntries; slot++ {
 		var raw uint64
 		if frame != nil {
@@ -300,9 +309,9 @@ func (vm *VM) drainPMLBuffer() error {
 			}
 			migCtr.Inc()
 		}
-		if slot := vm.rings[vm.activeTag]; vm.enabledByGuest && slot != nil {
-			slot.ring.Push(uint64(gpa))
-			slot.armedClear = append(slot.armedClear, gpa)
+		if rs != nil {
+			pushed = append(pushed, uint64(gpa))
+			rs.armedClear = append(rs.armedClear, gpa)
 			if ringCtr == nil {
 				ringCtr = vm.VCPU.Counters.Handle(CtrRingCopied)
 			}
@@ -310,6 +319,9 @@ func (vm *VM) drainPMLBuffer() error {
 			vm.Clock.Advance(perEntry)
 			copied++
 		}
+	}
+	if len(pushed) > 0 {
+		rs.ring.PushBatch(pushed)
 	}
 	if err := vm.VMCS.Write(vmcs.FieldPMLIndex, vmcs.PMLResetIndex); err != nil {
 		return fmt.Errorf("hypervisor: PML drain: %w", err)

@@ -24,10 +24,9 @@ var (
 // strands in the unused tail of its last slab.
 const slabFrames = 64
 
-// frameSlabLen is how many Frame structs one allocation holds. A frame
-// struct is handed out for every allocated page and for every page a fork
-// first touches, and 512 of them take 20 KiB.
-const frameSlabLen = 512
+// chunkFrames is how many Frame values one chunk holds: 512 of them take
+// 20 KiB and cover 2 MiB of host frames.
+const chunkFrames = 512
 
 // Sparse-frame tuning: a frame buffers up to sparseWritesMax small writes
 // (each at most sparseWriteBytes long) before its 4 KiB backing array is
@@ -42,8 +41,7 @@ const (
 
 // swSlabEntries is how many sparseWrite entries one write-buffer slab holds:
 // room for 1024 frames to take their first buffered write, or for 512
-// snapshot-shared frames to diverge with the common one buffered write
-// plus a spare slot each.
+// one-entry buffers to grow by the entry an appending write needs.
 const swSlabEntries = 1024
 
 // sparseWrite is one buffered small write. Buffered writes never overlap
@@ -62,26 +60,26 @@ type sparseWrite struct {
 //
 // Mutating methods follow PhysMem's ownership model: a frame is only ever
 // mutated by the goroutine driving the VM it is mapped into (materialization
-// itself locks PhysMem for the slab). The vCPU software TLB caches *Frame
-// pointers under the Epoch contract.
+// and growing the buffer lock PhysMem for the slabs). Frames live in
+// chunks; the vCPU software TLB caches *Frame pointers into them under the
+// Epoch contract.
 //
-// A frame whose backing is shared with a Snapshot carries the ro flag, and
-// every write reaches it through PhysMem.WriteFrame, which diverges it
-// copy-on-write at the smallest granule that can take the write: a sparse
-// frame copies its write buffer (at most sparseWritesMax entries); a
-// materialized page, or a write the buffer cannot take, copies 4 KiB.
+// A frame's write buffer is always private to its chunk's owner: copying a
+// frozen chunk copies its buffers. Its materialized page may still be
+// shared with a Snapshot, which the ro flag marks; every write reaches such
+// a page through PhysMem.WriteFrame, which copies it (Materialize) first.
 type Frame struct {
 	data *[PageSize]byte
 	sw   []sparseWrite
-	// ro marks the backing (data or sw) as shared with a Snapshot. Set
-	// under PhysMem.mu with all VM goroutines quiescent (the snapshot
-	// contract); cleared, also under PhysMem.mu, when WriteFrame gives the
-	// frame a private buffer or page.
-	ro bool
+	// ro marks data as shared with a frozen chunk. Set when a chunk copy
+	// adopts the page; cleared, under PhysMem.mu, when Materialize gives
+	// the frame a private copy.
+	ro   bool
+	used bool // allocated; false for a free or never-allocated slot
 }
 
 // Data returns the materialized backing array for in-place mutation, or
-// nil while the frame is sparse or its backing is snapshot-shared (writers
+// nil while the frame is sparse or its page is snapshot-shared (writers
 // then go through PhysMem.WriteFrame).
 func (f *Frame) Data() *[PageSize]byte {
 	if f.ro {
@@ -94,8 +92,7 @@ func (f *Frame) Data() *[PageSize]byte {
 // the index of the buffered write it rewrites exactly, len(f.sw) for a new
 // entry, or -1 when the buffer cannot take it - the frame is materialized,
 // the write is large, it overlaps a buffered write without matching it
-// exactly, or the buffer is full. Whether the buffer is snapshot-shared
-// does not matter here; WriteFrame unshares it before writing.
+// exactly, or the buffer is full.
 func (f *Frame) slot(off uint64, n int) int {
 	if f.data != nil || n > sparseWriteBytes {
 		return -1
@@ -160,30 +157,59 @@ func (f *Frame) U64At(off uint64) uint64 {
 // PhysMem, exactly as all guests share the host's DRAM.
 //
 // HPAs are dense (sequential from PageSize, recycling freed addresses), so
-// frames live in a slice indexed by host frame number rather than a map:
-// frame resolution is on the per-memory-op hot path.
+// frames live in chunks of chunkFrames Frame values, found through a
+// directory indexed by host frame number / chunkFrames. Frame resolution is
+// on the per-memory-op hot path, so it reads the directory and the chunk
+// with atomic loads and takes no lock. A chunk is either owned by this
+// PhysMem, which mutates its frames in place, or frozen: captured by a
+// Snapshot and shared read-only with every PhysMem forked or restored from
+// it. The first access to a frame in a frozen chunk copies the chunk under
+// mu, and lookups never return a frame of a frozen chunk.
 type PhysMem struct {
-	mu     sync.Mutex
-	frames []*Frame // host frame number -> frame (nil = unallocated or lazy)
-	// base is the immutable snapshot image this PhysMem was forked or
-	// restored from. Frame structs materialize out of it lazily: a nil
-	// frames[i] with base[i].used means "not touched since the fork" and
-	// resolves on first access. This keeps fork O(1) in frame-struct work
-	// instead of O(live frames). Freed lazy slots are tombstoned (see
-	// freedTomb) so they do not resurrect from base.
-	base     []snapFrame
+	mu       sync.Mutex
+	dir      atomic.Pointer[[]atomic.Pointer[chunk]] // chunk directory; a nil entry holds no frame yet
 	live     int
 	next     HPA
 	free     []HPA
-	fslab    []Frame          // frame structs for upcoming allocations
 	slab     [][PageSize]byte // pre-zeroed backing for materializations
 	slabLen  int              // length of the last page slab allocated
-	swslab   []sparseWrite    // private write buffers for diverging frames
+	swslab   []sparseWrite    // write-buffer entries for appending writes
 	maxBytes uint64           // 0 means unlimited
 	// epoch counts the events after which an externally cached frame pointer
-	// may be stale (FreeFrame, Reset). The vCPU software TLB compares it
-	// before trusting a cached FrameRef.
+	// may be stale (FreeFrame, Reset, a capture freezing the chunks, a
+	// restore). The vCPU software TLB compares it before trusting a cached
+	// FrameRef.
 	epoch atomic.Uint64
+}
+
+// chunk holds the frames of chunkFrames consecutive host frame numbers.
+// frozen is set once, by CaptureSnapshot, and a frozen chunk is never
+// written again.
+type chunk struct {
+	frames [chunkFrames]Frame
+	frozen bool
+}
+
+// clone copies a frozen chunk for a new owner, with all its frames' sparse
+// write buffers in one exact-size allocation: rewrites of buffered words
+// then take no lock and allocate nothing. Materialized pages stay shared,
+// marked ro, until a write materializes a private copy.
+func (c *chunk) clone() *chunk {
+	n := 0
+	for i := range c.frames {
+		n += len(c.frames[i].sw)
+	}
+	sw := make([]sparseWrite, n)
+	nc := new(chunk)
+	nc.frames = c.frames
+	for i := range nc.frames {
+		f := &nc.frames[i]
+		if k := copy(sw, f.sw); k > 0 {
+			f.sw, sw = sw[:k:k], sw[k:]
+		}
+		f.ro = f.data != nil
+	}
+	return nc
 }
 
 // NewPhysMem returns an empty physical memory. If maxBytes is non-zero,
@@ -211,44 +237,21 @@ func (p *PhysMem) AllocFrame() (HPA, error) {
 		hpa = p.next
 		p.next += PageSize
 	}
-	if len(p.fslab) == 0 {
-		p.fslab = make([]Frame, frameSlabLen)
-	}
-	f := &p.fslab[0]
-	p.fslab = p.fslab[1:]
-	idx := int(hpa.Page())
-	if idx >= len(p.frames) {
-		if idx < cap(p.frames) {
-			p.frames = p.frames[:idx+1]
-		} else {
-			grown := make([]*Frame, idx+1, (idx+1)*2)
-			copy(grown, p.frames)
-			p.frames = grown
-		}
-	}
-	p.frames[idx] = f
+	p.ownLocked(hpa.Page(), true).frames[hpa.Page()%chunkFrames] = Frame{used: true}
 	p.live++
 	return hpa, nil
 }
-
-// freedTomb marks a frame slot freed after a fork/restore: distinguishable
-// from nil, which would lazily resurrect the frame from the base image.
-var freedTomb = &Frame{}
 
 // FreeFrame releases the frame at hpa. Freeing an unallocated frame is an
 // error: it indicates a bookkeeping bug in a caller.
 func (p *PhysMem) FreeFrame(hpa HPA) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	idx := int(hpa.Page())
-	if p.frameLocked(idx) == nil {
+	f := p.ownFrameLocked(hpa)
+	if f == nil {
 		return fmt.Errorf("%w: free of %v", ErrUnmappedHPA, hpa)
 	}
-	if p.base != nil {
-		p.frames[idx] = freedTomb
-	} else {
-		p.frames[idx] = nil
-	}
+	*f = Frame{}
 	p.live--
 	p.free = append(p.free, hpa)
 	p.epoch.Add(1)
@@ -263,7 +266,8 @@ func (p *PhysMem) FrameCount() int {
 }
 
 // Epoch returns the frame-invalidation epoch; it advances whenever a
-// previously returned FrameRef may have become stale (FreeFrame, Reset).
+// previously returned FrameRef may have become stale (FreeFrame, Reset,
+// CaptureSnapshot, RestoreSnapshot).
 func (p *PhysMem) Epoch() uint64 { return p.epoch.Load() }
 
 // FrameRef returns the frame containing hpa. The pointer stays valid while
@@ -275,9 +279,8 @@ func (p *PhysMem) FrameRef(hpa HPA) (*Frame, error) {
 // WriteFrame copies b to off in f, a frame resolved from p (the write must
 // stay inside the frame). It is the one place that decides how a write
 // lands: in place in a private page, in the sparse buffer, or in a page
-// materialized for it. A snapshot-shared sparse frame whose buffer can take
-// the write diverges onto a private copy of that buffer; every other
-// shared frame diverges through Materialize, which copies the page.
+// materialized for it. A snapshot-shared page, and a write the buffer
+// cannot take, go through Materialize, which copies or builds the page.
 func (p *PhysMem) WriteFrame(f *Frame, off uint64, b []byte) {
 	if d := f.Data(); d != nil {
 		copy(d[off:], b)
@@ -288,19 +291,18 @@ func (p *PhysMem) WriteFrame(f *Frame, off uint64, b []byte) {
 		copy(p.Materialize(f)[off:], b)
 		return
 	}
-	if f.ro || f.sw == nil {
-		p.carveSparse(f)
-	}
 	if i == len(f.sw) {
+		if i == cap(f.sw) {
+			p.carveSparse(f)
+		}
 		f.sw = append(f.sw, sparseWrite{off: uint16(off), n: uint16(len(b))})
 	}
 	copy(f.sw[i].val[:], b)
 }
 
-// carveSparse gives f a private sparse buffer carved from the buffer slab,
-// holding a copy of its current entries (none on a first write, or the
-// snapshot-shared ones) and room for one more, so that the write that
-// needed it appends without allocating.
+// carveSparse moves f's write buffer to one carved from the buffer slab,
+// holding a copy of its entries and room for the one an appending write
+// needs, so that the append allocates nothing.
 func (p *PhysMem) carveSparse(f *Frame) {
 	n := len(f.sw)
 	p.mu.Lock()
@@ -312,7 +314,6 @@ func (p *PhysMem) carveSparse(f *Frame) {
 	p.swslab = p.swslab[n+1:]
 	copy(sw, f.sw)
 	f.sw = sw
-	f.ro = false
 }
 
 // Materialize builds (if needed) and returns the frame's private backing
@@ -324,39 +325,37 @@ func (p *PhysMem) Materialize(f *Frame) *[PageSize]byte {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.materializeLocked(f)
-}
-
-func (p *PhysMem) materializeLocked(f *Frame) *[PageSize]byte {
-	if f.data == nil || f.ro {
-		if len(p.slab) == 0 {
-			p.slabLen = min(max(2*p.slabLen, 1), slabFrames)
-			p.slab = make([][PageSize]byte, p.slabLen)
-		}
-		d := &p.slab[0]
-		p.slab = p.slab[1:]
-		if f.data != nil {
-			// Shared materialized page: diverge onto a private copy.
-			*d = *f.data
-		} else {
-			// Sparse buffer (shared or private): replaying only reads it.
-			for i := range f.sw {
-				w := &f.sw[i]
-				copy(d[w.off:], w.val[:w.n])
-			}
-		}
-		f.sw = nil
-		f.data = d
-		f.ro = false
+	if len(p.slab) == 0 {
+		p.slabLen = min(max(2*p.slabLen, 1), slabFrames)
+		p.slab = make([][PageSize]byte, p.slabLen)
 	}
-	return f.data
+	d := &p.slab[0]
+	p.slab = p.slab[1:]
+	if f.data != nil {
+		// Shared materialized page: diverge onto a private copy.
+		*d = *f.data
+	}
+	for i := range f.sw {
+		w := &f.sw[i]
+		copy(d[w.off:], w.val[:w.n])
+	}
+	f.sw = nil
+	f.data = d
+	f.ro = false
+	return d
 }
 
-// frame returns the frame containing hpa.
+// frame returns the frame containing hpa: from the directory without a
+// lock when its chunk is p's own, else under mu through ownFrameLocked.
 func (p *PhysMem) frame(hpa HPA) (*Frame, error) {
-	idx := int(hpa.Page())
+	idx := hpa.Page()
+	if d := p.dir.Load(); d != nil && idx/chunkFrames < uint64(len(*d)) {
+		if c := (*d)[idx/chunkFrames].Load(); c != nil && !c.frozen && c.frames[idx%chunkFrames].used {
+			return &c.frames[idx%chunkFrames], nil
+		}
+	}
 	p.mu.Lock()
-	f := p.frameLocked(idx)
+	f := p.ownFrameLocked(hpa)
 	p.mu.Unlock()
 	if f == nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnmappedHPA, hpa)
@@ -364,31 +363,47 @@ func (p *PhysMem) frame(hpa HPA) (*Frame, error) {
 	return f, nil
 }
 
-// frameLocked resolves the frame at host frame number idx, materializing
-// the Frame struct lazily from the fork/restore base image on first touch.
-// Returns nil for unallocated (or freed) slots. Caller holds p.mu.
-func (p *PhysMem) frameLocked(idx int) *Frame {
-	if idx < 0 || idx >= len(p.frames) {
-		return nil
+// ownFrameLocked returns the allocated frame at hpa in a chunk p owns, or nil
+// when no frame is allocated there. Caller holds p.mu.
+func (p *PhysMem) ownFrameLocked(hpa HPA) *Frame {
+	if c := p.ownLocked(hpa.Page(), false); c != nil && c.frames[hpa.Page()%chunkFrames].used {
+		return &c.frames[hpa.Page()%chunkFrames]
 	}
-	f := p.frames[idx]
-	if f == freedTomb {
-		return nil
-	}
-	if f == nil {
-		if p.base == nil || idx >= len(p.base) || !p.base[idx].used {
+	return nil
+}
+
+// ownLocked returns the chunk holding host frame number idx, copying it
+// first if it is frozen. With grow set it extends the directory and
+// allocates the chunk as needed; without, it returns nil where there is no
+// chunk. A changed entry is published with an atomic store, after the
+// chunk is complete, for the lock-free lookups in frame. Caller holds p.mu.
+func (p *PhysMem) ownLocked(idx uint64, grow bool) *chunk {
+	ci := idx / chunkFrames
+	d := p.dir.Load()
+	if d == nil || ci >= uint64(len(*d)) {
+		if !grow {
 			return nil
 		}
-		if len(p.fslab) == 0 {
-			p.fslab = make([]Frame, frameSlabLen)
+		nd := make([]atomic.Pointer[chunk], 2*ci+1)
+		if d != nil {
+			for i := range *d {
+				nd[i].Store((*d)[i].Load())
+			}
 		}
-		f = &p.fslab[0]
-		p.fslab = p.fslab[1:]
-		sf := &p.base[idx]
-		*f = Frame{data: sf.data, sw: sf.sw, ro: true}
-		p.frames[idx] = f
+		p.dir.Store(&nd)
+		d = &nd
 	}
-	return f
+	c := (*d)[ci].Load()
+	switch {
+	case c == nil && grow:
+		c = new(chunk)
+	case c != nil && c.frozen:
+		c = c.clone()
+	default:
+		return c
+	}
+	(*d)[ci].Store(c)
+	return c
 }
 
 // Write copies b into physical memory at hpa. The access must not cross a
@@ -452,9 +467,7 @@ func (p *PhysMem) FrameBytes(hpa HPA) ([]byte, error) {
 func (p *PhysMem) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.frames = nil
-	p.base = nil
-	p.fslab = nil
+	p.dir.Store(nil)
 	p.slab = nil
 	p.slabLen = 0
 	p.swslab = nil

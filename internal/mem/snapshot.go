@@ -1,11 +1,13 @@
 package mem
 
-// Snapshot is an immutable copy-on-write capture of a PhysMem: every live
-// frame's backing (materialized page or sparse-write buffer) is shared,
-// not copied, and the source's frames are flipped read-only so the first
-// post-capture write to any page diverges onto a private copy. Capturing N
-// gigabytes therefore costs O(live frames) pointer copies, which is what
-// makes forking a warmed-up VM into scenario variants cheap.
+import "sync/atomic"
+
+// Snapshot is an immutable copy-on-write capture of a PhysMem: the
+// source's chunks are frozen and shared, not copied, so capturing N
+// gigabytes costs O(chunks) pointer copies, which is what makes forking a
+// warmed-up VM into scenario variants cheap. The source and every fork
+// copy a frozen chunk (20 KiB of frames and its write buffers) on their
+// first access to it; materialized pages stay shared until written.
 //
 // Contract:
 //   - Capture and restore require all goroutines touching the PhysMem (or
@@ -14,61 +16,50 @@ package mem
 //   - A Snapshot is immutable once captured and may back any number of
 //     restores and forks concurrently, including after the source PhysMem
 //     has diverged or been reset.
-//   - RestoreSnapshot bumps the frame-invalidation epoch, so frame
-//     pointers cached under the Epoch contract (the vCPU software TLB) die
-//     with the restore; it never rewinds the epoch.
+//   - CaptureSnapshot and RestoreSnapshot bump the frame-invalidation
+//     epoch, so frame pointers cached under the Epoch contract (the vCPU
+//     software TLB, its log-buffer cache) cannot write into a frozen chunk;
+//     the epoch never rewinds.
 type Snapshot struct {
-	frames   []snapFrame
+	chunks   []*chunk // frozen; nil where the source had no chunk
 	live     int
 	next     HPA
 	free     []HPA
 	maxBytes uint64
 }
 
-// snapFrame is one captured frame. Exactly one of data/sw is meaningful
-// (both nil for a never-written frame); used distinguishes an allocated
-// all-zero frame from an unallocated slot.
-type snapFrame struct {
-	data *[PageSize]byte
-	sw   []sparseWrite
-	used bool
-}
-
 // CaptureSnapshot captures the current memory image copy-on-write. The
-// source keeps running afterwards: its frames are marked read-only and
-// diverge onto private copies as they are written.
+// source keeps running afterwards: its chunks are frozen, and each is
+// copied back into private ownership on the source's first access to it.
 func (p *PhysMem) CaptureSnapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := &Snapshot{
-		frames:   make([]snapFrame, len(p.frames)),
 		live:     p.live,
 		next:     p.next,
 		free:     append([]HPA(nil), p.free...),
 		maxBytes: p.maxBytes,
 	}
-	for i, f := range p.frames {
-		switch f {
-		case freedTomb:
-		case nil:
-			// Lazy slot: the frame was never touched since this PhysMem was
-			// itself forked, so its backing still lives in the base image -
-			// share it onward without materializing a Frame struct.
-			if p.base != nil && i < len(p.base) && p.base[i].used {
-				s.frames[i] = snapFrame{data: p.base[i].data, sw: p.base[i].sw, used: true}
+	if d := p.dir.Load(); d != nil {
+		s.chunks = make([]*chunk, len(*d))
+		for i := range *d {
+			c := (*d)[i].Load()
+			// A chunk still shared from an earlier snapshot is already
+			// frozen and may be read by other forks right now.
+			if c != nil && !c.frozen {
+				c.frozen = true
 			}
-		default:
-			f.ro = true
-			s.frames[i] = snapFrame{data: f.data, sw: f.sw, used: true}
+			s.chunks[i] = c
 		}
 	}
+	p.epoch.Add(1)
 	return s
 }
 
-// RestoreSnapshot rewinds the memory image to the captured state. All
-// frame structs are replaced (sharing the snapshot's backing read-only),
-// so divergence since the capture is discarded without being undone
-// byte-by-byte, and the epoch bump invalidates every cached frame pointer.
+// RestoreSnapshot rewinds the memory image to the captured state by
+// adopting its frozen chunks, so divergence since the capture is discarded
+// without being undone byte-by-byte, and the epoch bump invalidates every
+// cached frame pointer.
 func (p *PhysMem) RestoreSnapshot(s *Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -76,7 +67,7 @@ func (p *PhysMem) RestoreSnapshot(s *Snapshot) {
 }
 
 // NewPhysMem forks the snapshot into a brand-new PhysMem sharing the
-// captured backing copy-on-write. Any number of forks may coexist; each
+// captured chunks copy-on-write. Any number of forks may coexist; each
 // diverges privately.
 func (s *Snapshot) NewPhysMem() *PhysMem {
 	p := &PhysMem{next: PageSize, maxBytes: s.maxBytes}
@@ -89,12 +80,14 @@ func (s *Snapshot) NewPhysMem() *PhysMem {
 // FrameCount reports the number of live frames in the captured image.
 func (s *Snapshot) FrameCount() int { return s.live }
 
+// applyLocked adopts the snapshot's chunk list: O(chunks), with no frame
+// copied until it is first accessed.
 func (p *PhysMem) applyLocked(s *Snapshot) {
-	// Frame structs materialize lazily out of the base image on first
-	// touch (frameLocked), so applying a snapshot is O(1) in frame-struct
-	// work - the cost that would otherwise dominate forking a warm image.
-	p.frames = make([]*Frame, len(s.frames))
-	p.base = s.frames
+	d := make([]atomic.Pointer[chunk], len(s.chunks))
+	for i, c := range s.chunks {
+		d[i].Store(c)
+	}
+	p.dir.Store(&d)
 	p.live = s.live
 	p.next = s.next
 	p.free = append([]HPA(nil), s.free...)

@@ -3,7 +3,10 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -373,5 +376,207 @@ func TestSnapshotSparseSharingSafety(t *testing.T) {
 	if allocs > frames/64 {
 		t.Fatalf("diverging %d shared sparse frames cost %.0f allocations, want at most %d",
 			frames, allocs, frames/64)
+	}
+}
+
+// chunkHarness drives PhysMems against cowModel images, the reference
+// FuzzPhysMemCoW checks against, with any number of live frames.
+type chunkHarness struct {
+	t   *testing.T
+	seq byte
+}
+
+func (h *chunkHarness) alloc(p *PhysMem, m *cowModel) HPA {
+	h.t.Helper()
+	hpa, err := p.AllocFrame()
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if _, dup := m.pages[hpa]; dup {
+		h.t.Fatalf("alloc returned live frame %v", hpa)
+	}
+	m.pages[hpa] = [PageSize]byte{}
+	m.live = append(m.live, hpa)
+	return hpa
+}
+
+func (h *chunkHarness) free(p *PhysMem, m *cowModel, hpa HPA) {
+	h.t.Helper()
+	if err := p.FreeFrame(hpa); err != nil {
+		h.t.Fatal(err)
+	}
+	delete(m.pages, hpa)
+	m.live = slices.DeleteFunc(m.live, func(x HPA) bool { return x == hpa })
+}
+
+// write stores n bytes at off: up to 16 bytes is a buffered word, more
+// materializes the page.
+func (h *chunkHarness) write(p *PhysMem, m *cowModel, hpa HPA, off uint64, n int) {
+	h.t.Helper()
+	h.seq++
+	b := bytes.Repeat([]byte{h.seq}, n)
+	if err := p.Write(hpa+HPA(off), b); err != nil {
+		h.t.Fatal(err)
+	}
+	pg := m.pages[hpa]
+	copy(pg[off:], b)
+	m.pages[hpa] = pg
+}
+
+func (h *chunkHarness) check(p *PhysMem, m cowModel) {
+	h.t.Helper()
+	if p.FrameCount() != len(m.live) {
+		h.t.Fatalf("%d live frames, model has %d", p.FrameCount(), len(m.live))
+	}
+	for _, hpa := range m.live {
+		checkFrame(h.t, p, m, hpa)
+	}
+}
+
+// TestSnapshotAcrossChunks takes a memory past its first chunk, then
+// captures, forks twice, writes, frees, re-allocates and restores, and
+// checks every memory and snapshot against the flat model: a fork's
+// AllocFrame lands both in a freed slot and past the source's last frame
+// of a frozen, partly filled chunk, and a capture of a fork mixes chunks
+// it copied with chunks still frozen from the first snapshot.
+func TestSnapshotAcrossChunks(t *testing.T) {
+	h := &chunkHarness{t: t}
+	p, pm := NewPhysMem(0), cowModel{pages: map[HPA][PageSize]byte{}}
+	for i := 0; i < chunkFrames+40; i++ {
+		hpa := h.alloc(p, &pm)
+		switch i % 4 {
+		case 0:
+			h.write(p, &pm, hpa, 8, 8)
+		case 1:
+			h.write(p, &pm, hpa, 64, 8)
+			h.write(p, &pm, hpa, 128, 16)
+		case 2:
+			h.write(p, &pm, hpa, 1024, 600)
+		}
+	}
+	if last := pm.live[len(pm.live)-1]; last.Page() < chunkFrames {
+		t.Fatalf("last frame %v is still in the first chunk", last)
+	}
+	// Free slots in both chunks, so forks re-allocate into them.
+	for _, i := range []int{5, 6, chunkFrames + 3} {
+		h.free(p, &pm, pm.live[i])
+	}
+	epoch := p.Epoch()
+	s1, s1m := p.CaptureSnapshot(), pm.clone()
+	if p.Epoch() <= epoch {
+		t.Fatal("CaptureSnapshot did not advance the epoch")
+	}
+	f1, f1m := s1.NewPhysMem(), s1m.clone()
+	f2, f2m := s1.NewPhysMem(), s1m.clone()
+
+	// Before f2 touches anything, it re-allocates the three freed slots
+	// and takes new frames past the last one the source allocated: all
+	// land in chunks still frozen.
+	for i := 0; i < 6; i++ {
+		hpa := h.alloc(f2, &f2m)
+		h.write(f2, &f2m, hpa, 16, 8)
+	}
+	if hpa := f2m.live[len(f2m.live)-1]; hpa.Page()/chunkFrames != 1 || hpa < s1.next {
+		t.Fatalf("f2's last allocation %v is not a fresh frame of the second chunk", hpa)
+	}
+	// Rewrite, append and materialize in both chunks of every memory.
+	for _, i := range []int{0, 1, 2, 3, chunkFrames - 2, chunkFrames + 1, chunkFrames + 30} {
+		h.write(f1, &f1m, f1m.live[i], 8, 8)
+		h.write(f2, &f2m, f2m.live[i], 256, 8)
+		h.write(p, &pm, pm.live[i], 2048, 100)
+	}
+	h.free(f1, &f1m, f1m.live[chunkFrames])
+	h.free(f1, &f1m, f1m.live[10])
+	// To a new fork of s1, the frames f2 allocated are still free, and
+	// allocating them again hands out the same HPAs, zeroed.
+	f4, f4m := s1.NewPhysMem(), s1m.clone()
+	for _, hpa := range f2m.live[len(f2m.live)-6:] {
+		if _, err := f4.FrameRef(hpa); !errors.Is(err, ErrUnmappedHPA) {
+			t.Fatalf("frame %v that a sibling allocated resolves in a new fork: %v", hpa, err)
+		}
+		if got := h.alloc(f4, &f4m); got != hpa {
+			t.Fatalf("new fork allocated %v, its sibling %v", got, hpa)
+		}
+	}
+	for _, c := range []struct {
+		p *PhysMem
+		m cowModel
+	}{{p, pm}, {f1, f1m}, {f2, f2m}, {f4, f4m}, {s1.NewPhysMem(), s1m}} {
+		h.check(c.p, c.m)
+	}
+
+	// Capture f1 with one chunk copied and one still shared with s1.
+	s2, s2m := f1.CaptureSnapshot(), f1m.clone()
+	h.write(f1, &f1m, f1m.live[0], 8, 8)
+	f3, f3m := s2.NewPhysMem(), s2m.clone()
+	h.alloc(f3, &f3m)
+	h.write(f3, &f3m, f3m.live[4], 8, 700)
+	p.RestoreSnapshot(s2)
+	pm = s2m.clone()
+	h.write(p, &pm, pm.live[7], 8, 8)
+	f2.RestoreSnapshot(s1)
+	f2m = s1m.clone()
+	for _, c := range []struct {
+		p *PhysMem
+		m cowModel
+	}{{p, pm}, {f1, f1m}, {f2, f2m}, {f3, f3m}, {s1.NewPhysMem(), s1m}, {s2.NewPhysMem(), s2m}} {
+		h.check(c.p, c.m)
+	}
+}
+
+// TestSnapshotLookupsWhileAllocating runs lock-free frame lookups, reads
+// and writes on one goroutine's frames of a fork while another
+// goroutine's AllocFrame copies a frozen chunk and grows the chunk
+// directory three times. Run with -race.
+func TestSnapshotLookupsWhileAllocating(t *testing.T) {
+	src := NewPhysMem(0)
+	own := make([]HPA, 2*chunkFrames)
+	for i := range own {
+		var err error
+		if own[i], err = src.AllocFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.WriteU64(own[i]+8, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fork := src.CaptureSnapshot().NewPhysMem()
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i := 0; i < 16*chunkFrames; i++ {
+			hpa, err := fork.AllocFrame()
+			if err == nil {
+				err = fork.WriteU64(hpa, uint64(hpa))
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for round := uint64(1); round == 1 || !done.Load(); round++ {
+		for i, hpa := range own {
+			f, err := fork.FrameRef(hpa)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], round)
+			fork.WriteFrame(f, 16, b[:])
+			if v, err := fork.ReadU64(hpa + 8); err != nil || v != uint64(i) {
+				t.Fatalf("frame %d: captured word %d, %v; want %d", i, v, err, i)
+			}
+			if v, err := fork.ReadU64(hpa + 16); err != nil || v != round {
+				t.Fatalf("frame %d: own word %d, %v; want %d", i, v, err, round)
+			}
+		}
+	}
+	wg.Wait()
+	if got, want := fork.FrameCount(), len(own)+16*chunkFrames; got != want {
+		t.Fatalf("fork holds %d frames, want %d", got, want)
 	}
 }

@@ -7,10 +7,11 @@
 //     userspace OoH library (consumer).
 //
 // Entries are uint64 addresses (GPAs for SPML, GVAs for EPML). The ring is
-// wait-free for both sides: Push never blocks (it reports failure when the
-// ring is full, which models dirty-address loss that the completeness tests
-// must prove cannot happen under the configured sizes), Pop reports
-// emptiness.
+// wait-free for both sides: Push and PushBatch never block (they report
+// failure when the ring is full, which models dirty-address loss that the
+// completeness tests must prove cannot happen under the configured sizes),
+// Pop reports emptiness. A PML buffer drain hands the ring its entries as
+// one PushBatch, which publishes them with one tail store.
 //
 // A ring is sized for the worst case but its memory follows use: the
 // backing is allocated in 64 KiB chunks, each on the first push into it,
@@ -85,21 +86,29 @@ func (r *Ring) Len() int {
 }
 
 // Push appends v. It returns false (and counts a drop) if the ring is full.
-func (r *Ring) Push(v uint64) bool {
+func (r *Ring) Push(v uint64) bool { return r.PushBatch([]uint64{v}) == 1 }
+
+// PushBatch appends as many of vs, in order, as the ring has room for,
+// counts the rest as drops and returns how many it appended: what len(vs)
+// Push calls with no Pop between them do, but with one tail store, so the
+// consumer sees the whole batch at once.
+func (r *Ring) PushBatch(vs []uint64) int {
 	tail := r.tail.Load()
-	if tail-r.head.Load() > r.mask {
-		r.drop.Add(1)
-		return false
+	n := min(uint64(len(vs)), r.mask+1-(tail-r.head.Load()))
+	for i := uint64(0); i < n; {
+		j := (tail + i) & r.mask
+		c := r.chunks[j>>r.chunkShift]
+		if c == nil {
+			c = make([]uint64, 1<<r.chunkShift)
+			r.chunks[j>>r.chunkShift] = c
+		}
+		i += uint64(copy(c[j&(1<<r.chunkShift-1):], vs[i:n]))
 	}
-	i := tail & r.mask
-	c := r.chunks[i>>r.chunkShift]
-	if c == nil {
-		c = make([]uint64, 1<<r.chunkShift)
-		r.chunks[i>>r.chunkShift] = c
+	if n < uint64(len(vs)) {
+		r.drop.Add(uint64(len(vs)) - n)
 	}
-	c[i&(1<<r.chunkShift-1)] = v
-	r.tail.Store(tail + 1)
-	return true
+	r.tail.Store(tail + n)
+	return int(n)
 }
 
 // Pop removes and returns the oldest entry. ok is false if the ring is empty.

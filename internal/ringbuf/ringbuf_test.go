@@ -2,6 +2,7 @@ package ringbuf
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -259,5 +260,110 @@ func TestLenConcurrentBounds(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Errorf("Len out of [0,%d] bounds %d times", r.Cap(), bad)
+	}
+}
+
+// TestPushBatchMatchesPushes feeds one ring batches and a twin ring the
+// same entries one Push at a time: both must accept the same entries, drop
+// the same overflow at capacity, allocate the same chunks and drain the
+// same sequence. On the chunked ring the batches start just before a
+// chunk boundary, so some straddle it.
+func TestPushBatchMatchesPushes(t *testing.T) {
+	for _, tc := range []struct{ capacity, start int }{{8, 0}, {8, 5}, {chunkedCap, chunkEntries - 7}} {
+		batched, single := New(tc.capacity), New(tc.capacity)
+		for _, r := range []*Ring{batched, single} {
+			for i := 0; i < tc.start; i++ {
+				r.Push(0)
+				r.Pop()
+			}
+		}
+		next := uint64(1)
+		for _, size := range []int{0, 1, 3, 6, 2, 9, 1, 4} {
+			vs := make([]uint64, size)
+			for i := range vs {
+				vs[i] = next
+				next++
+			}
+			want := 0
+			for _, v := range vs {
+				if single.Push(v) {
+					want++
+				}
+			}
+			if got := batched.PushBatch(vs); got != want {
+				t.Fatalf("cap %d: PushBatch of %d took %d entries, %d Pushes took %d", tc.capacity, size, got, size, want)
+			}
+			if batched.Len() != single.Len() || batched.Dropped() != single.Dropped() {
+				t.Fatalf("cap %d: batched ring holds %d with %d dropped, single-push ring %d with %d",
+					tc.capacity, batched.Len(), batched.Dropped(), single.Len(), single.Dropped())
+			}
+			for i := range batched.chunks {
+				if (batched.chunks[i] == nil) != (single.chunks[i] == nil) {
+					t.Fatalf("cap %d: chunk %d allocated by one ring only", tc.capacity, i)
+				}
+			}
+			if size%3 == 0 { // drain now and then, so later batches find room
+				if got, want := batched.Drain(nil), single.Drain(nil); !slices.Equal(got, want) {
+					t.Fatalf("cap %d: batched ring drained %v, single-push ring %v", tc.capacity, got, want)
+				}
+			}
+		}
+		if got, want := batched.Drain(nil), single.Drain(nil); !slices.Equal(got, want) {
+			t.Fatalf("cap %d: batched ring drained %v, single-push ring %v", tc.capacity, got, want)
+		}
+		if single.Dropped() == 0 && tc.capacity == 8 {
+			t.Fatalf("cap %d: no batch reached capacity", tc.capacity)
+		}
+	}
+}
+
+// TestPushBatchConcurrentSPSC is TestConcurrentSPSC with a batching
+// producer: batches of varying size, the unaccepted rest of each retried,
+// against a consumer that pops and drains. Run with -race.
+func TestPushBatchConcurrentSPSC(t *testing.T) {
+	for _, capacity := range []int{64, chunkedCap} {
+		r := New(capacity)
+		n := max(20000, 3*r.Cap())
+		var got []uint64
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // producer
+			defer wg.Done()
+			vs := make([]uint64, 0, 512)
+			for i := uint64(1); i <= uint64(n); {
+				vs = vs[:0]
+				for j := i; j <= uint64(n) && len(vs) < int(i%512)+1; j++ {
+					vs = append(vs, j)
+				}
+				k := r.PushBatch(vs)
+				i += uint64(k)
+				if k < len(vs) {
+					runtime.Gosched()
+				}
+			}
+		}()
+		go func() { // consumer, alternating Pop and Drain
+			defer wg.Done()
+			for len(got) < n {
+				m := len(got)
+				if m%2 == 0 {
+					got = r.Drain(got)
+				} else if v, ok := r.Pop(); ok {
+					got = append(got, v)
+				}
+				if len(got) == m {
+					runtime.Gosched()
+				}
+			}
+		}()
+		wg.Wait()
+		if len(got) != n {
+			t.Fatalf("cap %d: consumed %d entries, want %d", capacity, len(got), n)
+		}
+		for i, v := range got {
+			if v != uint64(i+1) {
+				t.Fatalf("cap %d: entry %d = %d, want %d (reorder/duplicate)", capacity, i, v, i+1)
+			}
+		}
 	}
 }
