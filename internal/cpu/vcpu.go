@@ -686,7 +686,21 @@ func (v *VCPU) walkForRead(gva mem.GVA) (mem.HPA, error) {
 
 // Write stores b at gva in the current guest address space, splitting the
 // access at page boundaries like real hardware does for the A/D protocol.
-func (v *VCPU) Write(gva mem.GVA, b []byte) error {
+func (v *VCPU) Write(gva mem.GVA, b []byte) error { return v.write(gva, b, nil, 0) }
+
+// WriteShared is Write of src[at:at+n], where src is host memory that
+// nothing writes while a guest page may hold it. It makes the same guest
+// access; each piece that lands in a resolved frame passes the page-sized
+// window of src aligned with its guest page, when that window lies inside
+// src, so that the frame can share it (mem.PhysMem.WriteShared).
+func (v *VCPU) WriteShared(gva mem.GVA, src []byte, at, n int) error {
+	return v.write(gva, src[at:at+n], src, at)
+}
+
+// write is Write of b, which starts at offset at of src when src is not
+// nil. b and src are separate so that only src escapes: Write's b stays on
+// its caller's stack.
+func (v *VCPU) write(gva mem.GVA, b, src []byte, at int) error {
 	for len(b) > 0 {
 		n := int(mem.PageSize - gva.PageOffset())
 		if n > len(b) {
@@ -704,22 +718,34 @@ func (v *VCPU) Write(gva mem.GVA, b []byte) error {
 			// into the tree what a span around them would.
 			v.fireWriteHooks(gva.PageFloor())
 			v.Prof.Count(prof.SubCPU, "page_walk")
-			v.Phys.WriteFrame(fr, gva.PageOffset(), b[:n])
+			v.land(fr, gva, b[:n], src, at)
 		} else {
 			hpa, err := v.walkForWrite(gva)
 			if err != nil {
 				return err
 			}
 			if fr, ok := v.tlbFilledFrame(gva, hpa); ok {
-				v.Phys.WriteFrame(fr, gva.PageOffset(), b[:n])
+				v.land(fr, gva, b[:n], src, at)
 			} else if err := v.Phys.Write(hpa, b[:n]); err != nil {
 				return err
 			}
 		}
 		gva = gva.Add(uint64(n))
 		b = b[n:]
+		at += n
 	}
 	return nil
+}
+
+// land writes b into fr at gva's page offset, through WriteShared when
+// src's window aligned with gva's page lies inside src.
+func (v *VCPU) land(fr *mem.Frame, gva mem.GVA, b, src []byte, at int) {
+	off := gva.PageOffset()
+	if w := at - int(off); src != nil && w >= 0 && w+mem.PageSize <= len(src) {
+		v.Phys.WriteShared(fr, off, len(b), src[w:w+mem.PageSize])
+		return
+	}
+	v.Phys.WriteFrame(fr, off, b)
 }
 
 // Read loads len(b) bytes from gva into b.
@@ -818,14 +844,4 @@ func (v *VCPU) KernelReadGPA(gpa mem.GPA, b []byte) error {
 		b = b[n:]
 	}
 	return nil
-}
-
-// KernelReadU64GPA reads one 64-bit word at a guest physical address.
-func (v *VCPU) KernelReadU64GPA(gpa mem.GPA) (uint64, error) {
-	var b [8]byte
-	if err := v.KernelReadGPA(gpa, b[:]); err != nil {
-		return 0, err
-	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
 }

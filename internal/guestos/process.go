@@ -262,6 +262,16 @@ func (p *Process) Write(gva mem.GVA, b []byte) error {
 	return p.k.VCPU.Write(gva, b)
 }
 
+// WriteShared is Write of src[at:at+n], letting the guest pages it fills
+// share src's page-aligned windows (cpu.VCPU.WriteShared); nothing may
+// write src while the process may hold it.
+func (p *Process) WriteShared(gva mem.GVA, src []byte, at, n int) error {
+	if err := p.enter(); err != nil {
+		return err
+	}
+	return p.k.VCPU.WriteShared(gva, src, at, n)
+}
+
 // Read loads len(b) bytes at gva.
 func (p *Process) Read(gva mem.GVA, b []byte) error {
 	if err := p.enter(); err != nil {

@@ -10,14 +10,15 @@ import (
 // followed by its operand bytes; a missing byte reads as zero and the
 // stream ends when the input does.
 const (
-	opAlloc      = iota // mem
-	opFree              // mem, frame
-	opWrite             // mem, frame, off lo, off hi, len (bit 6: via FrameRef+WriteFrame)
-	opRead              // mem, frame, off lo, off hi, len
-	opCapture           // mem
-	opFork              // snap, slot
-	opRestore           // mem, snap
-	opFrameBytes        // mem, frame
+	opAlloc       = iota // mem
+	opFree               // mem, frame
+	opWrite              // mem, frame, off lo, off hi, len (bit 6: via FrameRef+WriteFrame)
+	opRead               // mem, frame, off lo, off hi, len
+	opCapture            // mem
+	opFork               // snap, slot
+	opRestore            // mem, snap
+	opFrameBytes         // mem, frame
+	opWriteShared        // mem, frame, off lo, off hi, len (bit 6: to len&63 bytes before the page end)
 	numOps
 )
 
@@ -37,11 +38,13 @@ func (m cowModel) clone() cowModel {
 }
 
 // FuzzPhysMemCoW drives a parent PhysMem and its forks through a decoded
-// stream of allocs, frees, writes, reads, captures, forks and restores,
-// checking every read and FrameBytes against a reference model that copies
-// whole images on capture. Any sharing bug - a fork or restore seeing a
-// write made after its capture, or a buffer or page mutated through a
-// shared backing - shows up as a mismatch.
+// stream of allocs, frees, writes, shared writes, reads, captures, forks
+// and restores, checking every read and FrameBytes against a reference
+// model that copies whole images on capture. Shared writes land windows
+// of one source page drawn from the input's last byte, which must never
+// change. Any sharing bug - a fork or restore seeing a write made after
+// its capture, or a buffer, page or source mutated through a shared
+// backing - shows up as a mismatch.
 func FuzzPhysMemCoW(f *testing.F) {
 	// Length operands encode n-1: 7 is an 8-byte write, 63 a 64-byte one.
 	alloc := []byte{opAlloc, 0}
@@ -64,6 +67,19 @@ func FuzzPhysMemCoW(f *testing.F) {
 		// Restore after divergence, then diverge and restore again.
 		cat(alloc, word(0, 16, 0), []byte{opCapture, 0}, word(0, 16, 0), word(0, 24, 0),
 			[]byte{opFree, 0, 0, opRestore, 0, 0}, word(0, 16, 0), []byte{opRestore, 0, 0, opRead, 0, 0, 16, 0, 7}),
+		// A shared write of a frame's head, then of the rest from offset
+		// 8, which adopts the source page; captured, forked, rewritten.
+		cat(alloc, []byte{opWriteShared, 0, 0, 0, 0, 7, opWriteShared, 0, 0, 8, 0, 64},
+			[]byte{opCapture, 0, opFork, 0, 0}, word(1, 16, 0), word(0, 24, 0),
+			[]byte{opFrameBytes, 0, 0, opFrameBytes, 1, 0, opFree, 1, 0, opRestore, 0, 0}),
+		// A whole page adopted, then an overlapping short shared write and
+		// a head write of other bytes before a refused adoption.
+		cat(alloc, alloc, []byte{opWriteShared, 0, 0, 0, 0, 64, opWriteShared, 0, 0, 40, 0, 15},
+			word(0, 0, 1), []byte{opWriteShared, 0, 1, 8, 0, 64, opRead, 0, 1, 0, 0, 63}),
+		// All but the last 8 bytes, after a shared write of those 8
+		// (adopts) and after a write of other bytes there (refused).
+		cat(alloc, alloc, []byte{opWriteShared, 0, 0, 0xf8, 0x0f, 7, opWriteShared, 0, 0, 0, 0, 64 | 8},
+			word(0, 0xf8, 0x0f), []byte{opWriteShared, 0, 1, 0, 0, 64 | 8, opFrameBytes, 0, 0, opFrameBytes, 0, 1}),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -74,6 +90,15 @@ func FuzzPhysMemCoW(f *testing.F) {
 			b, _ := in.ReadByte()
 			return int(b)
 		}
+		var fill byte
+		if len(data) > 0 {
+			fill = data[len(data)-1]
+		}
+		src := make([]byte, PageSize)
+		for i := range src {
+			src[i] = fill ^ byte(i*31+i>>8)
+		}
+		orig := bytes.Clone(src)
 		mems := []*PhysMem{NewPhysMem(0)}
 		models := []cowModel{{pages: map[HPA][PageSize]byte{}}}
 		var snaps []*Snapshot
@@ -90,6 +115,9 @@ func FuzzPhysMemCoW(f *testing.F) {
 		}
 		var seq byte
 		for op := 0; op < 256 && in.Len() > 0; op++ {
+			if !bytes.Equal(src, orig) {
+				t.Fatal("a shared write's source page changed")
+			}
 			switch next() % numOps {
 			case opAlloc:
 				mi := next() % len(mems)
@@ -152,6 +180,25 @@ func FuzzPhysMemCoW(f *testing.F) {
 				pg := models[mi].pages[hpa]
 				copy(pg[off:], b)
 				models[mi].pages[hpa] = pg
+			case opWriteShared:
+				mi, hpa, ok := frame()
+				off := uint64(next()|next()<<8) % PageSize
+				lb := next()
+				n := min(1+lb&63, PageSize-int(off))
+				if lb&64 != 0 {
+					n = max(PageSize-int(off)-lb&63, 1)
+				}
+				if !ok {
+					break
+				}
+				fr, err := mems[mi].FrameRef(hpa)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mems[mi].WriteShared(fr, off, n, src)
+				pg := models[mi].pages[hpa]
+				copy(pg[off:], src[off:off+uint64(n)])
+				models[mi].pages[hpa] = pg
 			case opRead:
 				mi, hpa, ok := frame()
 				off := uint64(next()|next()<<8) % PageSize
@@ -207,6 +254,9 @@ func FuzzPhysMemCoW(f *testing.F) {
 			for _, hpa := range models[mi].live {
 				checkFrame(t, p, models[mi], hpa)
 			}
+		}
+		if !bytes.Equal(src, orig) {
+			t.Fatal("a shared write's source page changed")
 		}
 		// Every snapshot still forks into exactly its captured image.
 		for si, s := range snaps {

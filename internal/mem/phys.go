@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,21 +67,24 @@ type sparseWrite struct {
 //
 // A frame's write buffer is always private to its chunk's owner: copying a
 // frozen chunk copies its buffers. Its materialized page may still be
-// shared with a Snapshot, which the ro flag marks; every write reaches such
-// a page through PhysMem.WriteFrame, which copies it (Materialize) first.
+// shared, with a Snapshot or with an immutable host buffer that
+// PhysMem.WriteShared landed, which the ro flag marks; every write reaches
+// such a page through PhysMem.WriteFrame, which copies it (Materialize)
+// first.
 type Frame struct {
 	data *[PageSize]byte
 	sw   []sparseWrite
-	// ro marks data as shared with a frozen chunk. Set when a chunk copy
-	// adopts the page; cleared, under PhysMem.mu, when Materialize gives
-	// the frame a private copy.
+	// ro marks data as shared: with a frozen chunk, or as a window of an
+	// immutable host buffer. Set when a chunk copy adopts the page, or by
+	// WriteShared on the goroutine that owns the frame; cleared, under
+	// PhysMem.mu, when Materialize gives the frame a private copy.
 	ro   bool
 	used bool // allocated; false for a free or never-allocated slot
 }
 
 // Data returns the materialized backing array for in-place mutation, or
-// nil while the frame is sparse or its page is snapshot-shared (writers
-// then go through PhysMem.WriteFrame).
+// nil while the frame is sparse or its page is shared (ro); writers then go
+// through PhysMem.WriteFrame.
 func (f *Frame) Data() *[PageSize]byte {
 	if f.ro {
 		return nil
@@ -139,6 +143,17 @@ func (f *Frame) ReadAt(b []byte, off uint64) {
 		}
 		copy(b[cs-off:ce-off], w.val[cs-ws:ce-ws])
 	}
+}
+
+// matchesOutside reports whether f's bytes outside [off, off+n) equal
+// win's. Those bytes must fit the sparse buffer's reach, 96 bytes.
+func (f *Frame) matchesOutside(win []byte, off uint64, n int) bool {
+	var b [sparseWritesMax * sparseWriteBytes]byte
+	end := off + uint64(n)
+	head, tail := b[:off], b[off:off+PageSize-end]
+	f.ReadAt(head, 0)
+	f.ReadAt(tail, end)
+	return bytes.Equal(head, win[:off]) && bytes.Equal(tail, win[end:])
 }
 
 // U64At loads the little-endian word at off (off+8 must stay in the frame).
@@ -279,8 +294,8 @@ func (p *PhysMem) FrameRef(hpa HPA) (*Frame, error) {
 // WriteFrame copies b to off in f, a frame resolved from p (the write must
 // stay inside the frame). It is the one place that decides how a write
 // lands: in place in a private page, in the sparse buffer, or in a page
-// materialized for it. A snapshot-shared page, and a write the buffer
-// cannot take, go through Materialize, which copies or builds the page.
+// materialized for it. A shared (ro) page, and a write the buffer cannot
+// take, go through Materialize, which copies or builds the page.
 func (p *PhysMem) WriteFrame(f *Frame, off uint64, b []byte) {
 	if d := f.Data(); d != nil {
 		copy(d[off:], b)
@@ -298,6 +313,21 @@ func (p *PhysMem) WriteFrame(f *Frame, off uint64, b []byte) {
 		f.sw = append(f.sw, sparseWrite{off: uint16(off), n: uint16(len(b))})
 	}
 	copy(f.sw[i].val[:], b)
+}
+
+// WriteShared lands win[off:off+n] in f as WriteFrame does. win is one
+// page of host memory that nothing writes while a frame may hold it. When
+// f is sparse and its bytes outside the write already equal win's, f drops
+// its buffer and takes win itself as its page, marked ro like a page a
+// chunk copy shares with a Snapshot: the write copies nothing, and the
+// next write to f copies the page (Materialize). The bytes outside are
+// compared only when they fit the sparse buffer's reach.
+func (p *PhysMem) WriteShared(f *Frame, off uint64, n int, win []byte) {
+	if f.data == nil && PageSize-n <= sparseWritesMax*sparseWriteBytes && f.matchesOutside(win, off, n) {
+		f.data, f.sw, f.ro = (*[PageSize]byte)(win), nil, true
+		return
+	}
+	p.WriteFrame(f, off, win[off:off+uint64(n)])
 }
 
 // carveSparse moves f's write buffer to one carved from the buffer slab,
@@ -318,7 +348,7 @@ func (p *PhysMem) carveSparse(f *Frame) {
 
 // Materialize builds (if needed) and returns the frame's private backing
 // array, replaying any buffered sparse writes into the pre-zeroed array. A
-// snapshot-shared frame gets a fresh copy of its shared page here.
+// shared (ro) frame gets a fresh copy of its shared page here.
 func (p *PhysMem) Materialize(f *Frame) *[PageSize]byte {
 	if f.data != nil && !f.ro {
 		return f.data

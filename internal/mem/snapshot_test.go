@@ -580,3 +580,103 @@ func TestSnapshotLookupsWhileAllocating(t *testing.T) {
 		t.Fatalf("fork holds %d frames, want %d", got, want)
 	}
 }
+
+// TestSnapshotSharedWindow: a frame that adopted a window of an immutable
+// page through WriteShared is captured, forked, restored, written and
+// freed; the first write to each copy copies the page, and the source
+// page, the snapshot and the parent keep their bytes. Adoption is refused
+// when a byte outside the write differs from the window.
+func TestSnapshotSharedWindow(t *testing.T) {
+	src := make([]byte, PageSize)
+	for i := range src {
+		src[i] = byte(i*7 + 3)
+	}
+	orig := bytes.Clone(src)
+	p := NewPhysMem(0)
+	hpa, f := allocFrame(t, p)
+	// Boehm's payload layout: the head word lands first, buffered, then
+	// the rest of the page from offset 8 adopts the window.
+	p.WriteShared(f, 0, 8, src)
+	if f.data != nil {
+		t.Fatal("an 8-byte shared write adopted the window")
+	}
+	p.WriteShared(f, 8, PageSize-8, src)
+	if f.data == nil || &f.data[0] != &src[0] || f.sw != nil {
+		t.Fatal("the rest of the page did not adopt the window")
+	}
+	if f.Data() != nil {
+		t.Fatal("an adopted window is open to in-place writes")
+	}
+	want := func(p *PhysMem, what string, w []byte) {
+		t.Helper()
+		if got, err := p.FrameBytes(hpa); err != nil || !bytes.Equal(got, w) {
+			t.Fatalf("%s differs from its expected page (%v)", what, err)
+		}
+		if !bytes.Equal(src, orig) {
+			t.Fatalf("source page changed by the time %s was read", what)
+		}
+	}
+	want(p, "the adopting frame", orig)
+
+	snap := p.CaptureSnapshot()
+	fork := snap.NewPhysMem()
+	want(fork, "a fork", orig)
+	if err := fork.WriteU64(hpa+16, 0xF0F0); err != nil {
+		t.Fatal(err)
+	}
+	forked := bytes.Clone(orig)
+	binary.LittleEndian.PutUint64(forked[16:], 0xF0F0)
+	want(fork, "the written fork", forked)
+	if ff, _ := fork.FrameRef(hpa); ff.Data() == nil || &ff.data[0] == &src[0] {
+		t.Fatal("a write to a fork's adopted window did not copy the page")
+	}
+	want(p, "the parent after a fork's write", orig)
+	want(snap.NewPhysMem(), "the snapshot after a fork's write", orig)
+
+	if err := p.Write(hpa+100, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	written := bytes.Clone(orig)
+	copy(written[100:], []byte{1, 2, 3})
+	want(p, "the written parent", written)
+	p.RestoreSnapshot(snap)
+	want(p, "the restored parent", orig)
+	if err := fork.FreeFrame(hpa); err != nil {
+		t.Fatal(err)
+	}
+	want(p, "the parent after a fork's free", orig)
+	want(snap.NewPhysMem(), "the snapshot after a fork's free", orig)
+
+	// Refusals: a buffered head or tail of other bytes, a private
+	// materialized page, and an untouched head where the window's is not
+	// zero. Each lands the write as WriteFrame does.
+	for _, c := range []struct {
+		name   string
+		prep   func(q *PhysMem, f *Frame)
+		off, n int
+	}{
+		{"buffered head of other bytes", func(q *PhysMem, f *Frame) { q.WriteFrame(f, 0, []byte{9, 9, 9, 9, 9, 9, 9, 9}) }, 8, PageSize - 8},
+		{"buffered tail of other bytes", func(q *PhysMem, f *Frame) { q.WriteFrame(f, PageSize-8, []byte{9, 9, 9, 9, 9, 9, 9, 9}) }, 0, PageSize - 8},
+		{"private materialized page", func(q *PhysMem, f *Frame) { q.WriteFrame(f, 0, orig[:64]) }, 8, PageSize - 8},
+		{"zero head", func(*PhysMem, *Frame) {}, 8, PageSize - 8},
+	} {
+		q := NewPhysMem(0)
+		h, g := allocFrame(t, q)
+		c.prep(q, g)
+		w, err := q.FrameBytes(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.WriteShared(g, uint64(c.off), c.n, src)
+		if &g.data[0] == &src[0] || g.Data() == nil {
+			t.Fatalf("%s: the frame adopted the window", c.name)
+		}
+		copy(w[c.off:], orig[c.off:c.off+c.n])
+		if got, _ := q.FrameBytes(h); !bytes.Equal(got, w) {
+			t.Fatalf("%s: the refused write landed wrong bytes", c.name)
+		}
+	}
+	if !bytes.Equal(src, orig) {
+		t.Fatal("source page changed")
+	}
+}

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -14,24 +13,43 @@ import (
 // input that Setup wrote once, so the same input is generated and
 // analysed again and again on the host. The memo keeps one copy per
 // process of what that host arithmetic produced: a workload's generated
-// input (string-match's text) and what one pass computes from it (a
-// pass-pure analysis: string-match's matches, histogram's bin counts,
-// PCA's means and covariance band). Only host arithmetic is shared. A hit
-// replays in guest memory exactly what a fresh instance does - the same
-// writeChunk/readChunk sequence, so the same virtual time and counters -
-// and leaves the caller's RNG where generating would have left it.
+// input (histogram's file, string-match's text) and what one pass
+// computes from it (a pass-pure analysis: string-match's matches,
+// histogram's bin counts, PCA's means and covariance band). Only host
+// arithmetic and host memory are shared. A hit replays in guest memory
+// exactly what a fresh instance does - the same guest writes and reads,
+// so the same virtual time and counters - and leaves the caller's RNG
+// where generating would have left it. A generated input is immutable:
+// Setup writes it with Process.WriteShared, so the guest pages it fills
+// share its page-sized windows until their first write.
 //
-// The memo holds at most one input per workload name, which bounds its
-// memory in long processes; a parallel sweep that mixes sizes of one
-// workload may replace an entry between cells, which costs a regeneration
-// and never a wrong result. simcache.DisableAll turns it off with the
-// other caches: every Setup then generates and every Run analyses afresh.
+// The memo holds one entry per workload name, and at most one of them
+// holds a generated input: generating one drops the entry of any other
+// name that holds one. A generated input's pages stay live while any
+// machine set up on it does, so a second held input would stay live
+// through the cells of the next workload (an observed Boehm pass would
+// hold histogram's medium file through string-match's cells and the
+// export). An entry that generates nothing (PCA's) holds only its
+// analysis, a few KiB, and stays, so the CRIU figures analyse PCA's
+// matrix once per process. A sweep that mixes sizes of one workload, or
+// a parallel sweep at the boundary between two workloads with inputs,
+// may replace an entry between cells, which costs a regeneration and
+// never a wrong result. simcache.DisableAll turns the memo off with the
+// other caches: every Setup then generates and every Run analyses
+// afresh.
 
 // inputKey identifies one workload input.
 type inputKey struct {
 	name string  // Workload.Name
 	dims [2]int  // the input's dimensions: file bytes, or rows and columns
 	rng  sim.RNG // the generator at Setup
+}
+
+// drawn is a generated input: its bytes, as Setup writes them to guest
+// memory, and the generator after drawing them.
+type drawn struct {
+	bytes []byte
+	after sim.RNG
 }
 
 // memoEntry is one memoized input: I is what generating it produced, A
@@ -45,10 +63,12 @@ type memoEntry[I, A any] struct {
 	done  atomic.Pointer[A]
 }
 
-// inputs maps a workload name to its one memoized input.
+// inputs maps a workload name to its memoized entry; held names the
+// one entry that holds a generated input.
 var inputs = struct {
 	sync.Mutex
 	byName map[string]any
+	held   string
 }{byName: map[string]any{}}
 
 // memoFor returns the shared entry for key, replacing any other input of
@@ -68,12 +88,21 @@ func memoFor[I, A any](key inputKey) *memoEntry[I, A] {
 	return e
 }
 
-// generate returns the entry's input, calling gen for it the first time.
+// generate returns the entry's input, calling gen for it the first time,
+// after dropping the entry that held the memo's generated input.
 func (e *memoEntry[I, A]) generate(gen func() I) I {
 	if e == nil {
 		return gen()
 	}
-	e.once.Do(func() { e.input = gen() })
+	e.once.Do(func() {
+		inputs.Lock()
+		if inputs.held != e.key.name {
+			delete(inputs.byName, inputs.held)
+			inputs.held = e.key.name
+		}
+		inputs.Unlock()
+		e.input = gen()
+	})
 	return e.input
 }
 
@@ -89,71 +118,5 @@ func (e *memoEntry[I, A]) analysis() *A {
 func (e *memoEntry[I, A]) publish(a *A) {
 	if e != nil {
 		e.done.CompareAndSwap(nil, a)
-	}
-}
-
-// --- packed text -------------------------------------------------------------
-
-// packedText holds lowercase letters five bits each: every group of eight
-// letters is one 40-bit little-endian word (letter i in bits 5i..5i+4),
-// stored in five bytes. Three bytes of slack at the end let the decoder
-// load each group as a 64-bit word.
-type packedText []byte
-
-// newPackedText returns room for n letters.
-func newPackedText(n uint64) packedText { return make(packedText, (n+7)/8*5+3) }
-
-// letterPairs decodes ten packed bits, two letters, into their two bytes,
-// the first letter low.
-var letterPairs = func() (t [1 << 10]uint16) {
-	for i := range t {
-		t[i] = uint16('a'+i&31) | uint16('a'+i>>5)<<8
-	}
-	return t
-}()
-
-// pack stores letters (each in [0, 26), the value 'a' is added to) from
-// letter offset at, which must be a multiple of eight.
-func (p packedText) pack(at uint64, letters []byte) {
-	g := at / 8 * 5
-	for len(letters) > 0 {
-		var v uint64
-		if len(letters) >= 8 {
-			v = binary.LittleEndian.Uint64(letters)
-		} else {
-			var tail [8]byte
-			copy(tail[:], letters)
-			v = binary.LittleEndian.Uint64(tail[:])
-		}
-		letters = letters[min(8, len(letters)):]
-		// Gather eight 5-bit letters from byte lanes into 40 bits:
-		// pairs into 10-bit lanes, quads into 20-bit lanes, then both
-		// halves.
-		v = v&0x001f001f001f001f | v>>3&0x03e003e003e003e0
-		v = v&0x000003ff000003ff | v>>6&0x000ffc00000ffc00
-		v = v&0xfffff | v>>12&0xfffff00000
-		binary.LittleEndian.PutUint32(p[g:], uint32(v))
-		p[g+4] = byte(v >> 32)
-		g += 5
-	}
-}
-
-// unpack writes the letters from offset at, a multiple of eight, into
-// dst as bytes 'a'-'z', eight letters per table-decoded group.
-func (p packedText) unpack(dst []byte, at uint64) {
-	g := at / 8 * 5
-	for len(dst) > 0 {
-		v := binary.LittleEndian.Uint64(p[g:])
-		v = uint64(letterPairs[v&1023]) | uint64(letterPairs[v>>10&1023])<<16 |
-			uint64(letterPairs[v>>20&1023])<<32 | uint64(letterPairs[v>>30&1023])<<48
-		if len(dst) < 8 {
-			var word [8]byte
-			binary.LittleEndian.PutUint64(word[:], v)
-			copy(dst, word[:])
-			return
-		}
-		binary.LittleEndian.PutUint64(dst, v)
-		dst = dst[8:]
-		g += 5
 	}
 }

@@ -1,13 +1,14 @@
 package workloads
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/boehmgc"
 	"repro/internal/costmodel"
 	"repro/internal/guestos"
 	"repro/internal/hypervisor"
@@ -95,6 +96,7 @@ func runInput(name string, size Size) (memoRun, error) {
 func resetInputs() {
 	inputs.Lock()
 	clear(inputs.byName)
+	inputs.held = ""
 	inputs.Unlock()
 }
 
@@ -154,7 +156,7 @@ func TestInputMemoMatchesRegeneration(t *testing.T) {
 // once: each input is generated once and analysed by whichever instance
 // finishes first, and every machine ends as a lone one does.
 func TestInputMemoConcurrent(t *testing.T) {
-	for _, name := range []string{"string-match", "pca"} {
+	for _, name := range []string{"string-match", "histogram", "pca"} {
 		t.Run(name, func(t *testing.T) {
 			resetInputs()
 			want, err := runInput(name, Small)
@@ -185,111 +187,145 @@ func TestInputMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestInputMemoKeepsOneInputPerName: a second size of a workload replaces
-// the first in the memo.
+// TestInputMemoKeepsOneInputPerName: a second size of a workload
+// replaces the first in the memo, and the memo holds one generated input
+// per process: another workload's input replaces it, while an entry that
+// generates nothing (PCA's analysis) stays.
 func TestInputMemoKeepsOneInputPerName(t *testing.T) {
 	resetInputs()
-	for _, size := range []Size{Small, Medium} {
+	setup := func(name string, size Size) {
+		t.Helper()
 		proc, err := newProc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _ := New("string-match", size, 1)
+		w, _ := New(name, size, 1)
 		if err := w.Setup(NewRegionAlloc(proc, false), sim.NewRNG(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	inputs.Lock()
-	defer inputs.Unlock()
-	if len(inputs.byName) != 1 {
-		t.Fatalf("memo holds %d inputs, want 1", len(inputs.byName))
-	}
-	e, ok := inputs.byName["phoenix/string-match"].(*memoEntry[matchText, matchScan])
-	if !ok || e.key.dims[0] != 4<<20 {
-		t.Fatalf("memo entry = %+v, want the medium text", inputs.byName)
-	}
-}
-
-// TestPackedTextRoundTrip: letters packed five bits each unpack to the
-// same text, at every length up to 64 and from every group of a page.
-func TestPackedTextRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(9)
-	draw := func(n int) []byte {
-		l := make([]byte, n)
-		for i := range l {
-			l[i] = byte(rng.Intn(26))
-		}
-		return l
-	}
-	text := func(letters []byte) []byte {
-		b := make([]byte, len(letters))
-		for i, l := range letters {
-			b[i] = 'a' + l
-		}
-		return b
-	}
-	for n := 0; n <= 64; n++ {
-		letters := draw(n)
-		p := newPackedText(uint64(n))
-		p.pack(0, letters)
-		got := make([]byte, n)
-		p.unpack(got, 0)
-		if want := text(letters); !bytes.Equal(got, want) {
-			t.Fatalf("length %d: unpacked %q, want %q", n, got, want)
-		}
-	}
-	page := draw(mem.PageSize)
-	p := newPackedText(2 * mem.PageSize)
-	p.pack(mem.PageSize, page)
-	want := text(page)
-	for at := 0; at < mem.PageSize; at += 8 {
-		for _, n := range []int{1, 7, 8, 13, mem.PageSize - at} {
-			if at+n > mem.PageSize {
-				continue
+	held := func() map[string]int {
+		inputs.Lock()
+		defer inputs.Unlock()
+		dims := map[string]int{}
+		for name, e := range inputs.byName {
+			switch e := e.(type) {
+			case *memoEntry[drawn, matchScan]:
+				dims[name] = e.key.dims[0]
+			case *memoEntry[drawn, [3][256]uint64]:
+				dims[name] = e.key.dims[0]
+			case *memoEntry[struct{}, pcaResult]:
+				dims[name] = e.key.dims[0]
+			default:
+				t.Fatalf("memo holds %T under %s", e, name)
 			}
-			got := make([]byte, n)
-			p.unpack(got, uint64(mem.PageSize+at))
-			if !bytes.Equal(got, want[at:at+n]) {
-				t.Fatalf("page offset %d length %d: unpacked %q, want %q", at, n, got, want[at:at+n])
-			}
+		}
+		return dims
+	}
+	for _, step := range []struct {
+		name string
+		size Size
+		want map[string]int
+	}{
+		{"string-match", Small, map[string]int{"phoenix/string-match": 2 << 20}},
+		{"string-match", Medium, map[string]int{"phoenix/string-match": 4 << 20}},
+		{"pca", Small, map[string]int{"phoenix/string-match": 4 << 20, "phoenix/pca": 1024}},
+		{"histogram", Small, map[string]int{"phoenix/histogram": 2 << 20, "phoenix/pca": 1024}},
+	} {
+		setup(step.name, step.size)
+		if got := held(); !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("after %s %v's Setup the memo holds %v, want %v", step.name, step.size, got, step.want)
 		}
 	}
 }
 
-// BenchmarkInputSetup times the two host computations the memo shares,
-// string-match's medium Setup and a PCA small pass, with the memo off
-// (cold) and warm.
+// TestWarmSetupSharesInput: on a warm memo, histogram's and
+// string-match's medium Setups land the memoized input as shared guest
+// pages instead of copies, in regions and on the Boehm heap (whose
+// payloads start 8 bytes into a page), so a Setup allocates at most 256 B
+// per working-set page where a copy would cost 4 KiB.
+func TestWarmSetupSharesInput(t *testing.T) {
+	for _, name := range []string{"histogram", "string-match"} {
+		for _, heap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/gc=%v", name, heap), func(t *testing.T) {
+				resetInputs()
+				setup := func() float64 {
+					t.Helper()
+					proc, err := newProc()
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, _ := New(name, Medium, 1)
+					var alloc Allocator = NewRegionAlloc(proc, false)
+					if heap {
+						gc, err := boehmgc.New(proc, 3*w.WorkingSet(), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						alloc = &GCAlloc{GC: gc}
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					err = w.Setup(alloc, sim.NewRNG(42))
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return float64(after.TotalAlloc-before.TotalAlloc) / float64(w.WorkingSet()/mem.PageSize)
+				}
+				setup() // warms the memo
+				perPage := setup()
+				t.Logf("warm Setup: %.0f B per working-set page", perPage)
+				if perPage > 256 {
+					t.Errorf("warm Setup allocated %.0f B per working-set page, want at most 256", perPage)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkInputSetup times the host computations the memo shares,
+// string-match's and histogram's medium Setups and a PCA small pass, with
+// the memo off (cold) and warm.
 func BenchmarkInputSetup(b *testing.B) {
 	states := []struct {
 		name string
 		off  bool
 	}{{"cold", true}, {"warm", false}}
-	for _, s := range states {
-		b.Run("string-match-medium-setup/"+s.name, func(b *testing.B) {
-			if s.off {
-				defer simcache.DisableAll()()
-			}
-			setup := func() {
-				proc, err := newProc()
-				if err != nil {
-					b.Fatal(err)
+	for _, in := range []struct {
+		name string
+		w    func() Workload
+	}{
+		{"string-match-medium-setup", func() Workload { return NewStringMatch(4 << 20) }},
+		{"histogram-medium-setup", func() Workload { return NewHistogram(10 << 20) }},
+	} {
+		for _, s := range states {
+			b.Run(in.name+"/"+s.name, func(b *testing.B) {
+				if s.off {
+					defer simcache.DisableAll()()
 				}
-				w := NewStringMatch(4 << 20)
-				b.StartTimer()
-				err = w.Setup(NewRegionAlloc(proc, false), sim.NewRNG(42))
+				setup := func() {
+					proc, err := newProc()
+					if err != nil {
+						b.Fatal(err)
+					}
+					w := in.w()
+					b.StartTimer()
+					err = w.Setup(NewRegionAlloc(proc, false), sim.NewRNG(42))
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
 				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
+				setup() // warms the memo
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					setup()
 				}
-			}
-			b.StopTimer()
-			setup() // warms the memo
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				setup()
-			}
-		})
+			})
+		}
 	}
 	for _, s := range states {
 		b.Run("pca-small-run/"+s.name, func(b *testing.B) {

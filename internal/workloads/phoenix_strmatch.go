@@ -21,22 +21,13 @@ type StringMatch struct {
 	file    mem.GVA
 	flags   mem.GVA // one byte per 64-byte window: match bitmap
 	keys    [][]byte
-	memo    *memoEntry[matchText, matchScan]
+	memo    *memoEntry[drawn, matchScan]
 	ready   bool
 	Matches int
 
 	// anchor is the longest common prefix of the keys (empty disables the
 	// anchored single-scan and falls back to one scan per key).
 	anchor []byte
-}
-
-// matchText is string-match's generated input: the noise letters packed,
-// the index of the key planted at each plant site in file order, and the
-// generator after drawing them.
-type matchText struct {
-	letters packedText
-	plants  []uint8
-	after   sim.RNG
 }
 
 // matchScan is one pass's analysis of a text: per page, the match count
@@ -75,19 +66,11 @@ func (w *StringMatch) Setup(alloc Allocator, rng *sim.RNG) error {
 	}
 	w.anchor = commonPrefix(w.keys)
 	key := inputKey{name: w.Name(), dims: [2]int{int(w.FileBytes)}, rng: *rng}
-	w.memo = memoFor[matchText, matchScan](key)
-	text := w.memo.generate(func() matchText { return drawText(key.rng, w.FileBytes) })
+	w.memo = memoFor[drawn, matchScan](key)
+	text := w.memo.generate(func() drawn { return drawText(key.rng, w.FileBytes) })
 	*rng = text.after
-	buf := make([]byte, mem.PageSize)
-	plants := text.plants
-	for off := uint64(0); off < w.FileBytes; off += mem.PageSize {
-		n := min(w.FileBytes-off, mem.PageSize)
-		text.letters.unpack(buf[:n], off)
-		for plant := 0; plant+len(stringMatchKeys[0]) < int(n); plant += 2048 {
-			copy(buf[plant:], w.keys[plants[0]])
-			plants = plants[1:]
-		}
-		if err := writeChunk(w.proc, w.file.Add(off), buf[:n]); err != nil {
+	for off := 0; off < len(text.bytes); off += mem.PageSize {
+		if err := writeSharedChunk(w.proc, w.file.Add(uint64(off)), text.bytes, off, min(len(text.bytes)-off, mem.PageSize)); err != nil {
 			return err
 		}
 	}
@@ -96,22 +79,20 @@ func (w *StringMatch) Setup(alloc Allocator, rng *sim.RNG) error {
 }
 
 // drawText draws a text of size bytes from rng: per page, lowercase noise
-// ('a'+Intn(26) per byte), then the index of a key to plant every ~2 KiB.
-func drawText(rng sim.RNG, size uint64) matchText {
-	text := matchText{letters: newPackedText(size)}
-	letters := make([]byte, mem.PageSize)
+// ('a'+Intn(26) per byte), then a key, drawn by index, planted every
+// ~2 KiB.
+func drawText(rng sim.RNG, size uint64) drawn {
+	text := make([]byte, size)
 	for off := uint64(0); off < size; off += mem.PageSize {
-		n := min(size-off, mem.PageSize)
-		for i := range letters[:n] {
-			letters[i] = byte(rng.Intn(26))
+		page := text[off:min(off+mem.PageSize, size)]
+		for i := range page {
+			page[i] = 'a' + byte(rng.Intn(26))
 		}
-		text.letters.pack(off, letters[:n])
-		for plant := 0; plant+len(stringMatchKeys[0]) < int(n); plant += 2048 {
-			text.plants = append(text.plants, uint8(rng.Intn(len(stringMatchKeys))))
+		for plant := 0; plant+len(stringMatchKeys[0]) < len(page); plant += 2048 {
+			copy(page[plant:], stringMatchKeys[rng.Intn(len(stringMatchKeys))])
 		}
 	}
-	text.after = rng
-	return text
+	return drawn{text, rng}
 }
 
 // commonPrefix returns the longest byte prefix shared by every key, or nil

@@ -120,28 +120,20 @@ func writeChunk(p *guestos.Process, gva mem.GVA, buf []byte) error {
 	return p.Write(gva, buf)
 }
 
+// writeSharedChunk writes src[at:at+n] at gva as writeChunk does, letting
+// the guest pages it fills share src's page-aligned windows: src must stay
+// unmodified (guestos.Process.WriteShared).
+func writeSharedChunk(p *guestos.Process, gva mem.GVA, src []byte, at, n int) error {
+	k := p.Kernel()
+	k.Clock.Advance(k.Model.ComputePerByte * time.Duration(n))
+	return p.WriteShared(gva, src, at, n)
+}
+
 // chargeFlops charges virtual time for n floating-point operations of a
 // numeric kernel (matrix-multiply, pca, kmeans distance computations).
 func chargeFlops(p *guestos.Process, n int64) {
 	k := p.Kernel()
 	k.Clock.Advance(k.Model.ComputePerFlop * time.Duration(n))
-}
-
-// fillRandom populates [gva, gva+size) with deterministic pseudo-random
-// bytes, page by page.
-func fillRandom(p *guestos.Process, gva mem.GVA, size uint64, rng *sim.RNG) error {
-	buf := make([]byte, mem.PageSize)
-	for off := uint64(0); off < size; off += mem.PageSize {
-		n := size - off
-		if n > mem.PageSize {
-			n = mem.PageSize
-		}
-		rng.Bytes(buf[:n])
-		if err := p.Write(gva.Add(off), buf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // u64At decodes a little-endian u64 from b at off.
