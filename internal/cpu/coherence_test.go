@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -17,8 +18,10 @@ import (
 
 // coherenceRig is a vCPU over two guest page tables and one EPT whose
 // handlers are deterministic, so a random sequence replays identically.
+// snap is the last capture of phys, which a later step restores in place.
 type coherenceRig struct {
 	phys *mem.PhysMem
+	snap *mem.Snapshot
 	v    *VCPU
 	pts  [2]*pgtable.Table
 	log  strings.Builder
@@ -87,7 +90,8 @@ var coherenceGVAs = []mem.GVA{
 
 // runCoherence replays the sequence seeded by seed and returns everything
 // it observed: values read, errors, PML entries, and at the end the
-// counters, the clock and every PTE and EPT entry with its A/D flags.
+// counters, the clock, every PTE and EPT entry with its A/D flags, and the
+// bytes of every EPT-mapped frame.
 func runCoherence(t *testing.T, seed int64, steps int) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -119,7 +123,7 @@ func runCoherence(t *testing.T, seed int64, steps int) string {
 	}
 	for step := 0; step < steps; step++ {
 		fmt.Fprintf(&r.log, "%d: ", step)
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(22); {
 		case op < 6:
 			a := gva() + mem.GVA(8*rng.Intn(8))
 			val := rng.Uint64()
@@ -165,6 +169,20 @@ func runCoherence(t *testing.T, seed int64, steps int) string {
 			r.v.VMCS.SetPMLEnabled(on)
 			r.v.PMLLogReads = rng.Intn(2) == 0
 			fmt.Fprintf(&r.log, "pml %v reads %v", on, r.v.PMLLogReads)
+		case op == 18:
+			// A capture freezes every chunk: a write must not reach a
+			// frozen chunk, or the restore below brings it back.
+			r.snap = r.phys.CaptureSnapshot()
+			fmt.Fprintf(&r.log, "capture %d frames", r.snap.FrameCount())
+		case op == 19:
+			// The EPT keeps mappings of frames the restore frees: accesses
+			// to them fail, and later allocations reuse them.
+			if r.snap == nil {
+				fmt.Fprintf(&r.log, "restore: no capture")
+				break
+			}
+			r.phys.RestoreSnapshot(r.snap)
+			fmt.Fprintf(&r.log, "restore %d frames", r.phys.FrameCount())
 		default:
 			fmt.Fprintf(&r.log, "drain: %v", r.drainPML())
 		}
@@ -184,14 +202,21 @@ func runCoherence(t *testing.T, seed int64, steps int) string {
 		fmt.Fprintf(&r.log, "ept %v %#x\n", g, uint64(e))
 		return true
 	})
+	r.v.EPT.Range(func(g mem.GPA, e ept.Entry) bool {
+		b, err := r.phys.FrameBytes(e.HPA())
+		fmt.Fprintf(&r.log, "frame %v %x %v\n", g, bytes.TrimRight(b, "\x00"), err)
+		return true
+	})
 	return r.log.String()
 }
 
 // TestTranslationCachesDifferential is the translation-coherence property:
-// random guest page-table, EPT, CR3, PML-arming and access sequences
-// observe exactly the same with the host caches (software TLB,
-// paging-structure cache, arming and buffer-frame caches) on as under
-// simcache.DisableAll.
+// random guest page-table, EPT, CR3, PML-arming, capture, in-place restore
+// and access sequences observe exactly the same with the translation
+// caches (the software TLB and the paging-structure cache) on as under
+// simcache.DisableAll, down to the bytes of every mapped frame. A host
+// frame kept across a capture or a restore would write into a frozen
+// chunk or a discarded one, and the frames or a later read would differ.
 func TestTranslationCachesDifferential(t *testing.T) {
 	seeds, steps := 300, 400
 	if testing.Short() {

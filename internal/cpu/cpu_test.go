@@ -410,3 +410,67 @@ func TestWriteHookRemovalOrderIndependent(t *testing.T) {
 		t.Errorf("WriteHookCount = %d after removing all, want 0", n)
 	}
 }
+
+// TestGuestAccessNoAlloc: a guest access allocates nothing on the host,
+// neither a TLB-hit Write or Read nor a slow-path Write into a private page
+// that logs one PML entry into an armed buffer. The accesses go through
+// WriteU64 and ReadU64, whose 8-byte buffers stay on the stack only while
+// Write's and Read's buffers do not escape.
+func TestGuestAccessNoAlloc(t *testing.T) {
+	h := newHarness(t)
+	h.vcpu.VMCS.SetPMLEnabled(true)
+	h.mapPage(t, 0x4000)
+	// Materialize the page and the PML buffer: the accesses below then land
+	// in private pages and carve no write buffer.
+	page := make([]byte, mem.PageSize)
+	if err := h.vcpu.Write(0x4000, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.phys.Write(mem.HPA(mustRead(t, h.vcpu.VMCS, vmcs.FieldPMLAddress)), page); err != nil {
+		t.Fatal(err)
+	}
+	gpa, err := h.pt.Translate(0x4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writeHit = pgtable.FlagPresent | pgtable.FlagWritable | pgtable.FlagAccessed | pgtable.FlagDirty
+	if _, ok := h.vcpu.tlbFrame(0x4008, tlbEPTDirty|tlbEPTAccessed, writeHit); !ok {
+		t.Fatal("the written page is not in the TLB, so no access below would hit it")
+	}
+	for _, c := range []struct {
+		name    string
+		access  func() error
+		pmlLogs int64 // PML entries each access logs
+	}{
+		{"tlb-hit write", func() error { return h.vcpu.WriteU64(0x4008, 1) }, 0},
+		{"tlb-hit read", func() error { _, err := h.vcpu.ReadU64(0x4008); return err }, 0},
+		{"slow-path write logging to PML", func() error {
+			// Re-arm the page's dirty logging and empty the buffer, so the
+			// write walks, logs one entry and never fills the buffer.
+			h.vcpu.EPT.ClearDirtyPage(gpa)
+			if err := h.vcpu.VMCS.Write(vmcs.FieldPMLIndex, vmcs.PMLResetIndex); err != nil {
+				return err
+			}
+			return h.vcpu.WriteU64(0x4008, 2)
+		}, 1},
+	} {
+		var err error
+		logs := h.vcpu.Counters.Get(CtrPMLLogs)
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() {
+			if e := c.access(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		// AllocsPerRun makes one warm-up call before its runs.
+		if n := h.vcpu.Counters.Get(CtrPMLLogs) - logs; n != c.pmlLogs*(runs+1) {
+			t.Errorf("%s logged %d PML entries in %d accesses, want %d each", c.name, n, runs+1, c.pmlLogs)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per access, want 0", c.name, allocs)
+		}
+	}
+}

@@ -12,12 +12,11 @@ import (
 // survive a replay.
 var ErrNotQuiescent = errors.New("cpu: vCPU not quiescent for snapshot")
 
-// Snapshot is the vCPU's captured architectural state. Host-side caches
-// (software TLB, arming cache, buffer-frame caches) are performance
-// artifacts, not state: Restore resets them and lets the invalidation
-// machinery rebuild them lazily. The observability handles
-// (tracer, Met, Prof, Mon, Inj) and the EPT/VMCS/Phys wiring are owned by
-// the embedding VM and are not captured here.
+// Snapshot is the vCPU's captured architectural state. The software TLB
+// is a performance artifact, not state: Restore flushes it and later walks
+// refill it. The observability handles (tracer, Met, Prof, Mon, Inj) and
+// the EPT/VMCS/Phys wiring are owned by the embedding VM and are not
+// captured here.
 type Snapshot struct {
 	mode        Mode
 	kernelMode  bool
@@ -44,9 +43,11 @@ func (v *VCPU) CaptureSnapshot() (*Snapshot, error) {
 	}, nil
 }
 
-// RestoreSnapshot rewinds the vCPU to a captured state and drops every
-// host-side cache. The guest page table (CR3) is owned by the guest
-// kernel, which re-installs it via SetAddressSpace during its own restore.
+// RestoreSnapshot rewinds the vCPU to a captured state and flushes the
+// software TLB. The guest page table (CR3) is owned by the guest kernel,
+// which re-installs it via SetAddressSpace during its own restore. The
+// hot-path counter handles stay: Counters.Restore rewrites the counters
+// they point at in place.
 func (v *VCPU) RestoreSnapshot(s *Snapshot) {
 	v.mode = s.mode
 	v.kernelMode = s.kernelMode
@@ -54,17 +55,5 @@ func (v *VCPU) RestoreSnapshot(s *Snapshot) {
 	v.PMLLogReads = s.pmlLogReads
 	v.epmlBufGPA = s.epmlBufGPA
 	v.Counters.Restore(s.counters)
-	v.ResetHostCaches()
-}
-
-// ResetHostCaches drops every invalidation-contract cache: the software
-// TLB, the VMCS arming cache and the PML/EPML buffer-frame caches.
-// Correctness never depends on calling this - each cache validates its own
-// epoch or generation. The hot-path counter handles stay: Counters.Restore
-// rewrites the counters they point at in place.
-func (v *VCPU) ResetHostCaches() {
 	v.tlb.flush()
-	v.arm = armCache{}
-	v.pmlBuf = bufCache{}
-	v.epmlBuf = bufCache{}
 }

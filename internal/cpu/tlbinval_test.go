@@ -255,9 +255,9 @@ func TestTLBInvalidationOnAddressSpaceSwitch(t *testing.T) {
 	}
 }
 
-// TestArmCacheInvalidationOnGuestVMWrite proves the cached arming state
-// tracks guest-mode vmwrites through the shadow VMCS: disabling logging
-// stops EPML logs immediately, re-enabling resumes them.
+// TestArmCacheInvalidationOnGuestVMWrite proves the arming state tracks
+// guest-mode vmwrites through the shadow VMCS: disabling logging stops
+// EPML logs immediately, re-enabling resumes them.
 func TestArmCacheInvalidationOnGuestVMWrite(t *testing.T) {
 	h := newHarness(t)
 	shadow := vmcs.New()
@@ -284,8 +284,8 @@ func TestArmCacheInvalidationOnGuestVMWrite(t *testing.T) {
 	if n := h.vcpu.Counters.Get(CtrEPMLLogs); n != 1 {
 		t.Fatalf("EPML logs = %d with logging armed, want 1", n)
 	}
-	// Guest disarms logging with an exit-free vmwrite; the cached arming
-	// state must notice via the shadow generation.
+	// Guest disarms logging with an exit-free vmwrite; the next write must
+	// see it.
 	if err := h.vcpu.GuestVMWrite(vmcs.FieldGuestPMLEnable, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +306,10 @@ func TestArmCacheInvalidationOnGuestVMWrite(t *testing.T) {
 	}
 }
 
-// TestTLBInvalidationOnCapture proves the capture epoch: CaptureSnapshot
-// freezes the chunk the TLB's cached frame pointer points into, so a write
-// that would otherwise hit the TLB must re-resolve its frame, and a fork
-// taken afterwards still reads the captured word.
+// TestTLBInvalidationOnCapture proves a capture needs no TLB invalidation:
+// CaptureSnapshot freezes the chunk holding the frame a cached walk
+// reaches, a write that hits the TLB resolves its frame again (copying the
+// chunk), and a fork taken afterwards still reads the captured word.
 func TestTLBInvalidationOnCapture(t *testing.T) {
 	h := newHarness(t)
 	h.mapPage(t, 0x4000)

@@ -163,15 +163,10 @@ type VCPU struct {
 	// buffers); see KernelWriteGPA.
 	kernelMode bool
 
-	// tlb is the host-side software TLB and arm the cached VMCS arming
-	// state; both are invisible to the simulation (see tlb.go for the
-	// invalidation contract).
+	// tlb is the host-side software TLB, the vCPU's only host cache; it is
+	// invisible to the simulation (see tlb.go for the invalidation
+	// contract).
 	tlb tlbState
-	arm armCache
-	// pmlBuf/epmlBuf cache the backing frames of the two log buffers so
-	// per-logged-page buffer writes skip PhysMem's lookup (see physWriteU64).
-	pmlBuf  bufCache
-	epmlBuf bufCache
 	// epmlBufGPA is the guest-physical address of the armed EPML guest
 	// buffer, captured when the extended vmwrite micro-op translates
 	// GUEST_PML_ADDRESS. The walk circuit's buffer stores are guest-
@@ -431,7 +426,7 @@ func (v *VCPU) pmlLog(gpa mem.GPA) error {
 			return err
 		}
 		buf := mem.HPA(bufRaw)
-		if err := v.physWriteU64(&v.pmlBuf, buf+mem.HPA(idx*8), uint64(gpa)); err != nil {
+		if err := v.Phys.WriteU64(buf+mem.HPA(idx*8), uint64(gpa)); err != nil {
 			return fmt.Errorf("cpu: PML buffer write: %w", err)
 		}
 		if err := v.VMCS.Write(vmcs.FieldPMLIndex, (idx-1)&0xFFFF); err != nil {
@@ -506,7 +501,7 @@ func (v *VCPU) epmlLog(gva mem.GVA) error {
 			return err
 		}
 		buf := mem.HPA(bufRaw)
-		if err := v.physWriteU64(&v.epmlBuf, buf+mem.HPA(idx*8), uint64(gva)); err != nil {
+		if err := v.Phys.WriteU64(buf+mem.HPA(idx*8), uint64(gva)); err != nil {
 			return fmt.Errorf("cpu: EPML buffer write: %w", err)
 		}
 		// The store above is a guest-physical write by the walk circuit:
@@ -607,7 +602,7 @@ func (v *VCPU) walkForWrite(gva mem.GVA) (mem.HPA, error) {
 			}
 		}
 		// Re-read the arming state after pmlLog: a PML-full drain writes
-		// the VMCS, which bumps its generation and refreshes the cache.
+		// the VMCS.
 		_, armed, err := v.armState()
 		if err != nil {
 			return 0, err
@@ -690,9 +685,9 @@ func (v *VCPU) Write(gva mem.GVA, b []byte) error { return v.write(gva, b, nil, 
 
 // WriteShared is Write of src[at:at+n], where src is host memory that
 // nothing writes while a guest page may hold it. It makes the same guest
-// access; each piece that lands in a resolved frame passes the page-sized
-// window of src aligned with its guest page, when that window lies inside
-// src, so that the frame can share it (mem.PhysMem.WriteShared).
+// access; each piece passes the page-sized window of src aligned with its
+// guest page, when that window lies inside src, so that the frame can
+// share it (mem.PhysMem.WriteShared).
 func (v *VCPU) WriteShared(gva mem.GVA, src []byte, at, n int) error {
 	return v.write(gva, src[at:at+n], src, at)
 }
@@ -708,28 +703,28 @@ func (v *VCPU) write(gva mem.GVA, b, src []byte, at int) error {
 		}
 		v.inc(&v.ctr.writeOps, CtrWriteOps)
 		v.Clock.Advance(v.Costs.WriteOp)
-		if fr, ok := v.tlbWriteFrame(gva); ok {
+		fr, hit := v.tlbFrame(gva, tlbEPTDirty,
+			pgtable.FlagPresent|pgtable.FlagWritable|pgtable.FlagAccessed|pgtable.FlagDirty)
+		if hit && v.SPPCheck == nil {
 			// A TLB hit proves no A/D, PML, EPML or SPP transition is
 			// possible (see tlb.go), so the walk reduces to the zero-cost
-			// write observers plus a write into the cached host frame,
-			// bypassing PhysMem's lookup. The walk is still
-			// profiled, as the zero-length span it is: the hooks advance
-			// no clock and open no span, so counting it after them folds
-			// into the tree what a span around them would.
+			// write observers plus a write into the host frame the cached
+			// walk reached. The walk is still profiled, as the zero-length
+			// span it is: the hooks advance no clock and open no span, so
+			// counting it after them folds into the tree what a span
+			// around them would.
 			v.fireWriteHooks(gva.PageFloor())
 			v.Prof.Count(prof.SubCPU, "page_walk")
-			v.land(fr, gva, b[:n], src, at)
 		} else {
 			hpa, err := v.walkForWrite(gva)
 			if err != nil {
 				return err
 			}
-			if fr, ok := v.tlbFilledFrame(gva, hpa); ok {
-				v.land(fr, gva, b[:n], src, at)
-			} else if err := v.Phys.Write(hpa, b[:n]); err != nil {
+			if fr, err = v.Phys.FrameRef(hpa); err != nil {
 				return err
 			}
 		}
+		v.land(fr, gva, b[:n], src, at)
 		gva = gva.Add(uint64(n))
 		b = b[n:]
 		at += n
@@ -757,7 +752,7 @@ func (v *VCPU) Read(gva mem.GVA, b []byte) error {
 		}
 		v.inc(&v.ctr.readOps, CtrReadOps)
 		v.Clock.Advance(v.Costs.ReadOp)
-		if fr, ok := v.tlbReadFrame(gva); ok {
+		if fr, ok := v.tlbFrame(gva, tlbEPTAccessed, pgtable.FlagPresent|pgtable.FlagAccessed); ok {
 			v.Prof.Count(prof.SubCPU, "page_walk")
 			fr.ReadAt(b[:n], gva.PageOffset())
 		} else {
@@ -765,9 +760,7 @@ func (v *VCPU) Read(gva mem.GVA, b []byte) error {
 			if err != nil {
 				return err
 			}
-			if fr, ok := v.tlbFilledFrame(gva, hpa); ok {
-				fr.ReadAt(b[:n], gva.PageOffset())
-			} else if err := v.Phys.Read(hpa, b[:n]); err != nil {
+			if err := v.Phys.Read(hpa, b[:n]); err != nil {
 				return err
 			}
 		}

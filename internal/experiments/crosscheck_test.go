@@ -11,9 +11,9 @@ import (
 // checkCacheEquivalence runs one fully probed experiment twice - once with
 // every host-side acceleration cache enabled (the default) and once with
 // simcache.DisableAll - and asserts every output byte is identical. This
-// is the contract the software TLB, the reverse-map index, the cached
-// arming state and the workload memo all promise: they change how fast the
-// simulator runs, never what it computes.
+// is the contract the software TLB, the paging-structure cache, the
+// reverse-map index and the workload memo all promise: they change how fast
+// the simulator runs, never what it computes.
 // unprobed lists experiments whose runners never attach the Options
 // probes to their machines (Table IV's micro grid runs with its planes
 // detached, the scalability sweeps via runBoehmOn, the ablations); their

@@ -27,7 +27,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/ringbuf"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 	"repro/internal/trace"
 	"repro/internal/vmcs"
 )
@@ -257,20 +256,16 @@ func (vm *VM) drainPMLBuffer() error {
 		}
 		return nil
 	}
+	// The buffer's backing frame is resolved once and serves this drain
+	// (single goroutine: nothing frees frames or captures mid-drain).
+	buf, err := vm.Hyp.Phys.FrameRef(vm.pmlBuf)
+	if err != nil {
+		return fmt.Errorf("hypervisor: PML drain: %w", err)
+	}
 	ev := vm.VCPU.Met
 	start := vm.Clock.Nanos()
 	copied := int64(0)
 	perEntry := vm.Hyp.Model.RBCopy.PerPage(vm.wsOrDefault())
-	// Resolve the buffer's backing frame once per drain instead of paying
-	// PhysMem's lookup per entry. The frame pointer stays valid for the
-	// whole drain (single goroutine, nothing frees frames or captures
-	// mid-drain).
-	var frame *mem.Frame
-	if simcache.Enabled() {
-		if f, err := vm.Hyp.Phys.FrameRef(vm.pmlBuf); err == nil {
-			frame = f
-		}
-	}
 	// Counter handles resolved on first use per drain keep the map hash out
 	// of the per-entry loop and allocate nothing for a counter never bumped.
 	var migCtr, ringCtr *sim.Counter
@@ -283,16 +278,7 @@ func (vm *VM) drainPMLBuffer() error {
 	var batch [vmcs.PMLBufferEntries]uint64
 	pushed := batch[:0]
 	for slot := first; slot < vmcs.PMLBufferEntries; slot++ {
-		var raw uint64
-		if frame != nil {
-			raw = frame.U64At(uint64(slot) * 8)
-		} else {
-			r, err := vm.Hyp.Phys.ReadU64(vm.pmlBuf + mem.HPA(slot*8))
-			if err != nil {
-				return fmt.Errorf("hypervisor: PML drain: %w", err)
-			}
-			raw = r
-		}
+		raw := buf.U64At(uint64(slot) * 8)
 		gpa := mem.GPA(raw)
 		if vm.VCPU.Inj.Fire(faults.PMLEntryLoss) {
 			// The entry vanishes before either consumer sees it; the

@@ -62,8 +62,7 @@ type sparseWrite struct {
 // Mutating methods follow PhysMem's ownership model: a frame is only ever
 // mutated by the goroutine driving the VM it is mapped into (materialization
 // and growing the buffer lock PhysMem for the slabs). Frames live in
-// chunks; the vCPU software TLB caches *Frame pointers into them under the
-// Epoch contract.
+// chunks, and a *Frame from FrameRef is valid for one access.
 //
 // A frame's write buffer is always private to its chunk's owner: copying a
 // frozen chunk copies its buffers. Its materialized page may still be
@@ -190,11 +189,6 @@ type PhysMem struct {
 	slabLen  int              // length of the last page slab allocated
 	swslab   []sparseWrite    // write-buffer entries for appending writes
 	maxBytes uint64           // 0 means unlimited
-	// epoch counts the events after which an externally cached frame pointer
-	// may be stale (FreeFrame, Reset, a capture freezing the chunks, a
-	// restore). The vCPU software TLB compares it before trusting a cached
-	// FrameRef.
-	epoch atomic.Uint64
 }
 
 // chunk holds the frames of chunkFrames consecutive host frame numbers.
@@ -269,7 +263,6 @@ func (p *PhysMem) FreeFrame(hpa HPA) error {
 	*f = Frame{}
 	p.live--
 	p.free = append(p.free, hpa)
-	p.epoch.Add(1)
 	return nil
 }
 
@@ -280,13 +273,10 @@ func (p *PhysMem) FrameCount() int {
 	return p.live
 }
 
-// Epoch returns the frame-invalidation epoch; it advances whenever a
-// previously returned FrameRef may have become stale (FreeFrame, Reset,
-// CaptureSnapshot, RestoreSnapshot).
-func (p *PhysMem) Epoch() uint64 { return p.epoch.Load() }
-
-// FrameRef returns the frame containing hpa. The pointer stays valid while
-// Epoch is unchanged; the vCPU software TLB caches it under that contract.
+// FrameRef returns the frame containing hpa, valid for one access (or one
+// drain of a buffer): a capture freezes its chunk, and a free, reset or
+// restore may reuse its slot, so a caller resolves it again for the next
+// access instead of keeping it.
 func (p *PhysMem) FrameRef(hpa HPA) (*Frame, error) {
 	return p.frame(hpa)
 }
@@ -504,5 +494,4 @@ func (p *PhysMem) Reset() {
 	p.live = 0
 	p.free = nil
 	p.next = PageSize
-	p.epoch.Add(1)
 }

@@ -10,16 +10,15 @@ import "sync/atomic"
 // first access to it; materialized pages stay shared until written.
 //
 // Contract:
-//   - Capture and restore require all goroutines touching the PhysMem (or
-//     frames cached from it) to be quiescent; in the simulator that means
-//     no VM is mid-instruction, which machine-level snapshotting enforces.
+//   - Capture and restore require all goroutines touching the PhysMem to be
+//     quiescent; in the simulator that means no VM is mid-instruction,
+//     which machine-level snapshotting enforces.
 //   - A Snapshot is immutable once captured and may back any number of
 //     restores and forks concurrently, including after the source PhysMem
 //     has diverged or been reset.
-//   - CaptureSnapshot and RestoreSnapshot bump the frame-invalidation
-//     epoch, so frame pointers cached under the Epoch contract (the vCPU
-//     software TLB, its log-buffer cache) cannot write into a frozen chunk;
-//     the epoch never rewinds.
+//   - A capture is a freeze and bumps nothing: no caller keeps a frame
+//     pointer past one access (FrameRef), and lookups never return a frame
+//     of a frozen chunk, so nothing can write into what was captured.
 type Snapshot struct {
 	chunks   []*chunk // frozen; nil where the source had no chunk
 	live     int
@@ -52,14 +51,12 @@ func (p *PhysMem) CaptureSnapshot() *Snapshot {
 			s.chunks[i] = c
 		}
 	}
-	p.epoch.Add(1)
 	return s
 }
 
 // RestoreSnapshot rewinds the memory image to the captured state by
 // adopting its frozen chunks, so divergence since the capture is discarded
-// without being undone byte-by-byte, and the epoch bump invalidates every
-// cached frame pointer.
+// without being undone byte-by-byte.
 func (p *PhysMem) RestoreSnapshot(s *Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -92,5 +89,4 @@ func (p *PhysMem) applyLocked(s *Snapshot) {
 	p.next = s.next
 	p.free = append([]HPA(nil), s.free...)
 	p.maxBytes = s.maxBytes
-	p.epoch.Add(1)
 }

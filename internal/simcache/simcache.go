@@ -1,9 +1,9 @@
 // Package simcache holds the global enable switch for the simulator's
-// host-side acceleration caches: the vCPU software TLB and the page
-// table's paging-structure cache, the page table's incremental GPA->GVA
-// reverse index, the vCPU's cached VMCS arming state, and the workloads'
-// process-wide input memo (string-match's generated text and the pure
-// function of an input that is immutable after Setup).
+// four host-side acceleration caches: the vCPU software TLB (the vCPU's
+// only host cache), the page table's paging-structure cache, the page
+// table's incremental GPA->GVA reverse index, and the workloads'
+// process-wide input memo (generated inputs and the pure function of an
+// input that is immutable after Setup).
 //
 // The caches are pure host-side optimizations: on or off, the simulation
 // must produce byte-identical traces, metrics snapshots and profiles (the

@@ -126,11 +126,6 @@ type VMCS struct {
 	// sense of the hardware bitmaps for simplicity).
 	readBitmap  [numFields]bool
 	writeBitmap [numFields]bool
-	// gen counts every mutation (Write, arming toggles, shadow link and
-	// unlink). The vCPU keys its cached arming state on it; any vmwrite -
-	// root or guest mode, direct or through the shadow - lands in Write and
-	// bumps it.
-	gen uint64
 }
 
 // New returns an empty VMCS with the PML index at its architectural reset
@@ -141,9 +136,6 @@ func New() *VMCS {
 	v.fields[idxGuestPMLIndex] = PMLResetIndex
 	return v
 }
-
-// Gen returns the mutation generation; see the field comment.
-func (v *VMCS) Gen() uint64 { return v.gen }
 
 // PMLBufferEntries is the number of 8-byte slots in a 4 KiB PML buffer.
 const PMLBufferEntries = mem.PageSize / 8 // 512
@@ -168,7 +160,6 @@ func (v *VMCS) Write(f Field, val uint64) error {
 		return fmt.Errorf("%w: %v", ErrUnknownField, f)
 	}
 	v.fields[i] = val
-	v.gen++
 	return nil
 }
 
@@ -183,7 +174,6 @@ func (v *VMCS) LinkShadow(shadow *VMCS, expose ...Field) {
 			v.writeBitmap[i] = true
 		}
 	}
-	v.gen++
 }
 
 // UnlinkShadow detaches the shadow VMCS and disables shadowing.
@@ -192,7 +182,6 @@ func (v *VMCS) UnlinkShadow() {
 	v.fields[idxExecControls] &^= CtrlEnableShadowing
 	v.readBitmap = [numFields]bool{}
 	v.writeBitmap = [numFields]bool{}
-	v.gen++
 }
 
 // Shadow returns the linked shadow VMCS, or nil.
@@ -235,7 +224,6 @@ func (v *VMCS) SetPMLEnabled(on bool) {
 	} else {
 		v.fields[idxExecControls] &^= CtrlEnablePML
 	}
-	v.gen++
 }
 
 // Snapshot is a captured VMCS image: all fields, the shadow link (deeply
@@ -261,8 +249,7 @@ func (v *VMCS) Snapshot() *Snapshot {
 }
 
 // Restore rewinds the VMCS to a captured state, rebuilding the shadow
-// chain. The generation advances rather than rewinding so cached arming
-// state (the vCPU's armCache) is re-derived, never resurrected.
+// chain.
 func (v *VMCS) Restore(s *Snapshot) {
 	v.fields = s.fields
 	v.readBitmap = s.readBitmap
@@ -274,7 +261,6 @@ func (v *VMCS) Restore(s *Snapshot) {
 	} else {
 		v.shadow = nil
 	}
-	v.gen++
 }
 
 // EPMLEnabled reports whether the EPML hardware extension is armed.
@@ -289,5 +275,4 @@ func (v *VMCS) SetEPMLEnabled(on bool) {
 	} else {
 		v.fields[idxExecControls] &^= CtrlEnableEPML
 	}
-	v.gen++
 }

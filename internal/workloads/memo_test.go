@@ -239,17 +239,18 @@ func TestInputMemoKeepsOneInputPerName(t *testing.T) {
 	}
 }
 
-// TestWarmSetupSharesInput: on a warm memo, histogram's and
-// string-match's medium Setups land the memoized input as shared guest
-// pages instead of copies, in regions and on the Boehm heap (whose
-// payloads start 8 bytes into a page), so a Setup allocates at most 256 B
-// per working-set page where a copy would cost 4 KiB.
+// TestWarmSetupSharesInput: histogram's and string-match's medium Setups
+// land their input as shared guest pages instead of copies, in regions and
+// on the Boehm heap (whose payloads start 8 bytes into a page). On a warm
+// memo a Setup allocates at most 256 B per working-set page, where a copy
+// would cost 4 KiB. With the caches off (simcache.DisableAll) every Setup
+// draws its input afresh, 4 KiB per page, and the guest pages share that
+// draw: at most 4,352 B per page, where drawing and copying cost 8 KiB.
 func TestWarmSetupSharesInput(t *testing.T) {
 	for _, name := range []string{"histogram", "string-match"} {
 		for _, heap := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/gc=%v", name, heap), func(t *testing.T) {
-				resetInputs()
-				setup := func() float64 {
+				setup := func(t *testing.T) float64 {
 					t.Helper()
 					proc, err := newProc()
 					if err != nil {
@@ -273,11 +274,23 @@ func TestWarmSetupSharesInput(t *testing.T) {
 					}
 					return float64(after.TotalAlloc-before.TotalAlloc) / float64(w.WorkingSet()/mem.PageSize)
 				}
-				setup() // warms the memo
-				perPage := setup()
-				t.Logf("warm Setup: %.0f B per working-set page", perPage)
-				if perPage > 256 {
-					t.Errorf("warm Setup allocated %.0f B per working-set page, want at most 256", perPage)
+				for _, st := range []struct {
+					name  string
+					off   bool
+					limit float64
+				}{{"cold", true, mem.PageSize + 256}, {"warm", false, 256}} {
+					t.Run(st.name, func(t *testing.T) {
+						if st.off {
+							defer simcache.DisableAll()()
+						}
+						resetInputs()
+						setup(t) // warms the memo when it is on
+						perPage := setup(t)
+						t.Logf("%s Setup: %.0f B per working-set page", st.name, perPage)
+						if perPage > st.limit {
+							t.Errorf("%s Setup allocated %.0f B per working-set page, want at most %.0f", st.name, perPage, st.limit)
+						}
+					})
 				}
 			})
 		}
